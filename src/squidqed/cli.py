@@ -402,7 +402,9 @@ def _scan_point(kind: str, ratio: float, g02: float, detuning: float,
                 "peak": float(res.peak_photon_population[0]),
                 "violation": bool(res.fock_violation[0]),
                 "gate_fidelity": float(res.meta["gate_fidelity"][0])}
-    except Exception as exc:  # per-point resilience: report, keep scanning
+    except (ValueError, ResolutionError, np.linalg.LinAlgError) as exc:
+        # a physics or input failure costs one point; programming errors
+        # propagate
         return {"parameter": ratio, "failed": f"{type(exc).__name__}: {exc}"}
 
 

@@ -12,10 +12,10 @@ hbar-normalized generator in rad/s (pass ``hbar_units="radps"`` downstream).
 Composite spaces order subsystems (loop_a, loop_b, cavity); single-loop
 interaction builders use (loop, cavity).
 
-Time-dependent builders come in pairs: a direct evaluator ``h_xxx(... , t)``
-and a factory ``h_xxx_factory(...)`` returning a closure ``t -> Operator``
-that carries an ``omega_max`` attribute (the fastest phase present) for the
-integrator's step-size check, plus any reduction-condition metadata.
+Time-dependent builders are factories ``h_xxx_factory(...)`` returning a
+closure ``t -> Operator`` that carries an ``omega_max`` attribute (the
+fastest phase present) for the integrator's step-size check, plus any
+reduction-condition metadata.
 """
 
 from __future__ import annotations
@@ -40,11 +40,8 @@ __all__ = [
     "cavity_ladders",
     "couplings_from_structure",
     "drive_from_structure",
-    "h_int_full_interaction_picture",
     "h_int_full_factory",
-    "h_int_rwa",
     "h_int_rwa_factory",
-    "h_drive_full",
     "h_drive_full_factory",
     "h_drive_rwa",
     "gamma_eff",
@@ -268,12 +265,6 @@ def h_int_full_factory(cs: CouplingSet, ls: LevelStructure, m: CavityMode):
     return h
 
 
-def h_int_full_interaction_picture(cs: CouplingSet, ls: LevelStructure,
-                                   m: CavityMode, t: float) -> Operator:
-    """Full interaction-picture coupling at one time (see the factory)."""
-    return h_int_full_factory(cs, ls, m)(t)
-
-
 def h_int_rwa_factory(cs: CouplingSet, ls: LevelStructure, m: CavityMode):
     """Factory for the resonant-only (rotating-wave) coupling.
 
@@ -294,12 +285,6 @@ def h_int_rwa_factory(cs: CouplingSet, ls: LevelStructure, m: CavityMode):
     h.condition_ratio = abs(wm) / m.omega_c
     h.condition_ok = h.condition_ratio < CONDITION_RATIO_MAX
     return h
-
-
-def h_int_rwa(cs: CouplingSet, ls: LevelStructure, m: CavityMode,
-              t: float) -> Operator:
-    """Rotating-wave coupling at one time (see the factory)."""
-    return h_int_rwa_factory(cs, ls, m)(t)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +315,6 @@ def h_drive_full_factory(d: DriveSpec, ls: LevelStructure):
 
     h.omega_max = wu + w_tr
     return h
-
-
-def h_drive_full(d: DriveSpec, ls: LevelStructure, t: float) -> Operator:
-    """Full drive Hamiltonian at one time (see the factory)."""
-    return h_drive_full_factory(d, ls)(t)
 
 
 def h_drive_rwa(d: DriveSpec, ls: LevelStructure) -> Operator:

@@ -172,6 +172,28 @@ def test_scan_rwa(tmp_path):
     assert all(e < 1e-3 for e in errs)
 
 
+def test_scan_point_reports_physics_errors_and_raises_bugs(tmp_path,
+                                                          monkeypatch):
+    import squidqed.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused on purpose")
+
+    cfg = {"scan_kind": "rwa", "grid": [0.02, 0.01]}
+    monkeypatch.setattr(cli, "rwa_error_scan", refuse)
+    assert run_cli(tmp_path, "scan", cfg, extra=["--workers", "1"]) == 1
+    lines = grab(tmp_path, "scan.csv").strip().splitlines()
+    assert ("# point 2.000000000000e-02 failed: "
+            "ValueError: refused on purpose") in lines
+
+    def broken(*args, **kwargs):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(cli, "rwa_error_scan", broken)
+    with pytest.raises(TypeError, match="programming error"):
+        run_cli(tmp_path / "bug", "scan", cfg, extra=["--workers", "1"])
+
+
 def test_feasibility_default(tmp_path):
     assert run_cli(tmp_path, "feasibility") == 0
     text = grab(tmp_path, "feasibility.txt")

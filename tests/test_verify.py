@@ -4,16 +4,22 @@ negative control, and the two reduction-error scans."""
 import numpy as np
 import pytest
 
+from squidqed.constants import HBAR, TWO_PI
+from squidqed.dynamics import evolve_timedep, max_step_for
+from squidqed.hamiltonians import (CavityMode, CouplingSet,
+                                   h_int_full_factory, h_int_rwa_factory)
 from squidqed.hilbert import StateVector
 from squidqed.protocols import (ExecutionParams, GateSchedule,
                                 schedule_cps, schedule_entanglement,
                                 schedule_swap)
+from squidqed.squid import LevelStructure
 from squidqed.verify import (ScanResult, TruthTable, check_truth_table,
                              computational_propagator, concurrence,
                              corrupt_first_pulse, dispersive_error_scan,
                              gate_fidelity, halving_ratios, photon_excursion,
                              rwa_error_scan, truth_table_cps,
-                             truth_table_swap, truth_table_transfer)
+                             truth_table_swap, truth_table_transfer,
+                             _lab_frame_eigh, _preset_coupling_pattern)
 
 
 def test_gate_fidelity_basics():
@@ -153,6 +159,52 @@ def test_rwa_scan_bands():
     assert np.all((h > 3.0) & (h < 5.5))
     assert np.all(scan.peak_photon_population < 0.05)
     assert not scan.fock_violation.any()
+
+
+def test_rwa_scan_records_condition_and_refuses_zero_coupling():
+    ratios = (0.1 / 20.1, 0.1 / 40.1)
+    scan = rwa_error_scan(ratios)
+    np.testing.assert_allclose(scan.meta["condition_ratio"], ratios)
+    assert scan.meta["condition_ok"].tolist() == [True, True]
+    dark = CouplingSet(g=np.diag([1.0e7, 0.0, 2.0e7]), lambda_c=-1.0)
+    with pytest.raises(ValueError, match=r"zero 0<->2 coupling g\[0, 2\]"):
+        rwa_error_scan(ratios, couplings=dark)
+
+
+def test_exact_frame_propagation_matches_time_stepping():
+    """The scan's one-eigh propagation against midpoint steps of the same
+    interaction-picture closures: e^{i H0 T} W e^{-i w T} W^dag psi0 must
+    agree with the stepped state, to second order in the step."""
+    pattern, level_ratio = _preset_coupling_pattern()
+    detuning = TWO_PI * 1.0e8
+    omega_c = detuning / 0.02
+    omega_20 = omega_c - detuning
+    omega_10 = level_ratio * omega_20
+    ls = LevelStructure(energies=HBAR * omega_20 * np.array([0.0, level_ratio,
+                                                              1.0]),
+                        flux_elements=pattern * 1e-16, omega_10=omega_10,
+                        omega_20=omega_20, omega_21=omega_20 - omega_10)
+    nfock = 4
+    mode = CavityMode(omega_c=omega_c, fock_cutoff=nfock)
+    cs = CouplingSet(g=pattern * TWO_PI * 1.0e7, lambda_c=-1.0)
+    t_end = 20 * TWO_PI / omega_c
+    psi0 = np.kron(np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0),
+                   np.eye(nfock)[0]).astype(complex)
+    h0 = np.array([e + omega_c * n for e in (0.0, omega_10, omega_20)
+                   for n in range(nfock)])
+
+    for factory in (h_int_full_factory, h_int_rwa_factory):
+        h = factory(cs, ls, mode)
+        w, v = _lab_frame_eigh(h, ls, mode)
+        exact = np.exp(1j * h0 * t_end) * (
+            v @ (np.exp(-1j * w * t_end) * (v.conj().T @ psi0)))
+        dev = []
+        for dt in (max_step_for(h.omega_max), max_step_for(h.omega_max) / 2):
+            res = evolve_timedep(h, 0.0, t_end, dt,
+                                 StateVector(psi0, (3, nfock)))
+            dev.append(np.linalg.norm(res.final_state.amplitudes - exact))
+        assert dev[0] < 1e-3, factory.__name__
+        assert 3.0 < dev[0] / dev[1] < 5.0, (factory.__name__, dev)
 
 
 def test_photon_excursion():
