@@ -28,15 +28,15 @@ import numpy as np
 
 from .constants import HBAR, TWO_PI
 from .feasibility import FeasibilityInput, assess, gate_time_estimate
-from .hilbert import StateVector, fidelity_up_to_global_phase
+from .hilbert import StateVector, basis_state, fidelity_up_to_global_phase
 from .protocols import ExecutionParams, SCHEDULE_BUILDERS, execute
 from .squid import (PRESET_KEYS, FluxGrid, ResolutionError, SquidParams,
                     lambda_check, load_preset, solve)
 from .verify import (DEFAULT_DISPERSIVE_RATIOS, DEFAULT_RWA_RATIOS,
-                     check_truth_table, computational_propagator,
-                     concurrence, dispersive_error_scan, gate_fidelity,
-                     photon_excursion, rwa_error_scan, truth_table_cps,
-                     truth_table_swap, truth_table_transfer)
+                     _run_photon_peaks, check_truth_table,
+                     computational_propagator, concurrence,
+                     dispersive_error_scan, gate_fidelity, rwa_error_scan,
+                     truth_table_cps, truth_table_swap, truth_table_transfer)
 
 __all__ = ["main"]
 
@@ -287,9 +287,7 @@ def cmd_spectrum(args, raw_cfg: dict) -> int:
 
 def _computational_inputs():
     for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        v = np.zeros(9, dtype=complex)
-        v[3 * a + b] = 1.0
-        yield f"|{a}{b}>", StateVector(v, (3, 3))
+        yield f"|{a}{b}>", basis_state((3, 3), (a, b))
 
 
 def cmd_gate(args, raw_cfg: dict) -> int:
@@ -300,15 +298,22 @@ def cmd_gate(args, raw_cfg: dict) -> int:
     head = _header("gate", args.backend, cfg)
     exact_backend = args.backend in ("analytic", "dispersive")
 
-    # per-step intermediate states for the computational inputs
+    # per-step intermediate states for the computational inputs, and the
+    # photon statistics of the same runs on the cavity backend
     lines = [head,
              "input_label,step_index,loop_a_level,loop_b_level,"
              "amplitude_real_dimensionless,amplitude_imag_dimensionless\n"]
+    peak_n, peak_top = 0.0, 0.0
     for label, psi in _computational_inputs():
         if name == "transfer" and label in ("|01>", "|11>"):
             continue  # loop b must start in |0>
         res = execute(schedule, psi, backend, params,
                       record_intermediate=True)
+        if args.backend == "cavity":
+            n, top = _run_photon_peaks(schedule, params, psi,
+                                       res.intermediates)
+            peak_n = max(peak_n, n)
+            peak_top = max(peak_top, top)
         for k, state in enumerate(res.intermediates):
             amps = state.amplitudes
             if state.dims != (3, 3):
@@ -343,9 +348,7 @@ def cmd_gate(args, raw_cfg: dict) -> int:
                             f"threshold")
 
     if schedule.target_state is not None:
-        v0 = np.zeros(9, dtype=complex)
-        v0[0] = 1.0
-        res = execute(schedule, StateVector(v0, (3, 3)), backend, params)
+        res = execute(schedule, basis_state((3, 3), (0, 0)), backend, params)
         final = res.final_state
         if final.dims != (3, 3):
             amps = final.amplitudes.reshape(9, final.dims[2])[:, 0]
@@ -360,13 +363,6 @@ def cmd_gate(args, raw_cfg: dict) -> int:
             failures.append("entangled target state not reached exactly")
 
     if args.backend == "cavity":
-        peak_n, peak_top = 0.0, 0.0
-        for label, psi in _computational_inputs():
-            if name == "transfer" and label in ("|01>", "|11>"):
-                continue
-            n, top = photon_excursion(schedule, params, psi)
-            peak_n = max(peak_n, n)
-            peak_top = max(peak_top, top)
         summary.append(f"peak_photon_population_dimensionless "
                        f"{_fmt(peak_n)}\n")
         summary.append(f"top_fock_population_dimensionless "

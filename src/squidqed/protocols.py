@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonians import fock_lowering, fock_number, gamma_eff
+from .hamiltonians import (fock_lowering, fock_number, gamma_eff,
+                           h_eff_vacuum)
 from .hilbert import Operator, StateVector, matexp_unitary
 from .dynamics import EvolutionResult
 
@@ -306,10 +308,10 @@ class ExecutionParams:
         return gamma_eff(self.g02, self.detuning)
 
 
-def _embed_rotation(action: PulseAction, dims) -> np.ndarray:
-    r = rotation_map(action.levels, action.theta).entries
+def _on_loop(m3: np.ndarray, target: str, dims) -> np.ndarray:
+    """Place a 3x3 matrix on loop a or b, identity on every other factor."""
     mats = [np.eye(d, dtype=complex) for d in dims]
-    mats[0 if action.target == "a" else 1] = r
+    mats[0 if target == "a" else 1] = m3
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
@@ -320,65 +322,78 @@ def _pulse_generator(action: PulseAction, dims, rabi: float) -> np.ndarray:
     i, j = action.levels
     h3 = np.zeros((3, 3), dtype=complex)
     h3[i, j] = h3[j, i] = rabi
-    mats = [np.eye(d, dtype=complex) for d in dims]
-    mats[0 if action.target == "a" else 1] = h3
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+    return _on_loop(h3, action.target, dims)
+
+
+@lru_cache(maxsize=16)
+def _cavity_eigensystem(g02: float, detuning: float, fock_cutoff: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigensystem (w, v) of the explicit-cavity generator in the
+    frame co-rotating with the detuning,
+    H' = Delta n_hat + g02 (a |2><0|_a + a |2><0|_b + h.c.)
+    on (loop_a, loop_b, cavity).  Shared by the dispersive-segment
+    propagator and the photon statistics sampled inside the segment."""
+    a = fock_lowering(fock_cutoff)
+    i3 = np.eye(3, dtype=complex)
+    x20 = np.zeros((3, 3), dtype=complex)
+    x20[2, 0] = 1.0
+    up_a = np.kron(np.kron(x20, i3), a)
+    up_b = np.kron(np.kron(i3, x20), a)
+    hprime = (detuning * np.kron(np.eye(9, dtype=complex),
+                                 fock_number(fock_cutoff))
+              + g02 * (up_a + up_b)
+              + g02 * (up_a + up_b).conj().T)
+    w, v = np.linalg.eigh(hprime)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
 
 
 def _cavity_dispersive_unitary(params: ExecutionParams, t: float) -> np.ndarray:
     """Exact propagator of the resonant-exchange cavity model over t,
     rotated back to the detuned interaction picture.
 
-    In the frame co-rotating with the detuning, the generator is constant:
-    H' = Delta n_hat + g02 (a |2><0|_a + a |2><0|_b + h.c.), and the
-    interaction-picture state is e^{+i Delta n_hat t} e^{-i H' t} psi_0.
+    In the frame co-rotating with the detuning, the generator H' (see
+    `_cavity_eigensystem`) is constant, and the interaction-picture state
+    is e^{+i Delta n_hat t} e^{-i H' t} psi_0.
     """
     n = params.fock_cutoff
-    a = fock_lowering(n)
-    num = fock_number(n)
-    i3 = np.eye(3, dtype=complex)
-    x20 = np.zeros((3, 3), dtype=complex)
-    x20[2, 0] = 1.0
-    up_a = np.kron(np.kron(x20, i3), a)
-    up_b = np.kron(np.kron(i3, x20), a)
-    hprime = (params.detuning * np.kron(np.eye(9, dtype=complex), num)
-              + params.g02 * (up_a + up_b)
-              + params.g02 * (up_a + up_b).conj().T)
-    w, v = np.linalg.eigh(hprime)
+    w, v = _cavity_eigensystem(params.g02, params.detuning, n)
     core = (v * np.exp(-1j * w * t)) @ v.conj().T
     frame = np.exp(1j * params.detuning * np.arange(n) * t)
     return np.kron(np.ones(9), frame)[:, None] * core
 
 
+@lru_cache(maxsize=64)
 def _step_unitary(step, backend: str, params: ExecutionParams,
                   dims) -> np.ndarray:
+    """Read-only propagator of one constant segment.  Every argument is a
+    frozen value, and a batch of runs asks for the same few segments over
+    and over, so each distinct segment is built once."""
     if isinstance(step, AraStep):
-        if backend == "analytic":
-            u = np.eye(int(np.prod(dims)), dtype=complex)
-            for act in step.actions:
-                u = _embed_rotation(act, dims) @ u
-            return u
         u = np.eye(int(np.prod(dims)), dtype=complex)
         for act in step.actions:
-            h = _pulse_generator(act, dims, params.rabi)
-            t = act.theta / (2.0 * params.rabi)
-            u = matexp_unitary(Operator(h, dims, hermitian_flag=True),
-                               t).entries @ u
-        return u
-    # dispersive step
-    frac = float(step.duration_over_pi_gamma)
-    if backend == "analytic":
-        gam = params.gamma
-        return dispersive_map(gam, frac * math.pi / gam).entries
-    if params.explicit_cavity:
-        gam = params.gamma_cavity
-        return _cavity_dispersive_unitary(params, frac * math.pi / gam)
-    from .hamiltonians import h_eff_vacuum
-    gam = params.gamma
-    return matexp_unitary(h_eff_vacuum(gam), frac * math.pi / gam).entries
+            if backend == "analytic":
+                r = _on_loop(rotation_map(act.levels, act.theta).entries,
+                             act.target, dims)
+            else:
+                h = Operator(_pulse_generator(act, dims, params.rabi), dims,
+                             hermitian_flag=True)
+                r = matexp_unitary(h, act.theta / (2.0 * params.rabi)).entries
+            u = r @ u
+    else:
+        frac = float(step.duration_over_pi_gamma)
+        if backend == "analytic":
+            gam = params.gamma
+            u = dispersive_map(gam, frac * math.pi / gam).entries
+        elif params.explicit_cavity:
+            u = _cavity_dispersive_unitary(
+                params, frac * math.pi / params.gamma_cavity)
+        else:
+            gam = params.gamma
+            u = matexp_unitary(h_eff_vacuum(gam), frac * math.pi / gam).entries
+    u.setflags(write=False)
+    return u
 
 
 def execute(schedule: GateSchedule, psi0: StateVector,

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .constants import HBAR, PHI0, TWO_PI
 
@@ -173,6 +172,10 @@ def build_potential(p: SquidParams, g: FluxGrid) -> np.ndarray:
 
 def _solve_grid(p: SquidParams, g: FluxGrid, n_levels: int):
     """Eigenpairs of the central-difference Hamiltonian on one grid."""
+    # imported here: scipy.linalg is most of the package's import time, and
+    # only the eigensolver needs it
+    from scipy.linalg import eigh_tridiagonal
+
     phi = g.values()
     d = g.step
     v_pot = build_potential(p, g)

@@ -20,12 +20,12 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .hamiltonians import (CavityMode, CouplingSet, fock_lowering,
-                           gamma_eff, h_int_full_factory, h_int_rwa_factory)
-from .hilbert import Operator, StateVector
+from .hamiltonians import (CavityMode, CouplingSet, gamma_eff,
+                           h_int_full_factory, h_int_rwa_factory)
+from .hilbert import Operator, StateVector, basis_state
 from .protocols import (AraStep, ExecutionParams, GateSchedule, PulseAction,
-                        execute, schedule_cps, schedule_swap,
-                        schedule_transfer)
+                        _cavity_eigensystem, execute, schedule_cps,
+                        schedule_swap, schedule_transfer)
 from .squid import LevelStructure, load_preset, solve
 
 __all__ = [
@@ -62,6 +62,10 @@ DEFAULT_DISPERSIVE_RATIOS = (0.1, 0.05, 0.025)
 #: Population in the top Fock level beyond this marks the truncation as
 #: untrustworthy for the run.
 FOCK_VIOLATION_TOL = 1e-6
+
+#: Time points evaluated together when photon statistics are sampled; it
+#: keeps the (block x dimension) temporaries small.
+_SAMPLE_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +121,6 @@ def concurrence(state: StateVector, support_tol: float = 1e-10) -> float:
     return float(2.0 * abs(a * d - b * c))
 
 
-def _basis2(a: int, b: int) -> StateVector:
-    v = np.zeros(9, dtype=complex)
-    v[3 * a + b] = 1.0
-    return StateVector(v, (3, 3))
-
-
 def computational_propagator(schedule: GateSchedule,
                              backend: str = "analytic",
                              params: ExecutionParams | None = None
@@ -134,8 +132,8 @@ def computational_propagator(schedule: GateSchedule,
     shows up as a unitarity defect of the returned matrix.
     """
     u = np.zeros((4, 4), dtype=complex)
-    for col, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        res = execute(schedule, _basis2(a, b), backend, params)
+    for col, ab in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        res = execute(schedule, basis_state((3, 3), ab), backend, params)
         amps = res.final_state.amplitudes
         if res.final_state.dims != (3, 3):
             nfock = res.final_state.dims[2]
@@ -443,38 +441,46 @@ def _sampled_photon_peaks(w: np.ndarray, v: np.ndarray, vec: np.ndarray,
                           ) -> tuple[float, float]:
     """Peak expected photon number and peak top-Fock-level population of
     v e^{-i w t} v^dag vec, sampled at n_samples evenly spaced times in
-    [0, t_end].  The state ends in the cavity factor, cavity index fast."""
+    [0, t_end].  The state ends in the cavity factor, cavity index fast.
+    The samples are evaluated _SAMPLE_BLOCK times at once, one matrix
+    product per block: rows e^{-i w t} (v^dag vec) times v^T."""
     num_diag = np.tile(np.arange(nfock, dtype=float), vec.size // nfock)
     top_mask = num_diag == nfock - 1
     coeffs = v.conj().T @ vec
+    times = np.linspace(0.0, t_end, n_samples)
     peak_n, peak_top = 0.0, 0.0
-    for t in np.linspace(0.0, t_end, n_samples):
-        prob = np.abs(v @ (np.exp(-1j * w * t) * coeffs)) ** 2
-        peak_n = max(peak_n, float(np.sum(num_diag * prob)))
-        peak_top = max(peak_top, float(np.sum(prob[top_mask])))
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        phases = np.exp(-1j * np.outer(times[start:start + _SAMPLE_BLOCK], w))
+        prob = np.abs((phases * coeffs) @ v.T) ** 2
+        peak_n = max(peak_n, float((num_diag * prob).sum(axis=1).max()))
+        peak_top = max(peak_top, float(prob[:, top_mask].sum(axis=1).max()))
     return peak_n, peak_top
 
 
-def _segment_photon_stats(params: ExecutionParams, t_seg: float,
-                          vec: np.ndarray, n_samples: int = 512
-                          ) -> tuple[float, float]:
-    """Peak expected photon number and peak top-level population while a
-    state sits in one dispersive segment of the explicit-cavity model."""
+def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
+                      psi0: StateVector, intermediates,
+                      samples_per_segment: int = 512) -> tuple[float, float]:
+    """Peak expected photon number and peak top-Fock-level population over
+    a finished explicit-cavity run, from its input and its recorded
+    intermediates.  Pulses leave the cavity alone, so only dispersive
+    segments are sampled, each from the state it starts in, on the
+    eigensystem the segment propagator was built from."""
     nfock = params.fock_cutoff
-
-    # constant generator: eigendecompose once, sample densely
-    i3 = np.eye(3, dtype=complex)
-    x20 = np.zeros((3, 3), dtype=complex)
-    x20[2, 0] = 1.0
-    low = fock_lowering(nfock)
-    up_a = np.kron(np.kron(x20, i3), low)
-    up_b = np.kron(np.kron(i3, x20), low)
-    hprime = (params.detuning
-              * np.kron(np.eye(9, dtype=complex), np.diag(np.arange(nfock)))
-              + params.g02 * (up_a + up_b)
-              + params.g02 * (up_a + up_b).conj().T)
-    w, v = np.linalg.eigh(hprime)
-    return _sampled_photon_peaks(w, v, vec, t_seg, nfock, n_samples)
+    w, v = _cavity_eigensystem(params.g02, params.detuning, nfock)
+    gam = params.gamma_cavity
+    state = psi0.amplitudes
+    if psi0.dims == (3, 3):
+        state = np.kron(state, basis_state((nfock,), 0).amplitudes)
+    peak_n, peak_top = 0.0, 0.0
+    for step, after in zip(schedule.steps, intermediates):
+        if not isinstance(step, AraStep):
+            t_seg = float(step.duration_over_pi_gamma) * math.pi / gam
+            n, top = _sampled_photon_peaks(w, v, state, t_seg, nfock,
+                                           samples_per_segment)
+            peak_n = max(peak_n, n)
+            peak_top = max(peak_top, top)
+        state = after.amplitudes
+    return peak_n, peak_top
 
 
 def photon_excursion(schedule: GateSchedule, params: ExecutionParams,
@@ -482,30 +488,15 @@ def photon_excursion(schedule: GateSchedule, params: ExecutionParams,
                      ) -> tuple[float, float]:
     """Peak expected photon number and peak top-Fock-level population over
     one explicit-cavity run of a schedule (pulses leave the cavity alone,
-    so only dispersive segments are sampled)."""
+    so only dispersive segments are sampled).  Callers that already hold
+    the run's intermediates use `_run_photon_peaks` and skip the run."""
     if not params.explicit_cavity:
         raise ValueError("photon excursion is defined for the "
                          "explicit-cavity backend")
-    nfock = params.fock_cutoff
     res = execute(schedule, psi0, "hamiltonian", params,
                   record_intermediate=True)
-    gam = params.gamma_cavity
-    if psi0.dims == (3, 3):
-        vac = np.zeros(nfock, dtype=complex)
-        vac[0] = 1.0
-        state = np.kron(psi0.amplitudes, vac)
-    else:
-        state = psi0.amplitudes
-    peak_n, peak_top = 0.0, 0.0
-    for step, after in zip(schedule.steps, res.intermediates):
-        if not isinstance(step, AraStep):
-            t_seg = float(step.duration_over_pi_gamma) * math.pi / gam
-            n, top = _segment_photon_stats(params, t_seg, state,
-                                           samples_per_segment)
-            peak_n = max(peak_n, n)
-            peak_top = max(peak_top, top)
-        state = after.amplitudes
-    return peak_n, peak_top
+    return _run_photon_peaks(schedule, params, psi0, res.intermediates,
+                             samples_per_segment)
 
 
 def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
@@ -541,17 +532,19 @@ def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
         err = 0.0
         peak_n, peak_top = 0.0, 0.0
         u_sim = np.zeros((4, 4), dtype=complex)
-        for col, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            res_c = execute(sched, _basis2(a, b), "hamiltonian", p_cav)
-            res_v = execute(sched, _basis2(a, b), "analytic", p_vac)
+        for col, ab in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            psi = basis_state((3, 3), ab)
+            res_c = execute(sched, psi, "hamiltonian", p_cav,
+                            record_intermediate=True)
+            res_v = execute(sched, psi, "analytic", p_vac)
             final = res_c.final_state.amplitudes.reshape(9, fock_cutoff)
             vac_amp = final[:, 0]
             err = max(err, 1.0 - abs(
                 np.vdot(res_v.final_state.amplitudes, vac_amp)) ** 2)
             u_sim[:, col] = vac_amp[list(_COMP)]
 
-            n, top = photon_excursion(sched, p_cav, _basis2(a, b),
-                                      samples_per_segment)
+            n, top = _run_photon_peaks(sched, p_cav, psi, res_c.intermediates,
+                                       samples_per_segment)
             peak_n = max(peak_n, n)
             peak_top = max(peak_top, top)
 

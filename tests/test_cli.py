@@ -258,3 +258,14 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "feasibility.txt").exists()
+
+
+def test_cli_import_defers_scipy_linalg_to_the_solver(tmp_path):
+    code = ("import sys\n"
+            "from squidqed.cli import main\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            f"assert main(['spectrum', '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

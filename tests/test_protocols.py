@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from squidqed.hamiltonians import h_eff_vacuum
-from squidqed.hilbert import basis_state, matexp_unitary
+from squidqed.hilbert import StateVector, basis_state, matexp_unitary
 from squidqed.protocols import (AraStep, DispersiveStep, ExecutionParams,
                                 GateSchedule, PulseAction, SCHEDULE_BUILDERS,
                                 dispersive_map, execute, parse_schedule,
                                 rotation_map, schedule_cps,
                                 schedule_entanglement, schedule_swap,
                                 schedule_transfer, serialize_schedule,
-                                simultaneous)
+                                simultaneous, _cavity_eigensystem,
+                                _step_unitary)
 
 COMP = (0, 1, 3, 4)  # |00>, |01>, |10>, |11> on the 9-dim two-loop space
 
@@ -213,3 +214,43 @@ def test_gamma_cavity_property():
     assert p.gamma_cavity == pytest.approx(0.0025)
     with pytest.raises(ValueError):
         ExecutionParams(gamma=-1.0)
+
+
+CAVITY = ExecutionParams(g02=0.05, detuning=1.0, fock_cutoff=4,
+                         explicit_cavity=True)
+BACKENDS = (("analytic", ExecutionParams(), (3, 3)),
+            ("hamiltonian", ExecutionParams(), (3, 3)),
+            ("hamiltonian", CAVITY, (3, 3, 4)))
+
+
+def test_cached_step_propagators_are_read_only():
+    for backend, params, dims in BACKENDS:
+        for step in schedule_swap().steps:
+            u = _step_unitary(step, backend, params, dims)
+            assert not u.flags.writeable
+            assert _step_unitary(step, backend, params, dims) is u
+            with pytest.raises(ValueError):
+                u[0, 0] = 0.0
+    w, v = _cavity_eigensystem(0.05, 1.0, 4)
+    assert not w.flags.writeable and not v.flags.writeable
+
+
+def test_execute_unchanged_by_cache_clear():
+    psi = StateVector(np.arange(1, 10) * np.exp(0.3j * np.arange(9))
+                      / np.linalg.norm(np.arange(1, 10)), (3, 3))
+    for backend, params, _ in BACKENDS:
+        for build in SCHEDULE_BUILDERS.values():
+            def run():
+                return execute(build(), psi, backend, params,
+                               want_propagator=True, record_intermediate=True)
+            run()  # fills the caches
+            warm = run()
+            _step_unitary.cache_clear()
+            _cavity_eigensystem.cache_clear()
+            cold = run()
+            np.testing.assert_array_equal(warm.final_state.amplitudes,
+                                          cold.final_state.amplitudes)
+            np.testing.assert_array_equal(warm.propagator.entries,
+                                          cold.propagator.entries)
+            for a, b in zip(warm.intermediates, cold.intermediates):
+                np.testing.assert_array_equal(a.amplitudes, b.amplitudes)

@@ -19,7 +19,8 @@ from squidqed.verify import (ScanResult, TruthTable, check_truth_table,
                              gate_fidelity, halving_ratios, photon_excursion,
                              rwa_error_scan, truth_table_cps,
                              truth_table_swap, truth_table_transfer,
-                             _lab_frame_eigh, _preset_coupling_pattern)
+                             _lab_frame_eigh, _preset_coupling_pattern,
+                             _sampled_photon_peaks)
 
 
 def test_gate_fidelity_basics():
@@ -231,3 +232,30 @@ def test_entanglement_needs_analytic_or_vacuum_backend():
         res_amp = computational_propagator(sched, backend)[:, 0]
         assert abs(res_amp[1]) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
         assert abs(res_amp[2]) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+
+
+def test_blocked_photon_sampling_matches_per_sample_loop():
+    # a long window puts the peaks at inner samples; a window short against
+    # every eigenfrequency makes the photon number monotone, so its peak
+    # sits on the first or the last sample
+    rng = np.random.default_rng(31)
+    for dim, nfock in ((12, 4), (36, 4), (72, 8)):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        w, v = np.linalg.eigh(m + m.conj().T)
+        num = np.tile(np.arange(nfock, dtype=float), dim // nfock)
+        for t_end in (3.7, 1e-3):
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            vec /= np.linalg.norm(vec)
+            coeffs = v.conj().T @ vec
+            for n_samples in (512, 100):
+                ref_n, ref_top = 0.0, 0.0
+                for t in np.linspace(0.0, t_end, n_samples):
+                    prob = np.abs(v @ (np.exp(-1j * w * t) * coeffs)) ** 2
+                    ref_n = max(ref_n, float(np.sum(num * prob)))
+                    ref_top = max(ref_top,
+                                  float(np.sum(prob[num == nfock - 1])))
+                got = _sampled_photon_peaks(w, v, vec, t_end, nfock,
+                                            n_samples)
+                np.testing.assert_allclose(
+                    got, (ref_n, ref_top), rtol=1e-13,
+                    err_msg=f"dim {dim}, t_end {t_end}, {n_samples} samples")
