@@ -7,7 +7,8 @@ delimited text files into the output directory.  Data files are
 deterministic: identical config gives byte-identical bytes, every column
 header names its units, and the only header line carries the producing
 command and a hash of the effective config.  Run metadata that may vary
-(wall time) goes to a separate run.log.
+(wall time, and each failed scan point with its reason) goes to a separate
+run.log.
 
 Exit codes: 0 success, 1 physics-check failure (failed truth table,
 solver resolution error, all scan points failed), 2 usage or config error.
@@ -22,7 +23,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -417,6 +417,8 @@ def cmd_scan(args, raw_cfg: dict) -> int:
     workers = args.workers or os.cpu_count() or 1
     jobs = [(kind, r, g02, detuning, fock) for r in grid]
     if workers > 1 and len(jobs) > 1:
+        # imported here: the pool machinery costs every CLI start ~10 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, *zip(*jobs)))
     else:
@@ -449,6 +451,8 @@ def cmd_scan(args, raw_cfg: dict) -> int:
         if "failed" in r:
             lines.append(f"# point {_fmt(r['parameter'])} failed: "
                          f"{r['failed']}\n")
+            args.run_log.append(f"failed_point parameter="
+                                f"{_fmt(r['parameter'])} reason={r['failed']}")
     _write(args.out, "scan.csv", "".join(lines))
     return 0 if good else 1
 
@@ -521,6 +525,7 @@ def main(argv=None) -> int:
 
     handler = {"spectrum": cmd_spectrum, "gate": cmd_gate,
                "scan": cmd_scan, "feasibility": cmd_feasibility}[args.command]
+    args.run_log = []  # lines a handler adds to run.log
     start = time.time()
     try:
         raw_cfg = _load_config(args.config)
@@ -532,9 +537,10 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     # run metadata lives apart from the deterministic data files
+    head = (f"command={args.command} backend={args.backend} "
+            f"elapsed_s={time.time() - start:.3f}")
     _write(args.out, "run.log",
-           f"command={args.command} backend={args.backend} "
-           f"elapsed_s={time.time() - start:.3f}\n")
+           "".join(ln + "\n" for ln in [head, *args.run_log]))
     return code
 
 

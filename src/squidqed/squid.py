@@ -11,6 +11,17 @@ term becomes a symmetric tridiagonal stencil, so the spectrum comes from a
 dedicated tridiagonal eigensolver.  Eigenfunctions are chosen real with a
 fixed sign gauge; flux matrix elements <i|Phi|j> use trapezoidal quadrature.
 
+`solve` trusts a spectrum only if its transition energies survive a halving
+of the grid step.  That check reads eigenvalues alone: one bisection on the
+doubled grid over a window whose lower edge is the Gershgorin bound (so the
+values found are certified to be the lowest) and whose upper edge sits just
+above the coarse top level.  Too few values in the window, or a shift too
+close to the tolerance for that bisection to decide, send it to the
+index-mode search instead.  Bisection resolves eigenvalues only to about
+eps * max|diag|; when the check fails on transitions near that floor (the
+collapsing 0-1 splitting at the symmetric bias), the error names that limit
+instead of advising more points.
+
 Biased near half a flux quantum with loop parameter beta_L = 2 pi L Ic / Phi_0
 slightly above 1, the potential is a tilted double well whose two lowest
 levels sit in separate wells while the second excited level lies near the
@@ -170,6 +181,14 @@ def build_potential(p: SquidParams, g: FluxGrid) -> np.ndarray:
             - p.E_J * np.cos(TWO_PI * phi / PHI0))
 
 
+def _tridiagonal(p: SquidParams, g: FluxGrid):
+    """Central-difference Hamiltonian on one grid: its diagonal and
+    off-diagonal (J), and the potential it samples (J)."""
+    v_pot = build_potential(p, g)
+    kin = HBAR * HBAR / (2.0 * p.C * g.step * g.step)
+    return 2.0 * kin + v_pot, np.full(g.points - 1, -kin), v_pot
+
+
 def _solve_grid(p: SquidParams, g: FluxGrid, n_levels: int):
     """Eigenpairs of the central-difference Hamiltonian on one grid."""
     # imported here: scipy.linalg is most of the package's import time, and
@@ -178,10 +197,7 @@ def _solve_grid(p: SquidParams, g: FluxGrid, n_levels: int):
 
     phi = g.values()
     d = g.step
-    v_pot = build_potential(p, g)
-    kin = HBAR * HBAR / (2.0 * p.C * d * d)
-    diag = 2.0 * kin + v_pot
-    off = np.full(g.points - 1, -kin)
+    diag, off, v_pot = _tridiagonal(p, g)
     energies, vecs = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, n_levels - 1))
     # L2-normalize by trapezoidal quadrature and fix the real sign gauge
@@ -193,6 +209,61 @@ def _solve_grid(p: SquidParams, g: FluxGrid, n_levels: int):
     return energies, vecs, phi, v_pot
 
 
+#: Upper edge of the doubled-grid search window, above the coarse top level,
+#: as a fraction of the coarse span E_top - E_0.  Wide enough for the fine
+#: top level on any grid that passes the check; narrow enough to keep the
+#: next level out, which bisection would otherwise also resolve.
+_BRACKET_MARGIN = 1e-3
+
+#: Width, in units of floor / smallest transition, of the band around
+#: ``check_rtol`` inside which the value search cannot decide.  Bisection
+#: narrows each eigenvalue to a bracket eps * (max|diag| + 2 kin) <= 2 * floor
+#: wide and returns its midpoint, so two searches can place one eigenvalue
+#: up to 2 * floor apart and one transition up to 4 * floor.
+_UNDECIDED_BAND = 4.0
+
+
+def _transition_shift(coarse: np.ndarray, fine: np.ndarray):
+    """Largest relative change of the transitions E_k - E_0 from coarse to
+    fine, and the smallest fine transition (J)."""
+    coarse_tr = coarse[1:] - coarse[0]
+    fine_tr = fine[1:] - fine[0]
+    shift = np.max(np.abs(coarse_tr - fine_tr) / np.abs(fine_tr))
+    return float(shift), float(np.min(np.abs(fine_tr)))
+
+
+def _doubled_grid_energies(p: SquidParams, g: FluxGrid, coarse: np.ndarray,
+                           check_rtol: float):
+    """Lowest ``coarse.size`` eigenvalues on the doubled grid, without
+    eigenvectors, and the resolution floor eps * max|diag| there (J).
+
+    One value-range bisection over (lo, hi]: lo is the Gershgorin bound
+    min(diag) - 2 kin, below which no eigenvalue lies, so the values found
+    are certified to be the lowest ones; hi is the coarse top level plus
+    :data:`_BRACKET_MARGIN` of the coarse span.  The index-mode search, which
+    gives the same values as a full solve on that grid, runs instead when
+    the window holds too few values (a grid far from convergence) or when
+    the resulting shift lies within :data:`_UNDECIDED_BAND` resolutions of
+    ``check_rtol``, so the check passes and raises where it always has.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    n_levels = coarse.size
+    diag, off, _ = _tridiagonal(p, g.doubled())
+    floor = np.finfo(float).eps * np.max(np.abs(diag))
+    lo = diag.min() - 2.0 * abs(off[0])
+    hi = coarse[-1] + _BRACKET_MARGIN * (coarse[-1] - coarse[0])
+    fine = eigvalsh_tridiagonal(diag, off, select="v",
+                                select_range=(lo, hi))[:n_levels]
+    if fine.size == n_levels:
+        shift, smallest = _transition_shift(coarse, fine)
+        if abs(shift - check_rtol) > _UNDECIDED_BAND * floor / smallest:
+            return fine, floor
+    fine = eigvalsh_tridiagonal(diag, off, select="i",
+                                select_range=(0, n_levels - 1))
+    return fine, floor
+
+
 def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
           check_convergence: bool = True, check_rtol: float = 1e-6
           ) -> LevelStructure:
@@ -202,6 +273,15 @@ def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
     highest retained eigenvalue) and, when ``check_convergence`` is on,
     reproduce the transition energies on a doubled grid to ``check_rtol``
     relative; violations raise :class:`ResolutionError` with a diagnostic.
+
+    The check reads eigenvalues only: the doubled grid gets one bisection
+    over a certified window (see :func:`_doubled_grid_energies`), with no
+    eigenvectors, and falls back to the index-mode search when that window
+    holds too few levels or cannot decide.  It never changes the returned
+    structure.  Bisection resolves eigenvalues to about eps * max|diag|;
+    when that floor exceeds ``check_rtol`` times the smallest transition
+    (near the symmetric bias, where the 0-1 splitting collapses), the
+    error names that limit instead of advising more points.
     """
     if not 1 <= n_levels <= 8:
         raise ValueError(f"n_levels must be in 1..8, got {n_levels}")
@@ -215,14 +295,19 @@ def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
             f"retained level ({top:.4e} J); widen half_width")
 
     if check_convergence and n_levels >= 2:
-        fine, _, _, _ = _solve_grid(p, g.doubled(), n_levels)
-        coarse_tr = energies[1:] - energies[0]
-        fine_tr = fine[1:] - fine[0]
-        shift = np.max(np.abs(coarse_tr - fine_tr) / np.abs(fine_tr))
+        fine, floor = _doubled_grid_energies(p, g, energies, check_rtol)
+        shift, smallest = _transition_shift(energies, fine)
         if shift > check_rtol:
+            if floor / smallest > check_rtol:
+                advice = (f"the smallest transition ({smallest:.3e} J) is "
+                          f"only {smallest / floor:.1e} times the eigensolver "
+                          f"resolution floor ({floor:.3e} J), so more points "
+                          "cannot help")
+            else:
+                advice = "increase points"
             raise ResolutionError(
                 f"transition energies shift by {shift:.3e} relative on grid "
-                f"doubling (tolerance {check_rtol:.1e}); increase points")
+                f"doubling (tolerance {check_rtol:.1e}); {advice}")
 
     d = g.step
     elements = np.empty((n_levels, n_levels))

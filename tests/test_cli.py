@@ -269,3 +269,39 @@ def test_cli_import_defers_scipy_linalg_to_the_solver(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_defers_the_process_pool_to_a_pooled_scan():
+    code = ("import sys\n"
+            "import squidqed.cli\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scan_failures_are_written_to_run_log(tmp_path, monkeypatch):
+    import squidqed.cli as cli
+
+    real = cli.rwa_error_scan
+
+    def refuse_the_finest(ratios, *args, **kwargs):
+        if ratios[0] < 0.015:
+            raise ValueError("refused on purpose")
+        return real(ratios, *args, **kwargs)
+
+    cfg = {"scan_kind": "rwa", "grid": [0.02, 0.01]}
+    monkeypatch.setattr(cli, "rwa_error_scan", refuse_the_finest)
+    assert run_cli(tmp_path, "scan", cfg, extra=["--workers", "1"]) == 0
+    log = grab(tmp_path, "run.log").splitlines()
+    assert log[0].startswith("command=scan")
+    assert log[1:] == ["failed_point parameter=1.000000000000e-02 "
+                       "reason=ValueError: refused on purpose"]
+    assert ("# point 1.000000000000e-02 failed: "
+            "ValueError: refused on purpose") in grab(tmp_path, "scan.csv")
+
+
+def test_run_log_has_one_line_when_no_point_fails(tmp_path):
+    cfg = {"scan_kind": "dispersive", "grid": [0.1]}
+    assert run_cli(tmp_path, "scan", cfg, extra=["--workers", "1"]) == 0
+    assert len(grab(tmp_path, "run.log").splitlines()) == 1

@@ -1,5 +1,7 @@
 """Flux-basis eigensolver: harmonic limit, presets, and lambda scoring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from squidqed.squid import (FluxGrid, LevelStructure, ResolutionError,
                             SquidParams, build_potential,
                             harmonic_scale_element, lambda_check, load_preset,
                             preset_path, solve)
+from squidqed.squid import (_doubled_grid_energies, _solve_grid,
+                            _transition_shift)
 
 
 def make_structure(omega_10, omega_20, e02, e12, params):
@@ -165,3 +169,88 @@ def test_preset_lookup():
     assert preset_path("harmonic").name == "harmonic.json"
     with pytest.raises(FileNotFoundError, match="available"):
         preset_path("no_such_preset")
+
+
+def _check_inputs():
+    """Presets at their own bias, at mirrored biases 0.5 +- u, at exactly
+    Phi_0 / 2, and on a 101-point grid far from convergence."""
+    for name in ("ref15_like", "harmonic"):
+        p, g = load_preset(name)
+        yield f"{name} preset", p, g
+        yield f"{name} half", replace(p, Phi_x=0.5 * PHI0), g
+        for u in (1e-6, 1e-5, 2e-4, 9.8e-3):
+            for bias in (0.5 + u, 0.5 - u):
+                yield f"{name} {bias}", replace(p, Phi_x=bias * PHI0), g
+        yield f"{name} 101", p, FluxGrid(g.center, g.half_width, 101)
+
+
+@pytest.fixture
+def search_modes(monkeypatch):
+    """Record the select mode of every eigenvalue-only tridiagonal search."""
+    import scipy.linalg
+
+    modes = []
+    real = scipy.linalg.eigvalsh_tridiagonal
+
+    def spy(*args, **kwargs):
+        modes.append(kwargs["select"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    return modes
+
+
+def test_doubled_grid_check_decides_like_the_index_mode_solve(search_modes):
+    # reference: the full index-mode solve on the doubled grid, with
+    # eigenvectors, that the check used before it read eigenvalues only
+    rtol = 1e-6
+    for label, p, g in _check_inputs():
+        coarse = _solve_grid(p, g, 3)[0]
+        ref_fine = _solve_grid(p, g.doubled(), 3)[0]
+        ref_shift, _ = _transition_shift(coarse, ref_fine)
+        search_modes.clear()
+        fine, floor = _doubled_grid_energies(p, g, coarse, rtol)
+        assert floor > 0, label
+        np.testing.assert_allclose(fine[1:] - fine[0],
+                                   ref_fine[1:] - ref_fine[0], rtol=1e-7,
+                                   err_msg=label)
+        assert search_modes[0] == "v", label
+        if label.endswith("101"):
+            assert search_modes == ["v", "i"], label  # the fallback ran
+        if search_modes[-1] == "i":
+            np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
+        if ref_shift > rtol:
+            with pytest.raises(ResolutionError, match="doubling"):
+                solve(p, g, check_rtol=rtol)
+        else:
+            solve(p, g, check_rtol=rtol)
+
+
+def test_doubled_grid_check_skips_the_index_search_when_converged(
+        search_modes):
+    p, g = load_preset("ref15_like")
+    solve(p, g)
+    assert search_modes == ["v"]
+
+
+def test_symmetric_point_refusal_names_the_resolution_floor():
+    p, g = load_preset("ref15_like")
+    at_half = replace(p, Phi_x=0.5 * PHI0)
+    with pytest.raises(ResolutionError, match="doubling") as info:
+        solve(at_half, g)
+    assert "resolution floor" in str(info.value)
+    assert "increase points" not in str(info.value)
+    # a grid that is merely too coarse still gets the old advice
+    with pytest.raises(ResolutionError, match="increase points"):
+        solve(p, FluxGrid(g.center, g.half_width, 101))
+
+
+def test_convergence_check_never_changes_the_result():
+    for name in ("ref15_like", "harmonic"):
+        p, g = load_preset(name)
+        checked = solve(p, g, check_convergence=True)
+        unchecked = solve(p, g, check_convergence=False)
+        assert np.array_equal(checked.energies, unchecked.energies)
+        assert np.array_equal(checked.flux_elements, unchecked.flux_elements)
+        for attr in ("omega_10", "omega_20", "omega_21"):
+            assert getattr(checked, attr) == getattr(unchecked, attr)
