@@ -10,8 +10,7 @@ from squidqed.squid import (FluxGrid, LevelStructure, ResolutionError,
                             SquidParams, build_potential,
                             harmonic_scale_element, lambda_check, load_preset,
                             preset_path, solve)
-from squidqed.squid import (_doubled_grid_energies, _solve_grid,
-                            _transition_shift)
+from squidqed.squid import _doubled_grid_energies, _solve_grid
 
 
 def make_structure(omega_10, omega_20, e02, e12, params):
@@ -207,14 +206,15 @@ def test_doubled_grid_check_decides_like_the_index_mode_solve(search_modes):
     for label, p, g in _check_inputs():
         coarse = _solve_grid(p, g, 3)[0]
         ref_fine = _solve_grid(p, g.doubled(), 3)[0]
-        ref_shift, _ = _transition_shift(coarse, ref_fine)
+        ref_tr = ref_fine[1:] - ref_fine[0]
+        ref_shift = np.max(np.abs(coarse[1:] - coarse[0] - ref_tr) / ref_tr)
         search_modes.clear()
-        fine, floor = _doubled_grid_energies(p, g, coarse, rtol)
-        assert floor > 0, label
-        np.testing.assert_allclose(fine[1:] - fine[0],
-                                   ref_fine[1:] - ref_fine[0], rtol=1e-7,
+        fine, _ = _doubled_grid_energies(p, g, coarse, rtol)
+        np.testing.assert_allclose(fine[1:] - fine[0], ref_tr, rtol=1e-7,
                                    err_msg=label)
         assert search_modes[0] == "v", label
+        if label == "ref15_like preset":
+            assert search_modes == ["v"]  # no index search when converged
         if label.endswith("101"):
             assert search_modes == ["v", "i"], label  # the fallback ran
         if search_modes[-1] == "i":
@@ -224,13 +224,6 @@ def test_doubled_grid_check_decides_like_the_index_mode_solve(search_modes):
                 solve(p, g, check_rtol=rtol)
         else:
             solve(p, g, check_rtol=rtol)
-
-
-def test_doubled_grid_check_skips_the_index_search_when_converged(
-        search_modes):
-    p, g = load_preset("ref15_like")
-    solve(p, g)
-    assert search_modes == ["v"]
 
 
 def test_symmetric_point_refusal_names_the_resolution_floor():
