@@ -7,8 +7,9 @@ delimited text files into the output directory.  Data files are
 deterministic: identical config gives byte-identical bytes, every column
 header names its units, and the only header line carries the producing
 command and a hash of the effective config.  Run metadata that may vary
-(wall time, and each failed scan point with its reason) goes to a separate
-run.log.
+(wall time, failed scan points, failed rotating-wave conditions) goes to a
+separate run.log.  Scans run in the calling process; ``--workers`` is
+accepted for compatibility only.
 
 Exit codes: 0 success, 1 physics-check failure (failed truth table,
 solver resolution error, all scan points failed), 2 usage or config error.
@@ -28,6 +29,7 @@ import numpy as np
 
 from .constants import HBAR, TWO_PI
 from .feasibility import FeasibilityInput, assess, gate_time_estimate
+from .hamiltonians import CONDITION_RATIO_MAX
 from .hilbert import StateVector, basis_state, fidelity_up_to_global_phase
 from .protocols import ExecutionParams, SCHEDULE_BUILDERS, execute
 from .squid import (PRESET_KEYS, FluxGrid, ResolutionError, SquidParams,
@@ -383,25 +385,23 @@ def cmd_gate(args, raw_cfg: dict) -> int:
 
 def _scan_point(kind: str, ratio: float, g02: float, detuning: float,
                 fock_cutoff: int) -> dict:
-    """One scan point; runs in a worker process."""
+    """One scan point, run in the calling process."""
     try:
         if kind == "rwa":
             res = rwa_error_scan([ratio], g02, detuning=detuning,
                                  fock_cutoff=fock_cutoff)
-            return {"parameter": ratio,
-                    "error": float(res.error[0]),
-                    "peak": float(res.peak_photon_population[0]),
-                    "violation": bool(res.fock_violation[0])}
-        res = dispersive_error_scan([ratio], fock_cutoff=fock_cutoff)
-        return {"parameter": ratio,
-                "error": float(res.error[0]),
-                "peak": float(res.peak_photon_population[0]),
-                "violation": bool(res.fock_violation[0]),
-                "gate_fidelity": float(res.meta["gate_fidelity"][0])}
+        else:
+            res = dispersive_error_scan([ratio], fock_cutoff=fock_cutoff)
     except (ValueError, ResolutionError, np.linalg.LinAlgError) as exc:
         # a physics or input failure costs one point; programming errors
         # propagate
         return {"parameter": ratio, "failed": f"{type(exc).__name__}: {exc}"}
+    # per-point meta columns: gate_fidelity (dispersive), condition_* (rwa)
+    meta = {k: v[0].item() for k, v in res.meta.items()
+            if isinstance(v, np.ndarray)}
+    return {"parameter": ratio, "error": float(res.error[0]),
+            "peak": float(res.peak_photon_population[0]),
+            "violation": bool(res.fock_violation[0]), **meta}
 
 
 def cmd_scan(args, raw_cfg: dict) -> int:
@@ -414,15 +414,7 @@ def cmd_scan(args, raw_cfg: dict) -> int:
     detuning = cfg.get("detuning_radps", TWO_PI * 1.0e8)
     fock = cfg.get("fock_cutoff", 4)
 
-    workers = args.workers or os.cpu_count() or 1
-    jobs = [(kind, r, g02, detuning, fock) for r in grid]
-    if workers > 1 and len(jobs) > 1:
-        # imported here: the pool machinery costs every CLI start ~10 ms
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, *zip(*jobs)))
-    else:
-        rows = [_scan_point(*job) for job in jobs]
+    rows = [_scan_point(kind, r, g02, detuning, fock) for r in grid]
 
     has_fid = kind == "dispersive"
     head = _header("scan", None, cfg)
@@ -453,6 +445,11 @@ def cmd_scan(args, raw_cfg: dict) -> int:
                          f"{r['failed']}\n")
             args.run_log.append(f"failed_point parameter="
                                 f"{_fmt(r['parameter'])} reason={r['failed']}")
+        elif not r.get("condition_ok", True):
+            args.run_log.append(f"condition_failed parameter="
+                                f"{_fmt(r['parameter'])} ratio="
+                                f"{_fmt(r['condition_ratio'])} threshold="
+                                f"{_fmt(CONDITION_RATIO_MAX)}")
     _write(args.out, "scan.csv", "".join(lines))
     return 0 if good else 1
 
@@ -509,8 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".",
                         help="output directory for data files")
     parser.add_argument("--workers", type=int, default=None,
-                        help="scan worker processes "
-                             "(default: available processors)")
+                        help="accepted for compatibility only; scans run "
+                             "in the calling process")
     parser.add_argument("--backend", default="analytic",
                         choices=("analytic", "dispersive", "cavity"),
                         help="gate execution backend")

@@ -178,10 +178,12 @@ def couplings_from_structure(ls: LevelStructure, m: CavityMode, L: float,
     the bias flux subtracted on the diagonal (<i|Phi|i> - Phi_x).  All mode
     geometry lives in the scalar effective flux amplitude, so these numbers
     are only as physical as that calibration; consumers may equally set g
-    directly.
+    directly.  A zero amplitude (the mode's default) is refused.
     """
     if ls.n_levels < 3:
         raise ValueError("need at least 3 levels for the coupling matrix")
+    if m.effective_flux_amplitude == 0.0:
+        raise ValueError("effective_flux_amplitude is 0, so every g is 0")
     lambda_c = -1.0 / L
     prefactor = lambda_c * np.sqrt(HBAR * m.omega_c / (2.0 * MU0)) \
         * m.effective_flux_amplitude / HBAR

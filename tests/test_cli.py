@@ -305,3 +305,37 @@ def test_run_log_has_one_line_when_no_point_fails(tmp_path):
     cfg = {"scan_kind": "dispersive", "grid": [0.1]}
     assert run_cli(tmp_path, "scan", cfg, extra=["--workers", "1"]) == 0
     assert len(grab(tmp_path, "run.log").splitlines()) == 1
+
+
+def test_rwa_condition_failures_are_written_to_run_log(tmp_path):
+    cfg = {"scan_kind": "rwa", "grid": [0.5, 0.02]}
+    assert run_cli(tmp_path, "scan", cfg, extra=["--workers", "1"]) == 0
+    log = grab(tmp_path, "run.log").splitlines()
+    assert log[0].startswith("command=scan")
+    assert log[1:] == ["condition_failed parameter=5.000000000000e-01 "
+                       "ratio=5.000000000000e-01 threshold=1.000000000000e-01"]
+    lines = grab(tmp_path, "scan.csv").strip().splitlines()
+    assert len(lines) == 2 + 2 + 1
+    assert not any("failed" in ln for ln in lines)
+
+    default = tmp_path / "default"
+    assert run_cli(default, "scan", {"scan_kind": "rwa"}) == 0
+    assert len(grab(default, "run.log").splitlines()) == 1
+
+
+def test_rwa_scan_runs_in_process_without_scipy_or_a_pool(tmp_path):
+    cfg = tmp_path / "rwa.json"
+    cfg.write_text(json.dumps({"scan_kind": "rwa"}))
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    code = ("import sys\n"
+            "from squidqed.cli import main\n"
+            f"assert main(['scan', '--config', {str(cfg)!r}, "
+            f"'--out', {str(out2)!r}, '--workers', '2']) == 0\n"
+            "for name in ('scipy.linalg', 'concurrent.futures.process'):\n"
+            "    assert name not in sys.modules, name\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["scan", "--config", str(cfg), "--out", str(out1),
+                 "--workers", "1"]) == 0
+    assert grab(out1, "scan.csv") == grab(out2, "scan.csv")

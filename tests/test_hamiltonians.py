@@ -101,6 +101,13 @@ def test_couplings_from_structure(solved):
     np.testing.assert_array_equal(cs.g, cs.g.T)
 
 
+def test_couplings_from_structure_refuses_zero_flux_amplitude(solved):
+    p, ls = solved
+    m = CavityMode(omega_c=2 * np.pi * 80.1e9, fock_cutoff=4)
+    with pytest.raises(ValueError, match="effective_flux_amplitude"):
+        couplings_from_structure(ls, m, p.L, p.Phi_x)
+
+
 def test_drive_spec_validation():
     with pytest.raises(ValueError):
         DriveSpec(target_levels=(0, 3), rabi=1.0, omega_uw=1.0, duration=1.0)

@@ -12,7 +12,7 @@ from squidqed.hilbert import StateVector
 from squidqed.protocols import (ExecutionParams, GateSchedule,
                                 schedule_cps, schedule_entanglement,
                                 schedule_swap)
-from squidqed.squid import LevelStructure
+from squidqed.squid import LevelStructure, load_preset, solve
 from squidqed.verify import (ScanResult, TruthTable, check_truth_table,
                              computational_propagator, concurrence,
                              corrupt_first_pulse, dispersive_error_scan,
@@ -170,6 +170,29 @@ def test_rwa_scan_records_condition_and_refuses_zero_coupling():
     dark = CouplingSet(g=np.diag([1.0e7, 0.0, 2.0e7]), lambda_c=-1.0)
     with pytest.raises(ValueError, match=r"zero 0<->2 coupling g\[0, 2\]"):
         rwa_error_scan(ratios, couplings=dark)
+
+
+def test_stored_coupling_pattern_matches_the_preset_solve():
+    """The stored pattern and level ratio are those of an unchecked solve
+    of the shipped preset; when the preset or the solver changes, the
+    failure prints the literals to store instead."""
+    params, grid = load_preset("ref15_like")
+    ls = solve(params, grid, check_convergence=False)
+    elems = ls.flux_elements.copy()
+    for i in range(3):
+        elems[i, i] -= params.Phi_x
+    pattern = elems / elems[0, 2]
+    level_ratio = ls.omega_10 / ls.omega_20
+    stored, stored_ratio = _preset_coupling_pattern()
+    assert np.array_equal(stored, pattern) and stored_ratio == level_ratio, (
+        f"store _PRESET_PATTERN = {pattern.tolist()!r} and "
+        f"_PRESET_LEVEL_RATIO = {level_ratio!r} in squidqed/verify.py")
+
+
+def test_stored_coupling_pattern_is_read_only():
+    pattern, _ = _preset_coupling_pattern()
+    with pytest.raises(ValueError, match="read-only"):
+        pattern[0, 0] = 0.0
 
 
 def test_exact_frame_propagation_matches_time_stepping():
