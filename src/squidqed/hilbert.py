@@ -134,8 +134,9 @@ class Operator:
         return Operator(self.entries.conj().T, self.dims, self.hermitian_flag)
 
 
-def basis_state(dims, index) -> StateVector:
-    """Product basis state |i1, i2, ...> for one index per subsystem."""
+def basis_state(dims, index, amplitude: complex = 1.0) -> StateVector:
+    """Product basis state amplitude * |i1, i2, ...> for one index per
+    subsystem (the amplitude gives the declared phases of truth tables)."""
     dims = tuple(int(d) for d in np.atleast_1d(dims))
     idx = tuple(int(i) for i in np.atleast_1d(index))
     if len(idx) != len(dims):
@@ -146,7 +147,7 @@ def basis_state(dims, index) -> StateVector:
             raise ValueError(f"index {i} out of range for dimension {d}")
         flat = flat * d + i
     amps = np.zeros(int(np.prod(dims)), dtype=complex)
-    amps[flat] = 1.0
+    amps[flat] += amplitude  # adding to +0 keeps a zero real part positive
     return StateVector(amps, dims)
 
 

@@ -271,7 +271,7 @@ def test_cli_import_defers_scipy_linalg_to_the_solver(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_defers_the_process_pool_to_a_pooled_scan():
+def test_cli_import_loads_no_process_pool():
     code = ("import sys\n"
             "import squidqed.cli\n"
             "assert 'concurrent.futures.process' not in sys.modules\n")
@@ -339,3 +339,37 @@ def test_rwa_scan_runs_in_process_without_scipy_or_a_pool(tmp_path):
     assert main(["scan", "--config", str(cfg), "--out", str(out1),
                  "--workers", "1"]) == 0
     assert grab(out1, "scan.csv") == grab(out2, "scan.csv")
+
+
+def test_cavity_gate_samples_photons_once(tmp_path, monkeypatch):
+    import squidqed.verify as verify
+
+    blocks = []
+    real = verify._sampled_photon_peaks
+
+    def counted(w, v, vecs, *args):
+        blocks.append(vecs.shape)
+        return real(w, v, vecs, *args)
+
+    monkeypatch.setattr(verify, "_sampled_photon_peaks", counted)
+    assert run_cli(tmp_path, "gate", {"schedule": "cps"},
+                   extra=["--backend", "cavity"]) == 0
+    assert blocks == [(36, 4)]
+
+
+def test_entangle_target_reads_the_recorded_00_run(tmp_path, monkeypatch):
+    import squidqed.cli as cli
+
+    runs = []
+    real = cli.execute
+
+    def counted(schedule, psi, *args, **kwargs):
+        runs.append(kwargs.get("record_intermediate", False))
+        return real(schedule, psi, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "execute", counted)
+    assert run_cli(tmp_path, "gate", {"schedule": "entangle"}) == 0
+    assert runs == [True] * 4  # the states loop only
+    summary = grab(tmp_path, "gate_summary.txt")
+    assert summary_value(summary, "concurrence_dimensionless") == \
+        "1.000000000000e+00"

@@ -54,6 +54,12 @@ def test_basis_state_and_identity():
     assert np.array_equal(ident.entries, np.eye(12))
 
 
+def test_basis_state_with_amplitude():
+    phased = basis_state((3, 3), (2, 0), -1j).amplitudes
+    assert phased[6] == -1j and np.count_nonzero(phased) == 1
+    assert not np.signbit(phased.real).any()
+
+
 def test_kron_matches_numpy():
     rng = np.random.default_rng(11)
     a = Operator(random_hermitian(rng, 3), (3,), hermitian_flag=True)

@@ -4,6 +4,7 @@ negative control, and the two reduction-error scans."""
 import numpy as np
 import pytest
 
+from squidqed import verify
 from squidqed.constants import HBAR, TWO_PI
 from squidqed.dynamics import evolve_timedep, max_step_for
 from squidqed.hamiltonians import (CavityMode, CouplingSet,
@@ -282,3 +283,59 @@ def test_blocked_photon_sampling_matches_per_sample_loop():
                 np.testing.assert_allclose(
                     got, (ref_n, ref_top), rtol=1e-13,
                     err_msg=f"dim {dim}, t_end {t_end}, {n_samples} samples")
+
+
+def test_block_photon_sampling_is_bitwise_k_single_column_calls():
+    rng = np.random.default_rng(47)
+    for dim, nfock in ((36, 4), (72, 8)):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        w, v = np.linalg.eigh(m + m.conj().T)
+        block = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+        block /= np.linalg.norm(block, axis=0)
+        for k in range(1, 5):
+            for n_samples in (512, 100):
+                single = [_sampled_photon_peaks(w, v, block[:, j].copy(),
+                                                3.7, nfock, n_samples)
+                          for j in range(k)]
+                got = _sampled_photon_peaks(w, v, block[:, :k], 3.7, nfock,
+                                            n_samples)
+                assert got == tuple(map(max, zip(*single))), (dim, k,
+                                                              n_samples)
+
+
+#: Columns of the default `dispersive_error_scan()`, stored at full repr
+#: precision; the guard below prints new literals when they move.
+_DISPERSIVE_DEFAULT_COLUMNS = {
+    "parameter": [0.1, 0.05, 0.025],
+    "error": [0.003917514047951376, 0.0002466121242477026,
+              1.5420747167094184e-05],
+    "peak_photon_population": [0.038461531526937855, 0.009900953335089386,
+                               0.0024937539032619553],
+    "fock_violation": [False, False, False],
+    "gate_fidelity": [0.9984261100128469, 0.9998973632910154,
+                      0.999993517016169],
+}
+
+
+def test_dispersive_scan_columns_are_bit_stable():
+    scan = dispersive_error_scan()
+    got = {name: getattr(scan, name).tolist() for name in
+           ("parameter", "error", "peak_photon_population", "fock_violation")}
+    got["gate_fidelity"] = scan.meta["gate_fidelity"].tolist()
+    assert all(np.array_equal(got[name], stored) for name, stored
+               in _DISPERSIVE_DEFAULT_COLUMNS.items()), (
+        f"the default dispersive scan moved; store {got!r}")
+
+
+def test_dispersive_scan_samples_each_segment_once_per_ratio(monkeypatch):
+    blocks = []
+    real = verify._sampled_photon_peaks
+
+    def counted(w, v, vecs, *args):
+        blocks.append(vecs.shape)
+        return real(w, v, vecs, *args)
+
+    monkeypatch.setattr(verify, "_sampled_photon_peaks", counted)
+    dispersive_error_scan()
+    # one controlled-phase wait per ratio, all four inputs in one block
+    assert blocks == [(36, 4)] * 3
