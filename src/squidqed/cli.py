@@ -34,11 +34,11 @@ from .hilbert import StateVector, basis_state, fidelity_up_to_global_phase
 from .protocols import ExecutionParams, SCHEDULE_BUILDERS, execute
 from .squid import (PRESET_KEYS, FluxGrid, ResolutionError, SquidParams,
                     lambda_check, load_preset, solve)
-from .verify import (DEFAULT_DISPERSIVE_RATIOS, DEFAULT_RWA_RATIOS,
-                     _run_photon_peaks, check_truth_table,
-                     computational_propagator, concurrence,
-                     dispersive_error_scan, gate_fidelity, rwa_error_scan,
-                     truth_table_cps, truth_table_swap, truth_table_transfer)
+from .verify import (_BASIS, DEFAULT_DISPERSIVE_RATIOS, DEFAULT_RWA_RATIOS,
+                     _compare_truth_table, _loop_amplitudes, _propagator,
+                     _run_photon_peaks, concurrence, dispersive_error_scan,
+                     gate_fidelity, rwa_error_scan, truth_table_cps,
+                     truth_table_swap, truth_table_transfer)
 
 __all__ = ["main"]
 
@@ -287,11 +287,6 @@ def cmd_spectrum(args, raw_cfg: dict) -> int:
 # gate
 # ---------------------------------------------------------------------------
 
-def _computational_inputs():
-    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        yield f"|{a}{b}>", basis_state((3, 3), (a, b))
-
-
 def cmd_gate(args, raw_cfg: dict) -> int:
     cfg = _validate(raw_cfg, _GATE_SCHEMA, "gate")
     name = cfg.get("schedule", "cps")
@@ -300,26 +295,22 @@ def cmd_gate(args, raw_cfg: dict) -> int:
     head = _header("gate", args.backend, cfg)
     exact_backend = args.backend in ("analytic", "dispersive")
 
-    # per-step intermediate states for the computational inputs, and the
-    # photon statistics of the same runs on the cavity backend
+    # one run per computational input: its per-step states go to the
+    # states file, and every check below reads the same runs
     lines = [head,
              "input_label,step_index,loop_a_level,loop_b_level,"
              "amplitude_real_dimensionless,amplitude_imag_dimensionless\n"]
-    inputs, trails = [], []
-    for label, psi in _computational_inputs():
-        if name == "transfer" and label in ("|01>", "|11>"):
+    inputs, trails = [], {}
+    for label, ab in _BASIS:
+        if name == "transfer" and ab[1] != 0:
             continue  # loop b must start in |0>
+        psi = basis_state((3, 3), ab)
         res = execute(schedule, psi, backend, params,
                       record_intermediate=True)
-        if label == "|00>":
-            final00 = res.final_state  # the target-state check reads it
         inputs.append(psi)
-        trails.append(res.intermediates)
+        trails[label] = res.intermediates
         for k, state in enumerate(res.intermediates):
-            amps = state.amplitudes
-            if state.dims != (3, 3):
-                amps = amps.reshape(9, state.dims[2])[:, 0]
-            for idx, amp in enumerate(amps):
+            for idx, amp in enumerate(_loop_amplitudes(state)):
                 if abs(amp) < 1e-14:
                     continue
                 lines.append(f"{label},{k + 1},{idx // 3},{idx % 3},"
@@ -332,7 +323,7 @@ def cmd_gate(args, raw_cfg: dict) -> int:
                f"backend {args.backend}\n"]
 
     if name in _TRUTH_TABLES and exact_backend:
-        chk = check_truth_table(_TRUTH_TABLES[name](), backend, params)
+        chk = _compare_truth_table(_TRUTH_TABLES[name](), trails)
         summary.append(f"truth_table {'pass' if chk.ok else 'FAIL'}\n")
         summary.append(f"truth_table_max_deviation_dimensionless "
                        f"{_fmt(chk.max_deviation)}\n")
@@ -340,7 +331,7 @@ def cmd_gate(args, raw_cfg: dict) -> int:
             failures.extend(chk.failures)
 
     if schedule.ideal_unitary is not None:
-        u_sim = computational_propagator(schedule, backend, params)
+        u_sim = _propagator(trail[-1] for trail in trails.values())
         tol = 1e-8 if exact_backend else 1.0
         fid = gate_fidelity(u_sim, schedule.ideal_unitary, unitarity_tol=tol)
         summary.append(f"gate_fidelity_dimensionless {_fmt(fid)}\n")
@@ -349,11 +340,8 @@ def cmd_gate(args, raw_cfg: dict) -> int:
                             f"threshold")
 
     if schedule.target_state is not None:
-        final = final00
-        if final.dims != (3, 3):
-            amps = final.amplitudes.reshape(9, final.dims[2])[:, 0]
-            nrm = np.linalg.norm(amps)
-            final = StateVector(amps / nrm, (3, 3))
+        amps = _loop_amplitudes(trails["|00>"][-1])
+        final = StateVector(amps / np.linalg.norm(amps), (3, 3))
         fid = fidelity_up_to_global_phase(final, schedule.target_state)
         conc = concurrence(final, support_tol=1e-6)
         summary.append(f"target_state_fidelity_dimensionless {_fmt(fid)}\n")
@@ -363,7 +351,8 @@ def cmd_gate(args, raw_cfg: dict) -> int:
             failures.append("entangled target state not reached exactly")
 
     if args.backend == "cavity":
-        peak_n, peak_top = _run_photon_peaks(schedule, params, inputs, trails)
+        peak_n, peak_top = _run_photon_peaks(schedule, params, inputs,
+                                             trails.values())
         summary.append(f"peak_photon_population_dimensionless "
                        f"{_fmt(peak_n)}\n")
         summary.append(f"top_fock_population_dimensionless "

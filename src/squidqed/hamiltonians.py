@@ -229,14 +229,10 @@ def _int_pieces(cs: CouplingSet, m: CavityMode):
     diag = np.diag([cs.g[0, 0], cs.g[1, 1], cs.g[2, 2]]).astype(complex)
     x02 = np.zeros((3, 3), dtype=complex)
     x02[0, 2] = 1.0
-    x20 = x02.T.copy()
     return {
         "diag_a": np.kron(diag, a),
-        "diag_ad": np.kron(diag, ad),
         "x02_a": cs.g[0, 2] * np.kron(x02, a),
-        "x20_ad": cs.g[0, 2] * np.kron(x20, ad),
         "x02_ad": cs.g[0, 2] * np.kron(x02, ad),
-        "x20_a": cs.g[0, 2] * np.kron(x20, a),
         "dims": (3, n),
     }
 

@@ -52,6 +52,11 @@ __all__ = [
 #: Computational-subspace indices within the 9-dimensional two-loop space.
 _COMP = (0, 1, 3, 4)
 
+#: The computational basis inputs, (label, (loop a level, loop b level)),
+#: in the column order of `computational_propagator`.
+_BASIS = (("|00>", (0, 0)), ("|01>", (0, 1)), ("|10>", (1, 0)),
+          ("|11>", (1, 1)))
+
 #: Detuning-to-carrier ratios for the rotating-wave scan: a 0.1 GHz
 #: detuning against 20.1, 40.1 and 80.1 GHz carriers.
 DEFAULT_RWA_RATIOS = (0.1 / 20.1, 0.1 / 40.1, 0.1 / 80.1)
@@ -131,15 +136,21 @@ def computational_propagator(schedule: GateSchedule,
     explicit-cavity backend the cavity-vacuum sector is taken, so leakage
     shows up as a unitarity defect of the returned matrix.
     """
-    u = np.zeros((4, 4), dtype=complex)
-    for col, ab in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        res = execute(schedule, basis_state((3, 3), ab), backend, params)
-        amps = res.final_state.amplitudes
-        if res.final_state.dims != (3, 3):
-            nfock = res.final_state.dims[2]
-            amps = amps.reshape(9, nfock)[:, 0]
-        u[:, col] = amps[list(_COMP)]
-    return u
+    return _propagator([execute(schedule, basis_state((3, 3), ab), backend,
+                                params).final_state for _, ab in _BASIS])
+
+
+def _loop_amplitudes(state: StateVector) -> np.ndarray:
+    """The nine two-loop amplitudes of a run's state: the state itself on
+    dims (3, 3), its cavity-vacuum sector on dims (3, 3, fock_cutoff)."""
+    return state.amplitudes.reshape(9, -1)[:, 0]
+
+
+def _propagator(finals) -> np.ndarray:
+    """4x4 matrix whose columns are the computational amplitudes of the
+    final states of the four basis inputs, given in `_BASIS` order."""
+    return np.stack([_loop_amplitudes(s)[list(_COMP)] for s in finals],
+                    axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +242,22 @@ def check_truth_table(table: TruthTable, backend: str = "analytic",
     """Execute the table's schedule on every declared input and compare all
     intermediate columns phase-exactly (amplitude-by-amplitude, no global
     phase allowance) within atol."""
+    trails = {row.label: execute(table.schedule, row.input_state, backend,
+                                 params, record_intermediate=True
+                                 ).intermediates for row in table.rows}
+    return _compare_truth_table(table, trails, atol)
+
+
+def _compare_truth_table(table: TruthTable, trails,
+                         atol: float = 1e-9) -> TruthCheck:
+    """Compare recorded intermediates, one sequence per row label in
+    ``trails``, with the table's declared columns as `check_truth_table`
+    does."""
     worst = 0.0
     failures: list[str] = []
     for row in table.rows:
-        res = execute(table.schedule, row.input_state, backend, params,
-                      record_intermediate=True)
-        got = res.intermediates
-        for k, (g, e) in enumerate(zip(got, row.expected)):
-            amps = g.amplitudes
-            if g.dims != (3, 3):
-                nfock = g.dims[2]
-                amps = amps.reshape(9, nfock)[:, 0]
-            dev = float(np.max(np.abs(amps - e.amplitudes)))
+        for k, (g, e) in enumerate(zip(trails[row.label], row.expected)):
+            dev = float(np.max(np.abs(_loop_amplitudes(g) - e.amplitudes)))
             worst = max(worst, dev)
             if dev > atol:
                 failures.append(
@@ -525,18 +540,15 @@ def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
         p_vac = ExecutionParams(gamma=p_cav.gamma_cavity)
 
         err = 0.0
-        u_sim = np.zeros((4, 4), dtype=complex)
         inputs, trails = [], []
-        for col, ab in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        for _, ab in _BASIS:
             psi = basis_state((3, 3), ab)
             res_c = execute(sched, psi, "hamiltonian", p_cav,
                             record_intermediate=True)
             res_v = execute(sched, psi, "analytic", p_vac)
-            final = res_c.final_state.amplitudes.reshape(9, fock_cutoff)
-            vac_amp = final[:, 0]
-            err = max(err, 1.0 - abs(
-                np.vdot(res_v.final_state.amplitudes, vac_amp)) ** 2)
-            u_sim[:, col] = vac_amp[list(_COMP)]
+            err = max(err, 1.0 - abs(np.vdot(
+                res_v.final_state.amplitudes,
+                _loop_amplitudes(res_c.final_state))) ** 2)
             inputs.append(psi)
             trails.append(res_c.intermediates)
 
@@ -545,7 +557,8 @@ def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
         errors.append(err)
         peaks.append(peak_n)
         violations.append(peak_top >= FOCK_VIOLATION_TOL)
-        gate_fids.append(gate_fidelity(u_sim, ideal, unitarity_tol=1.0))
+        gate_fids.append(gate_fidelity(_propagator([t[-1] for t in trails]),
+                                       ideal, unitarity_tol=1.0))
 
     return ScanResult(
         kind="dispersive",

@@ -357,19 +357,86 @@ def test_cavity_gate_samples_photons_once(tmp_path, monkeypatch):
     assert blocks == [(36, 4)]
 
 
-def test_entangle_target_reads_the_recorded_00_run(tmp_path, monkeypatch):
+_SCHEDULES = ("cps", "swap", "transfer", "entangle")
+_BACKENDS = ("analytic", "dispersive", "cavity")
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+@pytest.mark.parametrize("schedule", _SCHEDULES)
+def test_gate_runs_each_input_once(tmp_path, monkeypatch, schedule, backend):
     import squidqed.cli as cli
+    import squidqed.verify as verify
 
     runs = []
     real = cli.execute
 
-    def counted(schedule, psi, *args, **kwargs):
+    def counted(sched, psi, *args, **kwargs):
         runs.append(kwargs.get("record_intermediate", False))
-        return real(schedule, psi, *args, **kwargs)
+        return real(sched, psi, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "execute", counted)
-    assert run_cli(tmp_path, "gate", {"schedule": "entangle"}) == 0
-    assert runs == [True] * 4  # the states loop only
-    summary = grab(tmp_path, "gate_summary.txt")
-    assert summary_value(summary, "concurrence_dimensionless") == \
-        "1.000000000000e+00"
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "execute", counted)
+    assert run_cli(tmp_path, "gate", {"schedule": schedule},
+                   extra=["--backend", backend]) == 0
+    # the states loop only; transfer runs the inputs with loop b in |0>
+    assert runs == [True] * (2 if schedule == "transfer" else 4)
+    if schedule == "entangle" and backend != "cavity":
+        summary = grab(tmp_path, "gate_summary.txt")
+        assert summary_value(summary, "concurrence_dimensionless") == \
+            "1.000000000000e+00"
+
+
+#: SHA-256 of (gate_states.csv, gate_summary.txt) for each schedule and
+#: backend at the default config; the guard below prints new literals.
+_GATE_DIGESTS = {
+    "cps analytic": (
+        "15400e91f52852f2346423f42318123df2d65af23e134a1ee300c2d5624d5e45",
+        "d9d06157ca14bb62815f19e6d7302c9a34390fa67be36be9c5d06a014501582f"),
+    "cps dispersive": (
+        "25f0a2c206e6d43f23d05157d1bd76b1e35df7f41ed07aac484b45729b5ae5e1",
+        "bcbe5f5daf66a88218183942532aee772b611b1a0ce002906020c9d8f9b27912"),
+    "cps cavity": (
+        "6faf9c879ada3fd3f0cad60d696d09a3836482806540ff389356f9a542846bf1",
+        "e78c68f7133ed8ab43665052112bb1452b241bc33e96e9e3b3f4b904d64ba10b"),
+    "swap analytic": (
+        "62609a7a76eacd9fd77c760ab46356828501d47f24b102d10537fc158703a561",
+        "b5be39ff995a05a77017ef15ec0fc68d4e4d92467ea22888ff7d127fdb616260"),
+    "swap dispersive": (
+        "d6645741b2992385942c99e3b6bf2aec3913f0e97e9cfc919a7bf15b8f9d0f4b",
+        "121205fe3a8a564f132c719b39e8362b9314962295765cad96bfad0694984d7e"),
+    "swap cavity": (
+        "9b4a1953b97a535a6ff7a00148c953cae4b49aed628e6b1a563c3b69273293dd",
+        "a530c73d3ba2d7e124b9566ffa7c14acceda45bb4636c093275c6cc2e56de4a4"),
+    "transfer analytic": (
+        "6c0838f2f92842c24838c45cbdadff04956ce40be09dc3adb63137d7f9bd2ce1",
+        "fecd899bb046456647eb02b7f3053817ab938dfa4210c04149627ddd66f50714"),
+    "transfer dispersive": (
+        "fb8421386187f5c7afc905468e309c47fafad0354887eef4b44586d59fdfa80c",
+        "fd2106a5a26cd43af0a6d633f65c238332f793ccb93ebed35a15a2403508ed2f"),
+    "transfer cavity": (
+        "badbda6b7a03240a5f4b2f2fa3e6325875791fe79554e45759436973645b6033",
+        "0503b6961e465ca44f5611b37fadaac023cbbf921665a76112e8ee86df1c7d37"),
+    "entangle analytic": (
+        "bee5035843575427edd98ac3ac38dcdd81e3f993f39e64c1b38a89f47063bd59",
+        "4344f9ed491705e1da4c1d2cea4e84e6dc718a20d3e465cfdc88c7d638425fd3"),
+    "entangle dispersive": (
+        "ac171fe1c29edd5dceb0e20d96ac64256e58068d5e50a39a89aec2904e21e3f2",
+        "be6396f1cbefed9c382fafe6e561621f9101f3da3eb20564f7aa53f6f73fdbe9"),
+    "entangle cavity": (
+        "6804c08172f6dbe98e85f194c30ed75d516b7fc1ce5b0098b36d890806cb23aa",
+        "e715aad53224c5ef022190c9c41e1c0aec9a0a055534e41ad52ac9be1aaeb2dc"),
+}
+
+
+def test_gate_outputs_are_byte_stable(tmp_path):
+    import hashlib
+
+    got = {}
+    for key in _GATE_DIGESTS:
+        schedule, backend = key.split()
+        out = tmp_path / schedule / backend
+        assert run_cli(out, "gate", {"schedule": schedule},
+                       extra=["--backend", backend]) == 0
+        got[key] = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                         for name in ("gate_states.csv", "gate_summary.txt"))
+    assert got == _GATE_DIGESTS, f"gate outputs moved; store {got!r}"
