@@ -387,7 +387,9 @@ def test_gate_runs_each_input_once(tmp_path, monkeypatch, schedule, backend):
 
 
 #: SHA-256 of (gate_states.csv, gate_summary.txt) for each schedule and
-#: backend at the default config; the guard below prints new literals.
+#: backend at the default config, plus the cavity runs at Fock cutoff 8
+#: (keys "schedule backend [fock_cutoff]"); the guard below prints new
+#: literals.
 _GATE_DIGESTS = {
     "cps analytic": (
         "15400e91f52852f2346423f42318123df2d65af23e134a1ee300c2d5624d5e45",
@@ -425,6 +427,18 @@ _GATE_DIGESTS = {
     "entangle cavity": (
         "6804c08172f6dbe98e85f194c30ed75d516b7fc1ce5b0098b36d890806cb23aa",
         "e715aad53224c5ef022190c9c41e1c0aec9a0a055534e41ad52ac9be1aaeb2dc"),
+    "cps cavity 8": (
+        "b33ad5f64d537173e988d0d201303af7ac84729119d79b184a654402ae538a2e",
+        "c65b6db63658daef766364d2fc16155e78d65e2f887503a9e6512e9dc9f2e909"),
+    "swap cavity 8": (
+        "48357ee3a7eb1074c27c0f1647276df26e69a068a502aa2f405f525af0a559b2",
+        "adb7888252b0be86d806c471bf221db71ab2e4429e90f54c207c4cef65df0558"),
+    "transfer cavity 8": (
+        "d77a9a8b0be16c8ee300aed8173ce083430ab6928ab76d43d173ab2328b51d2f",
+        "d632067bb3224d2c5785019ab1c342dbf9bbff41d17d3cf1df17878177297fec"),
+    "entangle cavity 8": (
+        "a104aee3e491fd398bcbf528a2506316c98eaeac6cc5cb759893b29091b4b008",
+        "4afef7b45fb22b1d81904e7affc27b28d17c87cb1ad27aa9b17a01e071d39a39"),
 }
 
 
@@ -433,10 +447,36 @@ def test_gate_outputs_are_byte_stable(tmp_path):
 
     got = {}
     for key in _GATE_DIGESTS:
-        schedule, backend = key.split()
-        out = tmp_path / schedule / backend
-        assert run_cli(out, "gate", {"schedule": schedule},
-                       extra=["--backend", backend]) == 0
+        schedule, backend, *cutoff = key.split()
+        cfg = {"schedule": schedule}
+        if cutoff:
+            cfg["fock_cutoff"] = int(cutoff[0])
+        out = tmp_path / key.replace(" ", "_")
+        assert run_cli(out, "gate", cfg, extra=["--backend", backend]) == 0
         got[key] = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                          for name in ("gate_states.csv", "gate_summary.txt"))
     assert got == _GATE_DIGESTS, f"gate outputs moved; store {got!r}"
+
+
+#: SHA-256 of scan.csv for rotating-wave scans: the default grid, and a
+#: grid reaching past the reduction condition at Fock cutoff 6.
+_RWA_SCAN_DIGESTS = {
+    "default": (
+        {"scan_kind": "rwa"},
+        "609193e51b18f06e8568c818a5e2921f1706ec784bf2532bfdfe2143c81ac2b1"),
+    "coarse grid, fock 6": (
+        {"scan_kind": "rwa", "grid": [0.3, 0.05, 0.015], "fock_cutoff": 6},
+        "d5c59d53f01a38cdfe58700e05ad51f698995a8cd5f5d3817b3a71cae0d65f3e"),
+}
+
+
+def test_rwa_scan_outputs_are_byte_stable(tmp_path):
+    import hashlib
+
+    got = {}
+    for k, (key, (cfg, _)) in enumerate(_RWA_SCAN_DIGESTS.items()):
+        out = tmp_path / str(k)
+        assert run_cli(out, "scan", cfg) == 0
+        got[key] = hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest()
+    want = {key: digest for key, (_, digest) in _RWA_SCAN_DIGESTS.items()}
+    assert got == want, f"rotating-wave scan outputs moved; store {got!r}"
