@@ -29,7 +29,7 @@ import numpy as np
 
 from .constants import HBAR, TWO_PI
 from .feasibility import FeasibilityInput, assess, gate_time_estimate
-from .hamiltonians import CONDITION_RATIO_MAX
+from .hamiltonians import CONDITION_RATIO_MAX, gamma_eff
 from .hilbert import StateVector, basis_state, fidelity_up_to_global_phase
 from .protocols import ExecutionParams, SCHEDULE_BUILDERS, execute
 from .squid import (PRESET_KEYS, FluxGrid, ResolutionError, SquidParams,
@@ -210,7 +210,7 @@ def _backend_params(args, cfg: dict) -> tuple[str, ExecutionParams]:
         return "hamiltonian", ExecutionParams(gamma=gamma, rabi=rabi)
     # explicit cavity: gamma is derived from (g02, detuning)
     return "hamiltonian", ExecutionParams(
-        gamma=g02 * g02 / detuning, rabi=rabi, g02=g02, detuning=detuning,
+        gamma=gamma_eff(g02, detuning), rabi=rabi, g02=g02, detuning=detuning,
         fock_cutoff=fock, explicit_cavity=True)
 
 

@@ -21,6 +21,7 @@ reduction-condition metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "cavity_ladders",
     "couplings_from_structure",
     "drive_from_structure",
+    "loop_cavity_hamiltonian",
     "h_int_full_factory",
     "h_int_rwa_factory",
     "h_drive_full_factory",
@@ -218,48 +220,98 @@ def drive_from_structure(ls: LevelStructure, target, L: float, Phi_x: float,
 
 
 # ---------------------------------------------------------------------------
-# interaction-picture loop-cavity coupling
+# loop-cavity generator
 # ---------------------------------------------------------------------------
 
-def _int_pieces(cs: CouplingSet, m: CavityMode):
-    """Constant matrices shared by the interaction-picture builders."""
-    n = m.fock_cutoff
-    a = fock_lowering(n)
-    ad = a.conj().T
-    diag = np.diag([cs.g[0, 0], cs.g[1, 1], cs.g[2, 2]]).astype(complex)
-    x02 = np.zeros((3, 3), dtype=complex)
-    x02[0, 2] = 1.0
-    return {
-        "diag_a": np.kron(diag, a),
-        "x02_a": cs.g[0, 2] * np.kron(x02, a),
-        "x02_ad": cs.g[0, 2] * np.kron(x02, ad),
-        "dims": (3, n),
-    }
+def _unit(i: int, j: int) -> np.ndarray:
+    """Read-only 3x3 matrix unit |i><j| on one loop."""
+    m = np.zeros((3, 3), dtype=complex)
+    m[i, j] = 1.0
+    m.setflags(write=False)
+    return m
+
+
+#: Read-only loop operators: |0><2|, |2><0| and the projectors on |0>, |2>.
+_X02, _X20, _P0, _P2 = _unit(0, 2), _unit(2, 0), _unit(0, 0), _unit(2, 2)
+
+
+def _on_loop(m3: np.ndarray, loop: int, dims) -> np.ndarray:
+    """Place a 3x3 matrix on factor ``loop`` of ``dims``, identity on every
+    other factor."""
+    mats = [np.eye(d, dtype=complex) for d in dims]
+    mats[loop] = m3
+    return reduce(np.kron, mats)
+
+
+def loop_cavity_hamiltonian(levels, omega_c: float, g, fock_cutoff: int,
+                            n_loops: int = 1, *,
+                            rotating_wave: bool = False) -> np.ndarray:
+    """H0 + V (rad/s) of n_loops (1 or 2) identical three-level loops and
+    one cavity mode, cavity factor last.
+
+    H0 is diagonal: the loop level frequencies ``levels`` plus omega_c per
+    photon.  V couples each loop to the mode through the 3x3 couplings g:
+    with ``rotating_wave``, g_02 (|0><2| a_dag + h.c.); otherwise
+    L (x) (a + a_dag) with L = diag(g_00, g_11, g_22) + g_02 (|0><2| + h.c.).
+    The 0<->1 and 1<->2 exchange terms are far off cavity resonance and are
+    not part of this reduced model.  V has no diagonal, so H0 is the
+    diagonal of the result.  Passing zero levels and omega_c = -Delta gives
+    the rotating-frame generator of the cavity backend, where Delta is
+    omega_20 - omega_c.
+    """
+    if n_loops not in (1, 2):
+        raise ValueError(f"n_loops must be 1 or 2, got {n_loops}")
+    g = np.asarray(g)
+    a = fock_lowering(fock_cutoff)
+    if rotating_wave:
+        loop_op, field = g[0, 2] * _X02, a.conj().T
+    else:
+        loop_op = np.diag(np.diag(g)) + g[0, 2] * (_X02 + _X20)
+        field = a + a.conj().T
+    loops = (3,) * n_loops
+    v = sum(np.kron(_on_loop(loop_op, k, loops), field)
+            for k in range(n_loops))
+    if rotating_wave:
+        v = v + v.conj().T
+    h0 = reduce(np.add.outer, [np.asarray(levels, dtype=float)] * n_loops
+                + [omega_c * np.arange(fock_cutoff)])
+    return np.diag(h0.ravel()) + v
+
+
+def _interaction_picture(cs: CouplingSet, ls: LevelStructure, m: CavityMode,
+                         rotating_wave: bool):
+    """Closure t -> e^{i H0 t} V e^{-i H0 t} of the one-loop
+    `loop_cavity_hamiltonian` H0 + V, with H0 its diagonal."""
+    h = loop_cavity_hamiltonian((0.0, ls.omega_10, ls.omega_20), m.omega_c,
+                                cs.g, m.fock_cutoff,
+                                rotating_wave=rotating_wave)
+    e0 = np.diag(h).real
+    rows, cols = np.nonzero(np.triu(h, 1))
+    amps = h[rows, cols]
+    freqs = 1j * (e0[rows] - e0[cols])
+
+    def at(t: float) -> Operator:
+        half = np.zeros_like(h)
+        half[rows, cols] = amps * np.exp(freqs * t)
+        return Operator(half + half.conj().T, (3, m.fock_cutoff),
+                        hermitian_flag=True)
+
+    return at
 
 
 def h_int_full_factory(cs: CouplingSet, ls: LevelStructure, m: CavityMode):
-    """Factory for the full interaction-picture coupling.
+    """Factory for the full interaction-picture coupling on (loop, cavity).
 
-    The returned closure evaluates, at time t, the sum of the diagonal
-    micromotion terms (phases at omega_c, weights g_00, g_11, g_22), the
-    counter-rotating 0<->2 pair (phases at omega_c + omega_20) and the
-    co-rotating 0<->2 pair (phases at omega_c - omega_20).  The 0<->1 and
-    1<->2 exchange terms are far off cavity resonance and are not part of
-    this reduced model.  ``omega_max`` on the closure is omega_c + omega_20.
+    The returned closure evaluates e^{i H0 t} V e^{-i H0 t} of
+    `loop_cavity_hamiltonian`: the diagonal micromotion terms (phases at
+    omega_c, weights g_00, g_11, g_22), the counter-rotating 0<->2 pair
+    (phases at omega_c + omega_20) and the co-rotating 0<->2 pair (phases
+    at omega_c - omega_20).  ``omega_max`` on the closure is
+    omega_c + omega_20; ``detuning`` is omega_c - omega_20.
     """
-    p = _int_pieces(cs, m)
-    wc = m.omega_c
-    wp = m.omega_c + ls.omega_20
-    wm = m.omega_c - ls.omega_20
-
-    def h(t: float) -> Operator:
-        half = (np.exp(-1j * wc * t) * p["diag_a"]
-                + np.exp(-1j * wp * t) * p["x02_a"]
-                + np.exp(1j * wm * t) * p["x02_ad"])
-        return Operator(half + half.conj().T, p["dims"], hermitian_flag=True)
-
-    h.omega_max = wp
-    h.detuning = wm
+    h = _interaction_picture(cs, ls, m, rotating_wave=False)
+    h.omega_max = m.omega_c + ls.omega_20
+    h.detuning = m.omega_c - ls.omega_20
     return h
 
 
@@ -268,16 +320,12 @@ def h_int_rwa_factory(cs: CouplingSet, ls: LevelStructure, m: CavityMode):
 
     Keeps the co-rotating 0<->2 pair alone, phases e^{+/- i (omega_c -
     omega_20) t}.  The closure records the reduction condition: attributes
-    ``detuning`` (rad/s), ``condition_ratio`` (detuning / omega_c) and
-    ``condition_ok`` (ratio below the module threshold).
+    ``detuning`` (omega_c - omega_20, rad/s), ``condition_ratio``
+    (|detuning| / omega_c) and ``condition_ok`` (ratio below the module
+    threshold).
     """
-    p = _int_pieces(cs, m)
+    h = _interaction_picture(cs, ls, m, rotating_wave=True)
     wm = m.omega_c - ls.omega_20
-
-    def h(t: float) -> Operator:
-        half = np.exp(1j * wm * t) * p["x02_ad"]
-        return Operator(half + half.conj().T, p["dims"], hermitian_flag=True)
-
     h.omega_max = abs(wm)
     h.detuning = wm
     h.condition_ratio = abs(wm) / m.omega_c
@@ -343,6 +391,14 @@ def gamma_eff(g02: float, detuning: float) -> float:
     return g02 * g02 / detuning
 
 
+def _dispersive_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P0_a + P0_b, P2_a + P2_b, |2><0|_a |0><2|_b + h.c.) on the two
+    loops (9x9)."""
+    p0, p2 = (_on_loop(p, 0, (3, 3)) + _on_loop(p, 1, (3, 3))
+              for p in (_P0, _P2))
+    return p0, p2, np.kron(_X20, _X02) + np.kron(_X02, _X20)
+
+
 def h_eff_two_squid(cs: CouplingSet, detuning: float,
                     m: CavityMode) -> Operator:
     """Dispersive effective Hamiltonian on (loop_a, loop_b, cavity).
@@ -355,19 +411,10 @@ def h_eff_two_squid(cs: CouplingSet, detuning: float,
     gam = gamma_eff(cs.g[0, 2], detuning)
     n = m.fock_cutoff
     a = fock_lowering(n)
-    aad = a @ a.conj().T
-    ada = a.conj().T @ a
-    p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    i3 = np.eye(3, dtype=complex)
-    x20 = np.zeros((3, 3), dtype=complex)
-    x20[2, 0] = 1.0
-    x02 = x20.T.copy()
-
-    stark = (np.kron(np.kron(p2, i3), aad) - np.kron(np.kron(p0, i3), ada)
-             + np.kron(np.kron(i3, p2), aad) - np.kron(np.kron(i3, p0), ada))
-    cross = np.kron(np.kron(x20, x02) + np.kron(x02, x20), np.eye(n))
-    return Operator(gam * (stark + cross), (3, 3, n), hermitian_flag=True)
+    p0, p2, cross = _dispersive_terms()
+    mat = (np.kron(p2, a @ a.conj().T) - np.kron(p0, a.conj().T @ a)
+           + np.kron(cross, np.eye(n)))
+    return Operator(gam * mat, (3, 3, n), hermitian_flag=True)
 
 
 def h_eff_vacuum(gamma: float) -> Operator:
@@ -375,11 +422,5 @@ def h_eff_vacuum(gamma: float) -> Operator:
     gamma * [ |2><2|_a + |2><2|_b + |2><0|_a |0><2|_b + h.c. ]."""
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    p2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    i3 = np.eye(3, dtype=complex)
-    x20 = np.zeros((3, 3), dtype=complex)
-    x20[2, 0] = 1.0
-    x02 = x20.T.copy()
-    mat = (np.kron(p2, i3) + np.kron(i3, p2)
-           + np.kron(x20, x02) + np.kron(x02, x20))
-    return Operator(gamma * mat, (3, 3), hermitian_flag=True)
+    _, p2, cross = _dispersive_terms()
+    return Operator(gamma * (p2 + cross), (3, 3), hermitian_flag=True)

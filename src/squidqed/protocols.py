@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonians import (fock_lowering, fock_number, gamma_eff,
-                           h_eff_vacuum)
+from .hamiltonians import (_X02, _X20, _on_loop, gamma_eff, h_eff_vacuum,
+                           loop_cavity_hamiltonian)
 from .hilbert import Operator, StateVector, matexp_unitary
 from .dynamics import EvolutionResult
 
@@ -308,21 +308,11 @@ class ExecutionParams:
         return gamma_eff(self.g02, self.detuning)
 
 
-def _on_loop(m3: np.ndarray, target: str, dims) -> np.ndarray:
-    """Place a 3x3 matrix on loop a or b, identity on every other factor."""
-    mats = [np.eye(d, dtype=complex) for d in dims]
-    mats[0 if target == "a" else 1] = m3
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def _pulse_generator(action: PulseAction, dims, rabi: float) -> np.ndarray:
     i, j = action.levels
     h3 = np.zeros((3, 3), dtype=complex)
     h3[i, j] = h3[j, i] = rabi
-    return _on_loop(h3, action.target, dims)
+    return _on_loop(h3, _TARGETS.index(action.target), dims)
 
 
 @lru_cache(maxsize=16)
@@ -331,18 +321,12 @@ def _cavity_eigensystem(g02: float, detuning: float, fock_cutoff: int
     """Read-only eigensystem (w, v) of the explicit-cavity generator in the
     frame co-rotating with the detuning,
     H' = Delta n_hat + g02 (a |2><0|_a + a |2><0|_b + h.c.)
-    on (loop_a, loop_b, cavity).  Shared by the dispersive-segment
-    propagator and the photon statistics sampled inside the segment."""
-    a = fock_lowering(fock_cutoff)
-    i3 = np.eye(3, dtype=complex)
-    x20 = np.zeros((3, 3), dtype=complex)
-    x20[2, 0] = 1.0
-    up_a = np.kron(np.kron(x20, i3), a)
-    up_b = np.kron(np.kron(i3, x20), a)
-    hprime = (detuning * np.kron(np.eye(9, dtype=complex),
-                                 fock_number(fock_cutoff))
-              + g02 * (up_a + up_b)
-              + g02 * (up_a + up_b).conj().T)
+    on (loop_a, loop_b, cavity): `loop_cavity_hamiltonian` with zero level
+    frequencies.  Shared by the dispersive-segment propagator and the
+    photon statistics sampled inside the segment."""
+    hprime = loop_cavity_hamiltonian((0.0, 0.0, 0.0), detuning,
+                                     g02 * (_X02 + _X20).real, fock_cutoff, 2,
+                                     rotating_wave=True)
     w, v = np.linalg.eigh(hprime)
     w.setflags(write=False)
     v.setflags(write=False)
@@ -375,7 +359,7 @@ def _step_unitary(step, backend: str, params: ExecutionParams,
         for act in step.actions:
             if backend == "analytic":
                 r = _on_loop(rotation_map(act.levels, act.theta).entries,
-                             act.target, dims)
+                             _TARGETS.index(act.target), dims)
             else:
                 h = Operator(_pulse_generator(act, dims, params.rabi), dims,
                              hermitian_flag=True)

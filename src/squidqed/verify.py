@@ -19,14 +19,13 @@ from functools import partial
 
 import numpy as np
 
-from .constants import HBAR, TWO_PI
-from .hamiltonians import (CavityMode, CouplingSet, gamma_eff,
-                           h_int_full_factory, h_int_rwa_factory)
+from .constants import TWO_PI
+from .hamiltonians import (CONDITION_RATIO_MAX, CouplingSet, gamma_eff,
+                           loop_cavity_hamiltonian)
 from .hilbert import Operator, StateVector, basis_state
 from .protocols import (AraStep, ExecutionParams, GateSchedule, PulseAction,
                         _cavity_eigensystem, execute, schedule_cps,
                         schedule_swap, schedule_transfer)
-from .squid import LevelStructure
 
 __all__ = [
     "TruthRow",
@@ -337,21 +336,6 @@ def _preset_coupling_pattern() -> tuple[np.ndarray, float]:
     return _PRESET_PATTERN, _PRESET_LEVEL_RATIO
 
 
-def _lab_frame_eigh(h_of_t, ls: LevelStructure, mode: CavityMode
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem (w, W) of H0 + V for an interaction-picture generator
-    h_of_t(t) = e^{i H0 t} V e^{-i H0 t} on (loop, cavity).
-
-    H0 is diagonal (loop levels 0, omega_10, omega_20 plus omega_c per
-    photon, cavity index fast) and V = h_of_t(0), so the interaction-picture
-    propagator is exactly U_I(T) = e^{i H0 T} W e^{-i w T} W^dag.
-    """
-    nfock = mode.fock_cutoff
-    h0 = (np.repeat([0.0, ls.omega_10, ls.omega_20], nfock)
-          + np.tile(mode.omega_c * np.arange(nfock), 3))
-    return np.linalg.eigh(np.diag(h0) + h_of_t(0.0).entries)
-
-
 def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
                    g02: float = TWO_PI * 1.0e7, *,
                    detuning: float = TWO_PI * 1.0e8,
@@ -366,10 +350,11 @@ def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
     rounded to a whole number of carrier periods; the error is
     1 - |<psi_rwa(T)|psi_full(T)>|^2.
 
-    Both models are interaction-picture generators e^{i H0 t} V e^{-i H0 t}
-    of the same diagonal H0 (see `_lab_frame_eigh`), so each is propagated
-    exactly with one eigendecomposition of H0 + V; the common e^{i H0 T}
-    cancels in the overlap.  Photon statistics do not depend on the frame
+    Both models share the diagonal H0 of `loop_cavity_hamiltonian` (loop
+    levels 0, omega_10, omega_20 plus omega_c per photon), so each is
+    propagated exactly with one eigendecomposition of its H0 + V; the
+    interaction-picture frame e^{i H0 T} is common to both and cancels in
+    the overlap.  Photon statistics do not depend on the frame
     and are sampled densely on the full model's eigenbasis.  ``meta`` holds
     each point's reduction condition (``condition_ratio``, ``condition_ok``).
     Default couplings use the stored loop pattern: numpy only, in process.
@@ -395,30 +380,24 @@ def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
     for ratio in ratios:
         omega_c = detuning / ratio
         omega_20 = omega_c - detuning
-        omega_10 = level_ratio * omega_20
-        energies = HBAR * omega_20 * np.array([0.0, level_ratio, 1.0])
-        ls = LevelStructure(energies=energies,
-                            flux_elements=pattern * 1e-16,
-                            omega_10=omega_10, omega_20=omega_20,
-                            omega_21=omega_20 - omega_10)
-        mode = CavityMode(omega_c=omega_c, fock_cutoff=fock_cutoff)
-
+        levels = (0.0, level_ratio * omega_20, omega_20)
         carrier = TWO_PI / omega_c
         t_end = max(1, round(t_exchange / carrier)) * carrier
 
-        w, v = _lab_frame_eigh(h_int_full_factory(cs, ls, mode), ls, mode)
+        w, v = np.linalg.eigh(loop_cavity_hamiltonian(levels, omega_c, cs.g,
+                                                      fock_cutoff))
         psi_full = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
         peak_n, peak_top = _sampled_photon_peaks(w, v, probe, t_end,
                                                  fock_cutoff)
-        rwa = h_int_rwa_factory(cs, ls, mode)
-        w, v = _lab_frame_eigh(rwa, ls, mode)
+        w, v = np.linalg.eigh(loop_cavity_hamiltonian(
+            levels, omega_c, cs.g, fock_cutoff, rotating_wave=True))
         psi_rwa = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
 
         errors.append(1.0 - abs(np.vdot(psi_rwa, psi_full)) ** 2)
         peaks.append(peak_n)
         violations.append(peak_top >= FOCK_VIOLATION_TOL)
-        cond_ratios.append(rwa.condition_ratio)
-        cond_ok.append(rwa.condition_ok)
+        cond_ratios.append(abs(omega_c - omega_20) / omega_c)
+        cond_ok.append(cond_ratios[-1] < CONDITION_RATIO_MAX)
 
     return ScanResult(
         kind="rwa",

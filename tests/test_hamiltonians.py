@@ -12,7 +12,8 @@ from squidqed.hamiltonians import (CavityMode, CouplingSet, DriveSpec,
                                    h_drive_full_factory, h_drive_rwa,
                                    h_eff_two_squid, h_eff_vacuum,
                                    h_int_full_factory, h_int_rwa_factory,
-                                   h_squid, transition_frequency)
+                                   h_squid, loop_cavity_hamiltonian,
+                                   transition_frequency)
 from squidqed.squid import LevelStructure, load_preset, solve
 
 W10 = 2 * np.pi * 7.0e9
@@ -166,6 +167,46 @@ def test_interaction_full_term_structure():
         # the 0<->1 and 1<->2 exchange blocks stay empty at all times
         assert np.all(mat[0:4, 4:8] == 0)
         assert np.all(mat[4:8, 8:12] == 0)
+
+
+def _kron_all(*mats):
+    out = np.eye(1)
+    for m in mats:
+        out = np.kron(out, m)
+    return out
+
+
+def test_loop_cavity_hamiltonian_terms():
+    g = 2 * np.pi * 1e7 * np.array([[0.4, 0.0, 1.0], [0.0, -0.2, 0.0],
+                                    [1.0, 0.0, 0.7]])
+    levels = (0.0, W10, W20)
+    wc = W20 + 2 * np.pi * 1.1e9
+    n = 3
+    a = fock_lowering(n)
+    i3, x02 = np.eye(3), np.zeros((3, 3))
+    x02[0, 2] = 1.0
+    coupling = np.diag(np.diag(g)) + g[0, 2] * (x02 + x02.T)
+    for n_loops in (1, 2):
+        def on(m3, k):
+            return _kron_all(*[m3 if j == k else i3 for j in range(n_loops)])
+
+        h0 = sum(np.kron(on(np.diag(levels), k), np.eye(n))
+                 for k in range(n_loops))
+        h0 = h0 + np.kron(on(i3, 0), wc * fock_number(n))
+        full = sum(np.kron(on(coupling, k), a + a.conj().T)
+                   for k in range(n_loops))
+        rwa = sum(g[0, 2] * (np.kron(on(x02, k), a.conj().T)
+                             + np.kron(on(x02.T, k), a))
+                  for k in range(n_loops))
+        for rotating_wave, v in ((False, full), (True, rwa)):
+            got = loop_cavity_hamiltonian(levels, wc, g, n, n_loops,
+                                          rotating_wave=rotating_wave)
+            assert got.shape == (3 ** n_loops * n,) * 2
+            np.testing.assert_allclose(got, h0 + v, rtol=1e-15, atol=1e-3)
+            # V has no diagonal, so H0 is the diagonal of the result
+            np.testing.assert_array_equal(np.diag(got).real, np.diag(h0))
+    with pytest.raises(ValueError, match="n_loops"):
+        loop_cavity_hamiltonian(levels, wc, g, n, 3)
 
 
 def test_interaction_rwa_keeps_one_pair():

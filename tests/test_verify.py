@@ -8,7 +8,8 @@ from squidqed import verify
 from squidqed.constants import HBAR, TWO_PI
 from squidqed.dynamics import evolve_timedep, max_step_for
 from squidqed.hamiltonians import (CavityMode, CouplingSet,
-                                   h_int_full_factory, h_int_rwa_factory)
+                                   h_int_full_factory, h_int_rwa_factory,
+                                   loop_cavity_hamiltonian)
 from squidqed.hilbert import StateVector
 from squidqed.protocols import (ExecutionParams, GateSchedule,
                                 schedule_cps, schedule_entanglement,
@@ -20,7 +21,7 @@ from squidqed.verify import (ScanResult, TruthTable, check_truth_table,
                              gate_fidelity, halving_ratios, photon_excursion,
                              rwa_error_scan, truth_table_cps,
                              truth_table_swap, truth_table_transfer,
-                             _lab_frame_eigh, _preset_coupling_pattern,
+                             _preset_coupling_pattern,
                              _sampled_photon_peaks)
 
 
@@ -197,9 +198,10 @@ def test_stored_coupling_pattern_is_read_only():
 
 
 def test_exact_frame_propagation_matches_time_stepping():
-    """The scan's one-eigh propagation against midpoint steps of the same
-    interaction-picture closures: e^{i H0 T} W e^{-i w T} W^dag psi0 must
-    agree with the stepped state, to second order in the step."""
+    """The scan's one-eigh propagation of the builder's H0 + V against
+    midpoint steps of the interaction-picture closures: e^{i H0 T} W
+    e^{-i w T} W^dag psi0 must agree with the stepped state, to second
+    order in the step."""
     pattern, level_ratio = _preset_coupling_pattern()
     detuning = TWO_PI * 1.0e8
     omega_c = detuning / 0.02
@@ -218,9 +220,12 @@ def test_exact_frame_propagation_matches_time_stepping():
     h0 = np.array([e + omega_c * n for e in (0.0, omega_10, omega_20)
                    for n in range(nfock)])
 
-    for factory in (h_int_full_factory, h_int_rwa_factory):
+    for factory, rotating_wave in ((h_int_full_factory, False),
+                                   (h_int_rwa_factory, True)):
         h = factory(cs, ls, mode)
-        w, v = _lab_frame_eigh(h, ls, mode)
+        w, v = np.linalg.eigh(loop_cavity_hamiltonian(
+            (0.0, omega_10, omega_20), omega_c, cs.g, nfock,
+            rotating_wave=rotating_wave))
         exact = np.exp(1j * h0 * t_end) * (
             v @ (np.exp(-1j * w * t_end) * (v.conj().T @ psi0)))
         dev = []
