@@ -4,7 +4,8 @@ Covers the bare three-level loop and the cavity mode, the inductive
 loop-cavity coupling in the interaction picture (with and without the
 rotating-wave reduction), the classical microwave drive (full and resonant
 forms), and the dispersive two-loop effective Hamiltonians that generate the
-gates.
+gates.  Every loop-cavity generator, on one loop or two, comes from
+`loop_cavity_hamiltonian`.
 
 Unit convention: the bare-system builders (`h_squid`, `h_cavity`) return
 energies in joules; every coupling, drive, and effective builder returns an
@@ -189,12 +190,7 @@ def couplings_from_structure(ls: LevelStructure, m: CavityMode, L: float,
     lambda_c = -1.0 / L
     prefactor = lambda_c * np.sqrt(HBAR * m.omega_c / (2.0 * MU0)) \
         * m.effective_flux_amplitude / HBAR
-    g = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            elem = ls.flux_elements[i, j] - (Phi_x if i == j else 0.0)
-            g[i, j] = prefactor * elem
-            g[j, i] = g[i, j]
+    g = prefactor * (ls.flux_elements[:3, :3] - Phi_x * np.eye(3))
     return CouplingSet(g=g, lambda_c=lambda_c)
 
 
@@ -254,10 +250,7 @@ def loop_cavity_hamiltonian(levels, omega_c: float, g, fock_cutoff: int,
     with ``rotating_wave``, g_02 (|0><2| a_dag + h.c.); otherwise
     L (x) (a + a_dag) with L = diag(g_00, g_11, g_22) + g_02 (|0><2| + h.c.).
     The 0<->1 and 1<->2 exchange terms are far off cavity resonance and are
-    not part of this reduced model.  V has no diagonal, so H0 is the
-    diagonal of the result.  Passing zero levels and omega_c = -Delta gives
-    the rotating-frame generator of the cavity backend, where Delta is
-    omega_20 - omega_c.
+    left out.  V has no diagonal, so H0 is the diagonal of the result.
     """
     if n_loops not in (1, 2):
         raise ValueError(f"n_loops must be 1 or 2, got {n_loops}")
@@ -286,13 +279,10 @@ def _interaction_picture(cs: CouplingSet, ls: LevelStructure, m: CavityMode,
                                 cs.g, m.fock_cutoff,
                                 rotating_wave=rotating_wave)
     e0 = np.diag(h).real
-    rows, cols = np.nonzero(np.triu(h, 1))
-    amps = h[rows, cols]
-    freqs = 1j * (e0[rows] - e0[cols])
+    upper, gaps = np.triu(h, 1), 1j * np.subtract.outer(e0, e0)
 
     def at(t: float) -> Operator:
-        half = np.zeros_like(h)
-        half[rows, cols] = amps * np.exp(freqs * t)
+        half = upper * np.exp(gaps * t)
         return Operator(half + half.conj().T, (3, m.fock_cutoff),
                         hermitian_flag=True)
 
@@ -346,11 +336,8 @@ def h_drive_full_factory(d: DriveSpec, ls: LevelStructure):
     """
     i, j = d.target_levels
     w_tr = transition_frequency(ls, (i, j))
-    pii = np.zeros((3, 3), dtype=complex)
-    pii[i, i] = d.diag_rabi[0]
-    pii[j, j] = d.diag_rabi[1]
-    xij = np.zeros((3, 3), dtype=complex)
-    xij[i, j] = d.rabi
+    pii = d.diag_rabi[0] * _unit(i, i) + d.diag_rabi[1] * _unit(j, j)
+    xij = d.rabi * _unit(i, j)
     wu = d.omega_uw
 
     def h(t: float) -> Operator:
@@ -374,10 +361,8 @@ def h_drive_rwa(d: DriveSpec, ls: LevelStructure) -> Operator:
             f"drive at {d.omega_uw:.6e} rad/s is not resonant with the "
             f"{d.target_levels} transition at {w:.6e} rad/s")
     i, j = d.target_levels
-    mat = np.zeros((3, 3), dtype=complex)
-    mat[i, j] = d.rabi
-    mat[j, i] = d.rabi
-    return Operator(mat, (3,), hermitian_flag=True)
+    return Operator(d.rabi * (_unit(i, j) + _unit(j, i)), (3,),
+                    hermitian_flag=True)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonians import (_X02, _X20, _on_loop, gamma_eff, h_eff_vacuum,
-                           loop_cavity_hamiltonian)
+from .hamiltonians import (_X02, _X20, _on_loop, _unit, gamma_eff,
+                           h_eff_vacuum, loop_cavity_hamiltonian)
 from .hilbert import Operator, StateVector, matexp_unitary
 from .dynamics import EvolutionResult
 
@@ -310,9 +310,8 @@ class ExecutionParams:
 
 def _pulse_generator(action: PulseAction, dims, rabi: float) -> np.ndarray:
     i, j = action.levels
-    h3 = np.zeros((3, 3), dtype=complex)
-    h3[i, j] = h3[j, i] = rabi
-    return _on_loop(h3, _TARGETS.index(action.target), dims)
+    return _on_loop(rabi * (_unit(i, j) + _unit(j, i)),
+                    _TARGETS.index(action.target), dims)
 
 
 @lru_cache(maxsize=16)
@@ -324,10 +323,9 @@ def _cavity_eigensystem(g02: float, detuning: float, fock_cutoff: int
     on (loop_a, loop_b, cavity): `loop_cavity_hamiltonian` with zero level
     frequencies.  Shared by the dispersive-segment propagator and the
     photon statistics sampled inside the segment."""
-    hprime = loop_cavity_hamiltonian((0.0, 0.0, 0.0), detuning,
-                                     g02 * (_X02 + _X20).real, fock_cutoff, 2,
-                                     rotating_wave=True)
-    w, v = np.linalg.eigh(hprime)
+    w, v = np.linalg.eigh(loop_cavity_hamiltonian(
+        (0.0, 0.0, 0.0), detuning, g02 * (_X02 + _X20).real, fock_cutoff, 2,
+        rotating_wave=True))
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
