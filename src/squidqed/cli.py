@@ -330,14 +330,18 @@ def cmd_gate(args, raw_cfg: dict) -> int:
         if not chk.ok:
             failures.extend(chk.failures)
 
+    # exact backends reach the ideal to roundoff; the cavity model may lose
+    # the leading single-channel leakage 4 (g02/detuning)^2 to photons
+    limit = (1e-9 if exact_backend
+             else 4.0 * params.gamma_cavity / params.detuning)
+
     if schedule.ideal_unitary is not None:
         u_sim = _propagator(trail[-1] for trail in trails.values())
         tol = 1e-8 if exact_backend else 1.0
         fid = gate_fidelity(u_sim, schedule.ideal_unitary, unitarity_tol=tol)
         summary.append(f"gate_fidelity_dimensionless {_fmt(fid)}\n")
-        if exact_backend and fid < 1.0 - 1e-9:
-            failures.append(f"gate fidelity {fid!r} below exact-backend "
-                            f"threshold")
+        if fid < 1.0 - limit:
+            failures.append(f"gate fidelity {fid!r} below 1 - {limit:.3e}")
 
     if schedule.target_state is not None:
         amps = _loop_amplitudes(trails["|00>"][-1])
@@ -346,9 +350,11 @@ def cmd_gate(args, raw_cfg: dict) -> int:
         conc = concurrence(final, support_tol=1e-6)
         summary.append(f"target_state_fidelity_dimensionless {_fmt(fid)}\n")
         summary.append(f"concurrence_dimensionless {_fmt(conc)}\n")
-        if exact_backend and (abs(fid - 1.0) > 1e-9
-                              or abs(conc - 1.0) > 1e-9):
-            failures.append("entangled target state not reached exactly")
+        if fid < 1.0 - limit:
+            failures.append(f"target state fidelity {fid!r} below "
+                            f"1 - {limit:.3e}")
+        if exact_backend and abs(conc - 1.0) > 1e-9:
+            failures.append(f"concurrence {conc!r} is not 1")
 
     if args.backend == "cavity":
         peak_n, peak_top = _run_photon_peaks(schedule, params, inputs,

@@ -5,7 +5,9 @@ loop-cavity coupling in the interaction picture (with and without the
 rotating-wave reduction), the classical microwave drive (full and resonant
 forms), and the dispersive two-loop effective Hamiltonians that generate the
 gates.  Every loop-cavity generator, on one loop or two, comes from
-`loop_cavity_hamiltonian`.
+`loop_cavity_hamiltonian`.  The cavity backend (``ExecutionParams.detuning``)
+and gamma = g_02^2 / Delta use Delta = omega_20 - omega_c; the ``detuning``
+attribute of the ``h_int_*_factory`` closures is omega_c - omega_20.
 
 Unit convention: the bare-system builders (`h_squid`, `h_cavity`) return
 energies in joules; every coupling, drive, and effective builder returns an

@@ -281,9 +281,12 @@ class ExecutionParams:
 
     gamma is the dispersive rate (rad/s) used directly by the
     vacuum-projected backend; the explicit-cavity backend instead derives
-    it from (g02, detuning), defaulting to the g02/detuning = 0.05 working
-    point.  rabi sets the pulse amplitude; rotations are exact
-    exponentials, so its value does not affect the resulting map.
+    it as g02^2 / detuning, defaulting to the g02/detuning = 0.05 working
+    point.  detuning is Delta = omega_20 - omega_c, positive with the
+    cavity below the 0<->2 transition (the opposite sign to
+    ``h_int_*_factory.detuning``).  rabi sets the pulse amplitude;
+    rotations are exact exponentials, so its value does not affect the
+    resulting map.
     """
 
     gamma: float = 1.0
@@ -318,13 +321,14 @@ def _pulse_generator(action: PulseAction, dims, rabi: float) -> np.ndarray:
 def _cavity_eigensystem(g02: float, detuning: float, fock_cutoff: int
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigensystem (w, v) of the explicit-cavity generator in the
-    frame co-rotating with the detuning,
-    H' = Delta n_hat + g02 (a |2><0|_a + a |2><0|_b + h.c.)
-    on (loop_a, loop_b, cavity): `loop_cavity_hamiltonian` with zero level
-    frequencies.  Shared by the dispersive-segment propagator and the
+    frame co-rotating with the 0<->2 transitions,
+    H' = -Delta n_hat + g02 (a |2><0|_a + a |2><0|_b + h.c.)
+    on (loop_a, loop_b, cavity), with Delta = omega_20 - omega_c:
+    `loop_cavity_hamiltonian` with zero level frequencies and omega_c
+    replaced by -Delta.  Shared by the dispersive-segment propagator and the
     photon statistics sampled inside the segment."""
     w, v = np.linalg.eigh(loop_cavity_hamiltonian(
-        (0.0, 0.0, 0.0), detuning, g02 * (_X02 + _X20).real, fock_cutoff, 2,
+        (0.0, 0.0, 0.0), -detuning, g02 * (_X02 + _X20).real, fock_cutoff, 2,
         rotating_wave=True))
     w.setflags(write=False)
     v.setflags(write=False)
@@ -332,17 +336,17 @@ def _cavity_eigensystem(g02: float, detuning: float, fock_cutoff: int
 
 
 def _cavity_dispersive_unitary(params: ExecutionParams, t: float) -> np.ndarray:
-    """Exact propagator of the resonant-exchange cavity model over t,
-    rotated back to the detuned interaction picture.
+    """Exact propagator of the resonant-exchange cavity model over t, in
+    the interaction picture of the bare loops and cavity.
 
-    In the frame co-rotating with the detuning, the generator H' (see
-    `_cavity_eigensystem`) is constant, and the interaction-picture state
-    is e^{+i Delta n_hat t} e^{-i H' t} psi_0.
+    In the frame co-rotating with the 0<->2 transitions the generator H'
+    (see `_cavity_eigensystem`) is constant, and the interaction-picture
+    state is e^{-i Delta n_hat t} e^{-i H' t} psi_0.
     """
     n = params.fock_cutoff
     w, v = _cavity_eigensystem(params.g02, params.detuning, n)
     core = (v * np.exp(-1j * w * t)) @ v.conj().T
-    frame = np.exp(1j * params.detuning * np.arange(n) * t)
+    frame = np.exp(-1j * params.detuning * np.arange(n) * t)
     return np.kron(np.ones(9), frame)[:, None] * core
 
 

@@ -398,7 +398,7 @@ _GATE_DIGESTS = {
         "25f0a2c206e6d43f23d05157d1bd76b1e35df7f41ed07aac484b45729b5ae5e1",
         "bcbe5f5daf66a88218183942532aee772b611b1a0ce002906020c9d8f9b27912"),
     "cps cavity": (
-        "6faf9c879ada3fd3f0cad60d696d09a3836482806540ff389356f9a542846bf1",
+        "af09c9e6f523d9861d684ce709ef1b9e21e3cf249b58798328dafd50fac0ee1e",
         "e78c68f7133ed8ab43665052112bb1452b241bc33e96e9e3b3f4b904d64ba10b"),
     "swap analytic": (
         "62609a7a76eacd9fd77c760ab46356828501d47f24b102d10537fc158703a561",
@@ -407,8 +407,8 @@ _GATE_DIGESTS = {
         "d6645741b2992385942c99e3b6bf2aec3913f0e97e9cfc919a7bf15b8f9d0f4b",
         "121205fe3a8a564f132c719b39e8362b9314962295765cad96bfad0694984d7e"),
     "swap cavity": (
-        "9b4a1953b97a535a6ff7a00148c953cae4b49aed628e6b1a563c3b69273293dd",
-        "a530c73d3ba2d7e124b9566ffa7c14acceda45bb4636c093275c6cc2e56de4a4"),
+        "b28ad46a164e026b78d3a9ce691cf5aea937cca4d6d08c7c1cf5cb18a6701079",
+        "d3915d1a69a017f6b1aa19cf535fb276fe0f7d31685d6f622ca5048527b223db"),
     "transfer analytic": (
         "6c0838f2f92842c24838c45cbdadff04956ce40be09dc3adb63137d7f9bd2ce1",
         "fecd899bb046456647eb02b7f3053817ab938dfa4210c04149627ddd66f50714"),
@@ -416,8 +416,8 @@ _GATE_DIGESTS = {
         "fb8421386187f5c7afc905468e309c47fafad0354887eef4b44586d59fdfa80c",
         "fd2106a5a26cd43af0a6d633f65c238332f793ccb93ebed35a15a2403508ed2f"),
     "transfer cavity": (
-        "badbda6b7a03240a5f4b2f2fa3e6325875791fe79554e45759436973645b6033",
-        "0503b6961e465ca44f5611b37fadaac023cbbf921665a76112e8ee86df1c7d37"),
+        "5d1cc96d9073ab9cdcf300a495484defac697d4eb22aea10b144f7d09f07546a",
+        "df8fbfcc5dc0a9faff8247a1559bd0b3415c3c3858ce85d0e96e338d422da8a2"),
     "entangle analytic": (
         "bee5035843575427edd98ac3ac38dcdd81e3f993f39e64c1b38a89f47063bd59",
         "4344f9ed491705e1da4c1d2cea4e84e6dc718a20d3e465cfdc88c7d638425fd3"),
@@ -425,20 +425,20 @@ _GATE_DIGESTS = {
         "ac171fe1c29edd5dceb0e20d96ac64256e58068d5e50a39a89aec2904e21e3f2",
         "be6396f1cbefed9c382fafe6e561621f9101f3da3eb20564f7aa53f6f73fdbe9"),
     "entangle cavity": (
-        "6804c08172f6dbe98e85f194c30ed75d516b7fc1ce5b0098b36d890806cb23aa",
-        "e715aad53224c5ef022190c9c41e1c0aec9a0a055534e41ad52ac9be1aaeb2dc"),
+        "5bcc53a15e139773b2b08c7d013000879d767414c6e7e26871752f3f02cccc82",
+        "615386108b0ac2ab6257a8c5ddb2406419517b99ae27d9951989189aed9b2690"),
     "cps cavity 8": (
-        "b33ad5f64d537173e988d0d201303af7ac84729119d79b184a654402ae538a2e",
-        "c65b6db63658daef766364d2fc16155e78d65e2f887503a9e6512e9dc9f2e909"),
+        "6a702b260108c16637af49f2595b80961f38792f2077bc50803a024b5aa11313",
+        "4ba66e0e52d91da15af9f7e1ac04f3af1410caaa97d2b6fb03f6d1d9b761d819"),
     "swap cavity 8": (
-        "48357ee3a7eb1074c27c0f1647276df26e69a068a502aa2f405f525af0a559b2",
-        "adb7888252b0be86d806c471bf221db71ab2e4429e90f54c207c4cef65df0558"),
+        "94416beb37d85141f0ff6d6eb6265b92f445130ce44d44bcbc16ca1e3a6bc40b",
+        "0d859e52cb36e1ba128c295140f3de8408e1fcf97cbe28c5add865f172328a2a"),
     "transfer cavity 8": (
-        "d77a9a8b0be16c8ee300aed8173ce083430ab6928ab76d43d173ab2328b51d2f",
-        "d632067bb3224d2c5785019ab1c342dbf9bbff41d17d3cf1df17878177297fec"),
+        "d236461b1714e218b35ea126e64416aa97b716c48a63be198ccd5f3f23d5486b",
+        "b57d37be3e7dbf01d91b97f101a737d1ce226dad1e44b1a42a5eb6b9e77d9e29"),
     "entangle cavity 8": (
-        "a104aee3e491fd398bcbf528a2506316c98eaeac6cc5cb759893b29091b4b008",
-        "4afef7b45fb22b1d81904e7affc27b28d17c87cb1ad27aa9b17a01e071d39a39"),
+        "bbbab8435b43137dce8755b76e03c6eed86aa8be98acdf189720adaef1283053",
+        "7eb0dc07f36b37ea9fd02af11c00a712bdd98fde9bf396aef2855dae2d8aa263"),
 }
 
 
@@ -480,3 +480,44 @@ def test_rwa_scan_outputs_are_byte_stable(tmp_path):
         got[key] = hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest()
     want = {key: digest for key, (_, digest) in _RWA_SCAN_DIGESTS.items()}
     assert got == want, f"rotating-wave scan outputs moved; store {got!r}"
+
+
+def test_cavity_entangle_reaches_the_target(tmp_path):
+    assert run_cli(tmp_path, "gate", {"schedule": "entangle"},
+                   extra=["--backend", "cavity"]) == 0
+    summary = grab(tmp_path, "gate_summary.txt")
+    fid = float(summary_value(summary, "target_state_fidelity_dimensionless"))
+    # held to 1 - 4 (g02/detuning)^2 = 0.99 at the default working point
+    assert 1.0 - fid < 1e-4
+    assert "physics_checks pass" in summary
+
+
+def test_cavity_gate_fails_on_the_opposite_dispersive_sign(tmp_path,
+                                                          monkeypatch):
+    import numpy as np
+
+    import squidqed.protocols as protocols
+
+    def opposite_sign(params, t):
+        # H' = +Delta n_hat + V in the frame e^{+i Delta n_hat t}: the
+        # backend with gamma -> -gamma
+        n = params.fock_cutoff
+        w, v = protocols._cavity_eigensystem(params.g02, -params.detuning, n)
+        core = (v * np.exp(-1j * w * t)) @ v.conj().T
+        frame = np.exp(1j * params.detuning * np.arange(n) * t)
+        return np.kron(np.ones(9), frame)[:, None] * core
+
+    monkeypatch.setattr(protocols, "_cavity_dispersive_unitary",
+                        opposite_sign)
+    protocols._step_unitary.cache_clear()
+    try:
+        assert run_cli(tmp_path, "gate", {"schedule": "entangle"},
+                       extra=["--backend", "cavity"]) == 1
+    finally:
+        protocols._step_unitary.cache_clear()
+    summary = grab(tmp_path, "gate_summary.txt")
+    assert "physics_checks FAIL" in summary
+    # the bound is 1 - 4 (g02/detuning)^2 at g02/detuning = 0.05
+    assert any(ln.startswith("failure target state fidelity ")
+               and ln.endswith(" below 1 - 1.000e-02")
+               for ln in summary.splitlines()), summary

@@ -14,8 +14,8 @@ from squidqed.protocols import (AraStep, DispersiveStep, ExecutionParams,
                                 rotation_map, schedule_cps,
                                 schedule_entanglement, schedule_swap,
                                 schedule_transfer, serialize_schedule,
-                                simultaneous, _cavity_eigensystem,
-                                _step_unitary)
+                                simultaneous, _cavity_dispersive_unitary,
+                                _cavity_eigensystem, _step_unitary)
 
 COMP = (0, 1, 3, 4)  # |00>, |01>, |10>, |11> on the 9-dim two-loop space
 
@@ -254,3 +254,53 @@ def test_execute_unchanged_by_cache_clear():
                                           cold.propagator.entries)
             for a, b in zip(warm.intermediates, cold.intermediates):
                 np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+
+
+def _lab_frame_rwa(omega_c, delta, g02, omega_10, nfock):
+    """(H0, V) of two loops and the cavity in the lab frame, rotating wave
+    kept, written out term by term: loop levels 0, omega_10 and
+    omega_20 = omega_c + delta, V = g02 sum_m (|2><0|_m a + h.c.)."""
+    i3, i_n = np.eye(3), np.eye(nfock)
+    levels = np.diag([0.0, omega_10, omega_c + delta])
+    a = np.diag(np.sqrt(np.arange(1.0, nfock)), 1)
+    x20 = np.zeros((3, 3))
+    x20[2, 0] = 1.0
+    h0 = (np.kron(np.kron(levels, i3), i_n) + np.kron(np.kron(i3, levels), i_n)
+          + np.kron(np.eye(9), omega_c * np.diag(np.arange(nfock))))
+    up = np.kron(np.kron(x20, i3), a) + np.kron(np.kron(i3, x20), a)
+    return np.diag(h0), g02 * (up + up.T)
+
+
+def test_cavity_segment_is_the_lab_frame_interaction_picture():
+    """The cavity segment propagator, against e^{i H0 t} e^{-i (H0 + V) t}
+    of the lab-frame model with omega_20 - omega_c = detuning, at a time
+    that is no multiple of pi / detuning."""
+    for g02, delta, nfock in ((0.05, 1.0, 4), (0.1, 0.7, 5)):
+        params = ExecutionParams(g02=g02, detuning=delta, fock_cutoff=nfock,
+                                 explicit_cavity=True)
+        h0, v = _lab_frame_rwa(5.3, delta, g02, 0.61, nfock)
+        w, vecs = np.linalg.eigh(np.diag(h0) + v)
+        t = 7.3
+        lab = np.exp(1j * h0 * t)[:, None] * (
+            (vecs * np.exp(-1j * w * t)) @ vecs.conj().T)
+        dev = np.max(np.abs(_cavity_dispersive_unitary(params, t) - lab))
+        assert dev < 1e-9, (g02, delta, dev)
+
+
+def test_cavity_vacuum_block_follows_the_dispersive_map():
+    """Over the entangling wait pi/(4 gamma) the vacuum block of the cavity
+    propagator matches `dispersive_map`, whose sign is that of gamma, up to
+    the O((g/Delta)^2) leakage, and the deviation contracts ~4x per halving
+    of g/Delta."""
+    nfock = 4
+    vac = np.arange(9) * nfock
+    dev = []
+    for ratio in (0.05, 0.025):
+        params = ExecutionParams(g02=ratio, detuning=1.0, fock_cutoff=nfock,
+                                 explicit_cavity=True)
+        gam = params.gamma_cavity
+        t = np.pi / (4.0 * gam)
+        u = _cavity_dispersive_unitary(params, t)[np.ix_(vac, vac)]
+        dev.append(np.max(np.abs(u - dispersive_map(gam, t).entries)))
+        assert dev[-1] < 4.0 * ratio ** 2, (ratio, dev[-1])
+    assert 3.0 < dev[0] / dev[1] < 5.0, dev

@@ -312,13 +312,13 @@ def test_block_photon_sampling_is_bitwise_k_single_column_calls():
 #: precision; the guard below prints new literals when they move.
 _DISPERSIVE_DEFAULT_COLUMNS = {
     "parameter": [0.1, 0.05, 0.025],
-    "error": [0.003917514047951376, 0.0002466121242477026,
-              1.5420747167094184e-05],
-    "peak_photon_population": [0.038461531526937855, 0.009900953335089386,
-                               0.0024937539032619553],
+    "error": [0.003917514047948711, 0.0002466121242630237,
+              1.5420747147998348e-05],
+    "peak_photon_population": [0.038461531526937924, 0.009900953335089365,
+                               0.0024937539032619596],
     "fock_violation": [False, False, False],
-    "gate_fidelity": [0.9984261100128469, 0.9998973632910154,
-                      0.999993517016169],
+    "gate_fidelity": [0.9984261100128473, 0.9998973632910139,
+                      0.9999935170161706],
 }
 
 
