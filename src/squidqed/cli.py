@@ -7,9 +7,10 @@ delimited text files into the output directory.  Data files are
 deterministic: identical config gives byte-identical bytes, every column
 header names its units, and the only header line carries the producing
 command and a hash of the effective config.  Run metadata that may vary
-(wall time, failed scan points, failed rotating-wave conditions) goes to a
-separate run.log.  Scans run in the calling process; ``--workers`` is
-accepted for compatibility only.
+(wall time, failed scan points, failed rotating-wave conditions, a
+``gamma_radps`` the cavity backend ignored) goes to a separate run.log.
+Scans run in the calling process; ``--workers`` is accepted for
+compatibility only.
 
 Exit codes: 0 success, 1 physics-check failure (failed truth table,
 solver resolution error, all scan points failed), 2 usage or config error.
@@ -294,6 +295,10 @@ def cmd_gate(args, raw_cfg: dict) -> int:
     backend, params = _backend_params(args, cfg)
     head = _header("gate", args.backend, cfg)
     exact_backend = args.backend in ("analytic", "dispersive")
+    if args.backend == "cavity" and "gamma_radps" in cfg:
+        args.run_log.append(f"ignored_key "
+                            f"gamma_radps={_fmt(cfg['gamma_radps'])} "
+                            f"used_gamma_radps={_fmt(params.gamma)}")
 
     # one run per computational input: its per-step states go to the
     # states file, and every check below reads the same runs

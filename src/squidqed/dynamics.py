@@ -1,11 +1,11 @@
-"""Unitary time evolution for constant and time-dependent Hamiltonians.
+"""Unitary time evolution under a time-dependent Hamiltonian in rad/s.
 
-Constant generators are exponentiated exactly through their eigensystem.
-Time-dependent generators use an exponential midpoint rule: one exact
-matrix exponential of H evaluated at the step midpoint per step.  Each step
-is exactly unitary, so norm is preserved to rounding regardless of step
-count; the commutator error makes the scheme second order in the step size
-(halving the step shrinks the state error by about 4x).
+The integrator is an exponential midpoint rule (constant generators go to
+`hilbert.matexp_unitary` instead): one exact matrix exponential of H
+evaluated at the step midpoint per step.  Each step is exactly unitary, so
+norm is preserved to rounding regardless of step count; the commutator
+error makes the scheme second order in the step size (halving the step
+shrinks the state error by about 4x).
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, TWO_PI
-from .hilbert import Operator, StateVector, apply, matexp_unitary
+from .constants import TWO_PI
+from .hilbert import Operator, StateVector
 
 __all__ = [
     "EvolutionResult",
     "StepSizeError",
-    "evolve_const",
     "evolve_timedep",
     "max_step_for",
 ]
@@ -66,36 +65,17 @@ def max_step_for(omega_max: float) -> float:
     return (TWO_PI / omega_max) / STEPS_PER_PERIOD
 
 
-def evolve_const(h: Operator, t: float, psi: StateVector, *,
-                 hbar_units: str = "radps",
-                 want_propagator: bool = False) -> EvolutionResult:
-    """Evolve psi for duration t under a constant Hamiltonian."""
-    u = matexp_unitary(h, t, hbar_units=hbar_units)
-    final = apply(u, psi)
-    return EvolutionResult(
-        final_state=final,
-        propagator=u if want_propagator else None,
-        step_count=1,
-        max_norm_drift=abs(final.norm() - 1.0),
-    )
-
-
-def _entries(h) -> np.ndarray:
-    return h.entries if isinstance(h, Operator) else np.asarray(h)
-
-
 def evolve_timedep(h_of_t, t0: float, t1: float, dt: float,
-                   psi: StateVector, *, hbar_units: str = "radps",
-                   omega_max: float | None = None,
+                   psi: StateVector, *, omega_max: float | None = None,
                    want_propagator: bool = False,
                    record_intermediate: bool = False) -> EvolutionResult:
     """Evolve psi from t0 to t1 under h_of_t with midpoint steps of size ~dt.
 
-    h_of_t maps a time to an Operator (or a plain Hermitian ndarray, for
-    callers on a hot path).  The fastest phase omega_max is taken from the
-    argument or, failing that, from an ``omega_max`` attribute on h_of_t;
-    when known, dt must satisfy dt <= (2 pi / omega_max) / 20 or a
-    StepSizeError is raised.  t1 < t0 integrates backwards.
+    h_of_t maps a time to an Operator holding a generator in rad/s.  The
+    fastest phase omega_max is taken from the argument or, failing that,
+    from an ``omega_max`` attribute on h_of_t; when known, dt must satisfy
+    dt <= (2 pi / omega_max) / 20 or a StepSizeError is raised.  t1 < t0
+    integrates backwards.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -113,10 +93,6 @@ def evolve_timedep(h_of_t, t0: float, t1: float, dt: float,
     n_steps = max(1, math.ceil(abs(span) / dt))
     step = span / n_steps
 
-    scale = 1.0 if hbar_units == "radps" else 1.0 / HBAR
-    if hbar_units not in ("radps", "joule"):
-        raise ValueError(f"unknown hbar_units {hbar_units!r}")
-
     vec = psi.amplitudes.copy()
     u_total = np.eye(psi.dim, dtype=complex) if want_propagator else None
     trail: list[StateVector] = []
@@ -124,8 +100,7 @@ def evolve_timedep(h_of_t, t0: float, t1: float, dt: float,
 
     for k in range(n_steps):
         t_mid = t0 + (k + 0.5) * step
-        hmat = _entries(h_of_t(t_mid)) * scale
-        w, v = np.linalg.eigh(hmat)
+        w, v = np.linalg.eigh(h_of_t(t_mid).entries)
         phases = np.exp(-1j * w * step)
         # U = V e^{-i w dt} V^dag applied without forming U when possible
         vec = v @ (phases * (v.conj().T @ vec))

@@ -1,17 +1,17 @@
 """Builders for every Hamiltonian in the model.
 
-Covers the bare three-level loop and the cavity mode, the inductive
-loop-cavity coupling in the interaction picture (with and without the
-rotating-wave reduction), the classical microwave drive (full and resonant
-forms), and the dispersive two-loop effective Hamiltonians that generate the
-gates.  Every loop-cavity generator, on one loop or two, comes from
-`loop_cavity_hamiltonian`.  The cavity backend (``ExecutionParams.detuning``)
-and gamma = g_02^2 / Delta use Delta = omega_20 - omega_c; the ``detuning``
-attribute of the ``h_int_*_factory`` closures is omega_c - omega_20.
+Covers the truncated Fock operators of the cavity mode, the inductive
+loop-cavity coupling in the lab frame and in the interaction picture (with
+and without the rotating-wave reduction), the classical microwave drive
+(full and resonant forms), and the dispersive two-loop effective
+Hamiltonians that generate the gates.  Every loop-cavity generator, on
+one loop or two, comes from `loop_cavity_hamiltonian`.  The cavity backend
+(``ExecutionParams.detuning``) and gamma = g_02^2 / Delta use
+Delta = omega_20 - omega_c; the ``detuning`` attribute of the
+``h_int_*_factory`` closures is omega_c - omega_20.
 
-Unit convention: the bare-system builders (`h_squid`, `h_cavity`) return
-energies in joules; every coupling, drive, and effective builder returns an
-hbar-normalized generator in rad/s (pass ``hbar_units="radps"`` downstream).
+Unit convention: every builder returns an hbar-normalized generator in
+rad/s, so a propagator's phase is the generator times the time.
 Composite spaces order subsystems (loop_a, loop_b, cavity); single-loop
 interaction builders use (loop, cavity).
 
@@ -39,9 +39,6 @@ __all__ = [
     "fock_lowering",
     "fock_number",
     "transition_frequency",
-    "h_squid",
-    "h_cavity",
-    "cavity_ladders",
     "couplings_from_structure",
     "drive_from_structure",
     "loop_cavity_hamiltonian",
@@ -151,28 +148,6 @@ def transition_frequency(ls: LevelStructure, pair) -> float:
     if (i, j) not in table:
         raise ValueError(f"no transition frequency for level pair ({i}, {j})")
     return table[(i, j)]
-
-
-def h_squid(ls: LevelStructure) -> Operator:
-    """Diagonal three-level loop Hamiltonian (J)."""
-    if ls.n_levels != 3:
-        raise ValueError(f"expected exactly 3 retained levels, got {ls.n_levels}")
-    return Operator(np.diag(ls.energies.astype(complex)), (3,),
-                    hermitian_flag=True)
-
-
-def h_cavity(m: CavityMode) -> Operator:
-    """Cavity Hamiltonian hbar*omega_c*(n + 1/2) (J) on the truncated space."""
-    n = np.arange(m.fock_cutoff)
-    return Operator(np.diag(HBAR * m.omega_c * (n + 0.5)).astype(complex),
-                    (m.fock_cutoff,), hermitian_flag=True)
-
-
-def cavity_ladders(m: CavityMode) -> tuple[Operator, Operator]:
-    """(a, a_dagger) on the truncated Fock space."""
-    a = fock_lowering(m.fock_cutoff)
-    return (Operator(a, (m.fock_cutoff,)),
-            Operator(a.conj().T, (m.fock_cutoff,)))
 
 
 def couplings_from_structure(ls: LevelStructure, m: CavityMode, L: float,

@@ -3,9 +3,10 @@
 Everything downstream (spectra, Hamiltonians, time evolution, fidelity
 checks) runs on the two value types defined here: :class:`StateVector` and
 :class:`Operator`, each carrying an explicit list of subsystem dimensions.
-Matrix exponentials go through a Hermitian eigendecomposition so propagators
-are unitary to roundoff; storage is dense with a configurable hard cap on
-the total dimension.
+Every generator is hbar-normalized, in rad/s.  Matrix exponentials go
+through a Hermitian eigendecomposition so propagators are unitary to
+roundoff; storage is dense with a configurable hard cap on the total
+dimension.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import HBAR
-
 __all__ = [
     "MAX_TOTAL_DIM",
     "CapacityError",
@@ -23,9 +22,7 @@ __all__ = [
     "StateVector",
     "Operator",
     "basis_state",
-    "identity",
     "kron",
-    "apply",
     "matexp_unitary",
     "fidelity_up_to_global_phase",
     "partial_trace",
@@ -90,12 +87,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.dims)
-
     def overlap(self, other: "StateVector") -> complex:
         if self.dims != other.dims:
             raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
@@ -130,9 +121,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.dims, self.hermitian_flag)
-
 
 def basis_state(dims, index, amplitude: complex = 1.0) -> StateVector:
     """Product basis state amplitude * |i1, i2, ...> for one index per
@@ -151,14 +139,6 @@ def basis_state(dims, index, amplitude: complex = 1.0) -> StateVector:
     return StateVector(amps, dims)
 
 
-def identity(dims) -> Operator:
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
-    n = 1
-    for d in dims:
-        n *= d
-    return Operator(np.eye(n, dtype=complex), dims, hermitian_flag=True)
-
-
 def kron(a: Operator, b: Operator) -> Operator:
     """Tensor product; dims concatenate, capacity cap enforced."""
     total = a.dim * b.dim
@@ -173,31 +153,18 @@ def kron(a: Operator, b: Operator) -> Operator:
     )
 
 
-def apply(u: Operator, psi: StateVector) -> StateVector:
-    if u.dims != psi.dims:
-        raise ValueError(f"dimension mismatch: {u.dims} vs {psi.dims}")
-    return StateVector(u.entries @ psi.amplitudes, psi.dims)
+def matexp_unitary(h: Operator, t: float) -> Operator:
+    """U = exp(-i h t) via Hermitian eigendecomposition.
 
-
-def matexp_unitary(h: Operator, t: float, hbar_units: str = "radps") -> Operator:
-    """U = exp(-i h t / hbar) via Hermitian eigendecomposition.
-
-    ``hbar_units`` declares the generator's units: "radps" for an
-    hbar-normalized generator in rad/s (the phase is h*t directly), "joule"
-    for an energy-valued generator (the phase is h*t/hbar).  The result is
-    unitary up to roundoff because the eigenphases are exponentiated exactly.
+    ``h`` is an hbar-normalized generator in rad/s, so the phase is h*t
+    directly.  The result is unitary up to roundoff because the eigenphases
+    are exponentiated exactly.
     """
     dev = float(np.max(np.abs(h.entries - h.entries.conj().T)))
     if dev >= HERMITICITY_TOL:
         raise HermiticityError(f"matexp_unitary needs Hermitian input, dev={dev:.3e}")
-    if hbar_units == "radps":
-        scale = t
-    elif hbar_units == "joule":
-        scale = t / HBAR
-    else:
-        raise ValueError(f"unknown hbar_units convention {hbar_units!r}")
     w, v = np.linalg.eigh(h.entries)
-    u = (v * np.exp(-1j * w * scale)) @ v.conj().T
+    u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return Operator(u, h.dims)
 
 
@@ -206,18 +173,10 @@ def fidelity_up_to_global_phase(psi: StateVector, phi: StateVector) -> float:
     return float(abs(psi.overlap(phi)) ** 2)
 
 
-def partial_trace(state, keep) -> Operator:
-    """Reduced density matrix over the kept subsystems.
-
-    ``state`` may be a StateVector (pure state) or an Operator holding a
-    density matrix; ``keep`` lists subsystem indices to retain, in order.
-    """
-    if isinstance(state, StateVector):
-        dims = state.dims
-    elif isinstance(state, Operator):
-        dims = state.dims
-    else:
-        raise TypeError(f"expected StateVector or Operator, got {type(state)!r}")
+def partial_trace(state: StateVector, keep) -> Operator:
+    """Reduced density matrix of a pure state over the kept subsystems;
+    ``keep`` lists subsystem indices to retain, in order."""
+    dims = state.dims
     keep = [int(k) for k in np.atleast_1d(keep)]
     n_sub = len(dims)
     if len(keep) == 0 or len(set(keep)) != len(keep):
@@ -229,23 +188,9 @@ def partial_trace(state, keep) -> Operator:
     kept_dims = tuple(dims[k] for k in keep)
     d_keep = int(np.prod(kept_dims))
 
-    if isinstance(state, StateVector):
-        tensor = state.amplitudes.reshape(dims)
-        # reorder so kept axes come first, then contract the traced axes
-        perm = keep + traced
-        tensor = np.transpose(tensor, perm).reshape(d_keep, -1)
-        rho = tensor @ tensor.conj().T
-    else:
-        tensor = state.entries.reshape(dims + dims)
-        for ax in sorted(traced, reverse=True):
-            tensor = np.trace(tensor, axis1=ax, axis2=ax + tensor.ndim // 2)
-        # remaining axes are the kept ones in original order; reorder to match keep
-        order = sorted(range(len(keep)), key=lambda i: keep[i])
-        inv = [order.index(i) for i in range(len(keep))]
-        half = tensor.ndim // 2
-        tensor = np.transpose(tensor, [inv[i] for i in range(half)]
-                              + [half + inv[i] for i in range(half)])
-        rho = tensor.reshape(d_keep, d_keep)
-
+    # reorder so kept axes come first, then contract the traced axes
+    tensor = np.transpose(state.amplitudes.reshape(dims), keep + traced)
+    tensor = tensor.reshape(d_keep, -1)
+    rho = tensor @ tensor.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return Operator(rho, kept_dims, hermitian_flag=True)

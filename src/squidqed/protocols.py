@@ -45,8 +45,6 @@ __all__ = [
     "schedule_entanglement",
     "SCHEDULE_BUILDERS",
     "execute",
-    "serialize_schedule",
-    "parse_schedule",
 ]
 
 _TARGETS = ("a", "b")
@@ -437,89 +435,3 @@ def execute(schedule: GateSchedule, psi0: StateVector,
         intermediates=tuple(trail) if record_intermediate else None,
     )
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def _format_pi_fraction(frac: Fraction) -> str:
-    num, den = frac.numerator, frac.denominator
-    head = "pi" if num == 1 else f"{num}pi"
-    return head if den == 1 else f"{head}/{den}"
-
-
-def _parse_pi_fraction(text: str) -> Fraction:
-    lead, _, tail = text.partition("pi")
-    if "pi" not in text:
-        raise ValueError(f"malformed duration {text!r}")
-    num = int(lead) if lead else 1
-    den = 1
-    if tail:
-        if not tail.startswith("/"):
-            raise ValueError(f"malformed duration {text!r}")
-        den = int(tail[1:])
-    return Fraction(num, den)
-
-
-def serialize_schedule(schedule: GateSchedule) -> str:
-    """Stable text form: a header line, then one row per pulse action or
-    dispersive segment.  Actions grouped in one step are marked
-    ``kind=pulse+`` until the closing ``kind=pulse`` row.  Round-trips
-    through `parse_schedule`.
-    """
-    lines = [f"schedule {schedule.name}"]
-    for step in schedule.steps:
-        if isinstance(step, AraStep):
-            for pos, act in enumerate(step.actions):
-                kind = "pulse" if pos == len(step.actions) - 1 else "pulse+"
-                lines.append(
-                    f"kind={kind} target={act.target} "
-                    f"levels={act.levels[0]},{act.levels[1]} "
-                    f"theta_over_pi={act.theta_over_pi} "
-                    f"duration_gamma_units=-")
-        else:
-            lines.append(
-                "kind=dispersive target=- levels=- theta_over_pi=- "
-                f"duration_gamma_units="
-                f"{_format_pi_fraction(step.duration_over_pi_gamma)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_schedule(text: str) -> GateSchedule:
-    """Invert `serialize_schedule`.  A known schedule name gets its declared
-    ideal unitary / target state re-attached."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("schedule "):
-        raise ValueError("missing schedule header line")
-    name = lines[0].split(None, 1)[1]
-
-    steps: list = []
-    pending: list[PulseAction] = []
-    for ln in lines[1:]:
-        fields = dict(part.split("=", 1) for part in ln.split())
-        kind = fields.get("kind")
-        if kind in ("pulse", "pulse+"):
-            i, j = (int(x) for x in fields["levels"].split(","))
-            pending.append(PulseAction(fields["target"], (i, j),
-                                       Fraction(fields["theta_over_pi"])))
-            if kind == "pulse":
-                steps.append(AraStep(tuple(pending)))
-                pending = []
-        elif kind == "dispersive":
-            if pending:
-                raise ValueError("unterminated pulse group before "
-                                 "dispersive row")
-            steps.append(DispersiveStep(
-                _parse_pi_fraction(fields["duration_gamma_units"])))
-        else:
-            raise ValueError(f"unknown row kind {kind!r}")
-    if pending:
-        raise ValueError("unterminated pulse group at end of schedule")
-
-    built = GateSchedule(name=name, steps=tuple(steps))
-    ref = SCHEDULE_BUILDERS.get(name)
-    if ref is not None:
-        known = ref()
-        if known.steps == built.steps:
-            return known
-    return built

@@ -521,3 +521,23 @@ def test_cavity_gate_fails_on_the_opposite_dispersive_sign(tmp_path,
     assert any(ln.startswith("failure target state fidelity ")
                and ln.endswith(" below 1 - 1.000e-02")
                for ln in summary.splitlines()), summary
+
+
+def test_cavity_gate_logs_an_ignored_gamma(tmp_path):
+    rates = {"schedule": "cps", "g02_radps": 0.1, "detuning_radps": 2.0}
+    given = tmp_path / "given"
+    assert run_cli(given, "gate", dict(rates, gamma_radps=1.7),
+                   extra=["--backend", "cavity"]) == 0
+    log = grab(given, "run.log").splitlines()
+    assert log[0].startswith("command=gate backend=cavity")
+    # gamma = g02^2 / detuning = 0.01 / 2
+    assert log[1:] == ["ignored_key gamma_radps=1.700000000000e+00 "
+                       "used_gamma_radps=5.000000000000e-03"]
+
+    plain = tmp_path / "plain"
+    assert run_cli(plain, "gate", rates, extra=["--backend", "cavity"]) == 0
+    assert len(grab(plain, "run.log").splitlines()) == 1
+    # the key changes the header's config hash and nothing else
+    for name in ("gate_states.csv", "gate_summary.txt"):
+        assert (grab(given, name).splitlines()[1:]
+                == grab(plain, name).splitlines()[1:])

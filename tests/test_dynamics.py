@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from squidqed.constants import HBAR, TWO_PI
-from squidqed.dynamics import (EvolutionResult, StepSizeError, evolve_const,
-                               evolve_timedep, max_step_for)
+from squidqed.dynamics import (EvolutionResult, StepSizeError, evolve_timedep,
+                               max_step_for)
 from squidqed.hamiltonians import DriveSpec, h_drive_full_factory
 from squidqed.hilbert import (Operator, StateVector, basis_state,
                               fidelity_up_to_global_phase, matexp_unitary)
@@ -28,28 +28,6 @@ def driven_qubit(rabi, omega):
     return h
 
 
-def test_evolve_const_matches_matexp():
-    rng = np.random.default_rng(2)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = Operator((m + m.conj().T) / 2, (4,))
-    psi = random_state(rng, 4)
-    res = evolve_const(h, 0.7, psi, want_propagator=True)
-    ref = matexp_unitary(h, 0.7)
-    np.testing.assert_allclose(res.propagator.entries, ref.entries, atol=1e-12)
-    np.testing.assert_allclose(res.final_state.amplitudes,
-                               ref.entries @ psi.amplitudes, atol=1e-12)
-    assert res.step_count == 1
-    assert res.max_norm_drift < 1e-12
-
-
-def test_evolve_const_joule_units():
-    h = Operator(np.diag([0.0, HBAR * 3.0]).astype(complex), (2,))
-    psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2), (2,))
-    res = evolve_const(h, 2.0, psi, hbar_units="joule")
-    assert res.final_state.amplitudes[1] == pytest.approx(
-        np.exp(-6j) / np.sqrt(2), abs=1e-12)
-
-
 def test_max_step_for():
     omega = TWO_PI * 1e9
     assert max_step_for(omega) == pytest.approx((TWO_PI / omega) / 20)
@@ -66,8 +44,6 @@ def test_step_size_policing():
     evolve_timedep(h, 0.0, 10 * cap, 2 * cap, psi, omega_max=h.omega_max / 4)
     with pytest.raises(ValueError):
         evolve_timedep(h, 0.0, 1e-8, -1.0, psi)
-    with pytest.raises(ValueError):
-        evolve_timedep(h, 0.0, 1e-8, cap, psi, hbar_units="ergs")
 
 
 def test_timedep_reduces_to_const():
@@ -78,11 +54,10 @@ def test_timedep_reduces_to_const():
     h = Operator((m + m.conj().T) / 2, (3,))
     psi = random_state(rng, 3)
     res = evolve_timedep(lambda t: h, 0.0, 1.3, 0.01, psi)
-    ref = evolve_const(h, 1.3, psi)
+    ref = matexp_unitary(h, 1.3).entries @ psi.amplitudes
     assert fidelity_up_to_global_phase(res.final_state,
-                                       ref.final_state) > 1 - 1e-12
-    np.testing.assert_allclose(res.final_state.amplitudes,
-                               ref.final_state.amplitudes, atol=1e-9)
+                                       StateVector(ref, psi.dims)) > 1 - 1e-12
+    np.testing.assert_allclose(res.final_state.amplitudes, ref, atol=1e-9)
 
 
 def test_midpoint_is_second_order():
@@ -131,19 +106,6 @@ def test_norm_drift_guard():
     with pytest.raises(RuntimeError, match="norm drift"):
         EvolutionResult(final_state=bad, propagator=None, step_count=1,
                         max_norm_drift=1.0)
-
-
-def test_joule_units_match_radps():
-    rng = np.random.default_rng(8)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    hmat = (m + m.conj().T) / 2
-    psi = random_state(rng, 3)
-    a = evolve_timedep(lambda t: Operator(np.cos(t) * hmat, (3,)),
-                       0.0, 1.0, 0.01, psi)
-    b = evolve_timedep(lambda t: Operator(HBAR * np.cos(t) * hmat, (3,)),
-                       0.0, 1.0, 0.01, psi, hbar_units="joule")
-    np.testing.assert_allclose(a.final_state.amplitudes,
-                               b.final_state.amplitudes, atol=1e-12)
 
 
 def test_weak_resonant_drive_transfers_population():

@@ -6,13 +6,13 @@ import pytest
 
 from squidqed.constants import HBAR, MU0
 from squidqed.hamiltonians import (CavityMode, CouplingSet, DriveSpec,
-                                   cavity_ladders, couplings_from_structure,
+                                   couplings_from_structure,
                                    drive_from_structure, fock_lowering,
-                                   fock_number, gamma_eff, h_cavity,
+                                   fock_number, gamma_eff,
                                    h_drive_full_factory, h_drive_rwa,
                                    h_eff_two_squid, h_eff_vacuum,
                                    h_int_full_factory, h_int_rwa_factory,
-                                   h_squid, loop_cavity_hamiltonian,
+                                   loop_cavity_hamiltonian,
                                    transition_frequency)
 from squidqed.squid import LevelStructure, load_preset, solve
 
@@ -55,19 +55,6 @@ def test_transition_frequency_table():
     assert transition_frequency(ls, (1, 2)) == W20 - W10
     with pytest.raises(ValueError):
         transition_frequency(ls, (0, 3))
-
-
-def test_h_squid_and_h_cavity():
-    ls = three_level()
-    hs = h_squid(ls)
-    np.testing.assert_allclose(np.diag(hs.entries).real, ls.energies)
-    m = CavityMode(omega_c=2 * np.pi * 80.1e9, fock_cutoff=5)
-    hc = h_cavity(m)
-    np.testing.assert_allclose(
-        np.diag(hc.entries).real,
-        HBAR * m.omega_c * (np.arange(5) + 0.5))
-    a, ad = cavity_ladders(m)
-    np.testing.assert_allclose(ad.entries, a.entries.conj().T)
 
 
 def test_cavity_mode_validation():

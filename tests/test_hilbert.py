@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from squidqed.hilbert import (CapacityError, HermiticityError, Operator,
-                              StateVector, apply, basis_state,
-                              fidelity_up_to_global_phase, identity, kron,
-                              matexp_unitary, partial_trace)
+                              StateVector, basis_state,
+                              fidelity_up_to_global_phase, kron, matexp_unitary,
+                              partial_trace)
 
 
 def random_state(rng, dims):
@@ -50,8 +50,6 @@ def test_basis_state_and_identity():
     psi = basis_state((3, 4), (2, 1))
     assert psi.amplitudes[2 * 4 + 1] == 1.0
     assert psi.norm() == pytest.approx(1.0)
-    ident = identity((3, 4))
-    assert np.array_equal(ident.entries, np.eye(12))
 
 
 def test_basis_state_with_amplitude():
@@ -91,15 +89,6 @@ def test_matexp_pauli_x_half_period():
     np.testing.assert_allclose(u, -1j * sx.entries, atol=1e-12)
 
 
-def test_matexp_joule_units():
-    from squidqed.constants import HBAR
-    h = Operator(np.diag([0.0, HBAR * 2.0]).astype(complex), (2,))
-    u = matexp_unitary(h, 1.0, hbar_units="joule").entries
-    assert u[1, 1] == pytest.approx(np.exp(-2j), abs=1e-12)
-    with pytest.raises(ValueError):
-        matexp_unitary(h, 1.0, hbar_units="ergs")
-
-
 def test_matexp_rejects_non_hermitian():
     m = Operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), (2,))
     with pytest.raises(HermiticityError):
@@ -113,13 +102,6 @@ def test_fidelity_global_phase_invariance():
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
         rotated = StateVector(phase * psi.amplitudes, psi.dims)
         assert fidelity_up_to_global_phase(psi, rotated) == pytest.approx(1.0)
-
-
-def test_apply_requires_matching_dims():
-    u = identity((2, 2))
-    psi = basis_state((4,), (0,))
-    with pytest.raises(ValueError):
-        apply(u, psi)
 
 
 def test_partial_trace_product_state():
@@ -153,12 +135,3 @@ def test_partial_trace_trace_one_and_hermitian():
         assert np.trace(rho.entries).real == pytest.approx(1.0)
         np.testing.assert_allclose(rho.entries, rho.entries.conj().T,
                                    atol=1e-12)
-
-
-def test_partial_trace_density_matrix_input():
-    rng = np.random.default_rng(31)
-    psi = random_state(rng, (2, 3))
-    dm = Operator(np.outer(psi.amplitudes, psi.amplitudes.conj()), (2, 3))
-    from_vec = partial_trace(psi, [1]).entries
-    from_dm = partial_trace(dm, [1]).entries
-    np.testing.assert_allclose(from_vec, from_dm, atol=1e-12)

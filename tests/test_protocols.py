@@ -1,5 +1,5 @@
 """Pulse schedules: closed-form step maps, gate truth behavior, backend
-agreement, text round-trip."""
+agreement."""
 
 from fractions import Fraction
 
@@ -10,10 +10,9 @@ from squidqed.hamiltonians import h_eff_vacuum
 from squidqed.hilbert import StateVector, basis_state, matexp_unitary
 from squidqed.protocols import (AraStep, DispersiveStep, ExecutionParams,
                                 GateSchedule, PulseAction, SCHEDULE_BUILDERS,
-                                dispersive_map, execute, parse_schedule,
-                                rotation_map, schedule_cps,
-                                schedule_entanglement, schedule_swap,
-                                schedule_transfer, serialize_schedule,
+                                dispersive_map, execute, rotation_map,
+                                schedule_cps, schedule_entanglement,
+                                schedule_swap, schedule_transfer,
                                 simultaneous, _cavity_dispersive_unitary,
                                 _cavity_eigensystem, _step_unitary)
 
@@ -171,42 +170,6 @@ def test_pulses_leave_cavity_untouched():
             before = mean_photons(states[k])
             after = mean_photons(states[k + 1])
             assert abs(after - before) < 1e-8
-
-
-def test_round_trip_serialization():
-    for name, build in SCHEDULE_BUILDERS.items():
-        sched = build()
-        back = parse_schedule(serialize_schedule(sched))
-        assert back.name == name
-        assert back.steps == sched.steps
-        # known names pick their declared ideal back up
-        assert (back.ideal_unitary is None) == (sched.ideal_unitary is None)
-        assert (back.target_state is None) == (sched.target_state is None)
-
-
-def test_serialization_of_custom_schedule():
-    sched = GateSchedule(name="probe", steps=(
-        simultaneous(PulseAction("a", (0, 2), Fraction(1, 2)),
-                     PulseAction("b", (1, 2), Fraction(5, 2))),
-        DispersiveStep(Fraction(3, 4)),
-    ))
-    text = serialize_schedule(sched)
-    assert "kind=pulse+" in text and "3pi/4" in text
-    back = parse_schedule(text)
-    assert back.steps == sched.steps
-    assert back.ideal_unitary is None
-
-
-def test_parse_rejects_malformed_text():
-    with pytest.raises(ValueError, match="header"):
-        parse_schedule("kind=dispersive\n")
-    with pytest.raises(ValueError, match="kind"):
-        parse_schedule("schedule x\nkind=wait target=- levels=- "
-                       "theta_over_pi=- duration_gamma_units=pi\n")
-    # a pulse group left open is an error
-    with pytest.raises(ValueError, match="unterminated"):
-        parse_schedule("schedule x\nkind=pulse+ target=a levels=1,2 "
-                       "theta_over_pi=1 duration_gamma_units=-\n")
 
 
 def test_gamma_cavity_property():
