@@ -2,7 +2,8 @@
 
 Four subcommands — spectrum, gate, scan, feasibility — each reading an
 optional flat JSON config (every physical key carries a unit suffix, e.g.
-``gamma_radps``, ``t_r_s``; unknown keys are rejected) and writing
+``gamma_radps``, ``t_r_s``; unknown keys, and keys the chosen gate backend
+or scan kind never reads, are rejected) and writing
 delimited text files into the output directory.  Data files are
 deterministic: identical config gives byte-identical bytes, every column
 header names its units, and the only header line carries the producing
@@ -29,12 +30,13 @@ import time
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .feasibility import FeasibilityInput, assess, gate_time_estimate
+from .feasibility import (DEFAULT_MARGIN, FeasibilityInput, assess,
+                          gate_time_estimate)
 from .hamiltonians import CONDITION_RATIO_MAX, gamma_eff
 from .hilbert import StateVector, basis_state, fidelity_up_to_global_phase
 from .protocols import ExecutionParams, SCHEDULE_BUILDERS, execute
-from .squid import (PRESET_KEYS, FluxGrid, ResolutionError, SquidParams,
-                    lambda_check, load_preset, solve)
+from .squid import (PRESET_KEYS, ResolutionError, lambda_check, load_preset,
+                    params_from_keys, solve)
 from .verify import (_BASIS, DEFAULT_DISPERSIVE_RATIOS, DEFAULT_RWA_RATIOS,
                      _compare_truth_table, _loop_amplitudes, _propagator,
                      _run_photon_peaks, concurrence, dispersive_error_scan,
@@ -121,6 +123,9 @@ _GATE_SCHEMA = {
     "fock_cutoff": _positive_int("fock_cutoff", minimum=2),
 }
 
+#: Gate config keys that only the cavity backend reads.
+_CAVITY_KEYS = ("g02_radps", "detuning_radps", "fock_cutoff")
+
 _SCAN_SCHEMA = {
     "scan_kind": _string_choice("scan_kind", ("rwa", "dispersive")),
     "grid": _ratio_grid("grid"),
@@ -164,6 +169,13 @@ def _validate(cfg: dict, schema: dict, command: str) -> dict:
     return out
 
 
+def _refuse_unread(cfg: dict, keys, where: str) -> None:
+    """Refuse given config keys that the chosen path never reads."""
+    for key in cfg:
+        if key in keys:
+            raise ConfigError(f"config key '{key}' is not read by {where}")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -202,13 +214,13 @@ def _backend_params(args, cfg: dict) -> tuple[str, ExecutionParams]:
     """Map the CLI backend name onto (protocols backend, params)."""
     gamma = cfg.get("gamma_radps", 1.0)
     rabi = cfg.get("rabi_radps", 100.0)
+    if args.backend != "cavity":
+        _refuse_unread(cfg, _CAVITY_KEYS, f"gate --backend {args.backend}")
+        return ("analytic" if args.backend == "analytic" else "hamiltonian",
+                ExecutionParams(gamma=gamma, rabi=rabi))
     g02 = cfg.get("g02_radps", 0.05)
     detuning = cfg.get("detuning_radps", 1.0)
     fock = cfg.get("fock_cutoff", 4)
-    if args.backend == "analytic":
-        return "analytic", ExecutionParams(gamma=gamma, rabi=rabi)
-    if args.backend == "dispersive":
-        return "hamiltonian", ExecutionParams(gamma=gamma, rabi=rabi)
     # explicit cavity: gamma is derived from (g02, detuning)
     return "hamiltonian", ExecutionParams(
         gamma=gamma_eff(g02, detuning), rabi=rabi, g02=g02, detuning=detuning,
@@ -232,13 +244,7 @@ def cmd_spectrum(args, raw_cfg: dict) -> int:
                           f"{missing}")
 
     if given_inline:
-        from .constants import PHI0
-        params = SquidParams(C=cfg["C_farad"], L=cfg["L_henry"],
-                             Ic=cfg["Ic_ampere"],
-                             Phi_x=cfg["Phix_over_Phi0"] * PHI0)
-        half = cfg["grid_halfwidth_over_Phi0"] * PHI0
-        grid = FluxGrid(center=0.5 * PHI0, half_width=half,
-                        points=cfg["grid_points"])
+        params, grid = params_from_keys(cfg)
     else:
         params, grid = load_preset(cfg.get("preset", "ref15_like"))
 
@@ -406,6 +412,10 @@ def _scan_point(kind: str, ratio: float, g02: float, detuning: float,
 def cmd_scan(args, raw_cfg: dict) -> int:
     cfg = _validate(raw_cfg, _SCAN_SCHEMA, "scan")
     kind = cfg.get("scan_kind", "dispersive")
+    if kind == "dispersive":
+        # the grid sets g02/detuning at detuning 1
+        _refuse_unread(cfg, ("g02_radps", "detuning_radps"),
+                       "scan_kind 'dispersive'")
     default_grid = list(DEFAULT_RWA_RATIOS if kind == "rwa"
                         else DEFAULT_DISPERSIVE_RATIOS)
     grid = sorted(cfg.get("grid", default_grid), reverse=True)
@@ -476,7 +486,7 @@ def cmd_feasibility(args, raw_cfg: dict) -> int:
     f = FeasibilityInput(q_factor=cfg.get("q_factor", 1.0e8),
                          nu=cfg.get("nu_hz", 80.1e9),
                          t_op=t_op, t_r=t_r)
-    report = assess(f, margin=cfg.get("margin", 10.0))
+    report = assess(f, margin=cfg.get("margin", DEFAULT_MARGIN))
 
     lines = [_header("feasibility", None, cfg)]
     lines.append(f"q_factor                   {_fmt(f.q_factor)}\n")

@@ -41,8 +41,8 @@ class EvolutionResult:
     """Outcome of one evolution call.
 
     ``max_norm_drift`` is the largest |norm - 1| observed over the whole
-    run; ``propagator`` and ``intermediates`` are populated only on
-    request.
+    run; ``propagator`` (`evolve_timedep` only) and ``intermediates`` are
+    populated only on request.
     """
 
     final_state: StateVector

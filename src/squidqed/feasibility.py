@@ -10,7 +10,6 @@ number is always reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .constants import TWO_PI
@@ -106,7 +105,7 @@ def gate_time_estimate(gamma: float, schedule: GateSchedule,
     total = 0.0
     for step in schedule.steps:
         if isinstance(step, DispersiveStep):
-            total += float(step.duration_over_pi_gamma) * math.pi / gamma
+            total += step.duration(gamma)
         elif isinstance(step, AraStep):
             total += max(a.theta for a in step.actions) / (2.0 * rabi)
         else:

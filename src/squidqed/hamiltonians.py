@@ -77,15 +77,13 @@ class CavityMode:
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """Cavity coupling constants g[i, j] (rad/s, symmetric 3x3) and the
-    inductive coupling parameter lambda_c = -1/L (1/H).
+    """Cavity coupling constants g[i, j] (rad/s, symmetric 3x3).
 
     Only magnitudes enter protocol timings; signs are preserved from the
     flux-element gauge.
     """
 
     g: np.ndarray
-    lambda_c: float
 
     def __post_init__(self):
         g = np.array(self.g, dtype=float)
@@ -155,10 +153,11 @@ def couplings_from_structure(ls: LevelStructure, m: CavityMode, L: float,
     """Cavity couplings from flux matrix elements.
 
     g_ij = lambda_c sqrt(hbar omega_c / 2 mu_0) <i|Phi|j> Phi_c / hbar with
-    the bias flux subtracted on the diagonal (<i|Phi|i> - Phi_x).  All mode
-    geometry lives in the scalar effective flux amplitude, so these numbers
-    are only as physical as that calibration; consumers may equally set g
-    directly.  A zero amplitude (the mode's default) is refused.
+    the inductive coupling lambda_c = -1/L and the bias flux subtracted on
+    the diagonal (<i|Phi|i> - Phi_x).  All mode geometry lives in the scalar
+    effective flux amplitude, so these numbers are only as physical as that
+    calibration; consumers may equally set g directly.  A zero amplitude
+    (the mode's default) is refused.
     """
     if ls.n_levels < 3:
         raise ValueError("need at least 3 levels for the coupling matrix")
@@ -168,7 +167,7 @@ def couplings_from_structure(ls: LevelStructure, m: CavityMode, L: float,
     prefactor = lambda_c * np.sqrt(HBAR * m.omega_c / (2.0 * MU0)) \
         * m.effective_flux_amplitude / HBAR
     g = prefactor * (ls.flux_elements[:3, :3] - Phi_x * np.eye(3))
-    return CouplingSet(g=g, lambda_c=lambda_c)
+    return CouplingSet(g=g)
 
 
 def drive_from_structure(ls: LevelStructure, target, L: float, Phi_x: float,

@@ -110,6 +110,10 @@ class DispersiveStep:
             raise ValueError("duration_over_pi_gamma must be positive")
         object.__setattr__(self, "duration_over_pi_gamma", frac)
 
+    def duration(self, gamma: float) -> float:
+        """Length of the segment (s) at dispersive rate gamma (rad/s)."""
+        return float(self.duration_over_pi_gamma) * math.pi / gamma
+
 
 @dataclass(frozen=True)
 class GateSchedule:
@@ -365,17 +369,14 @@ def _step_unitary(step, backend: str, params: ExecutionParams,
                              hermitian_flag=True)
                 r = matexp_unitary(h, act.theta / (2.0 * params.rabi)).entries
             u = r @ u
+    elif params.explicit_cavity:
+        u = _cavity_dispersive_unitary(params,
+                                       step.duration(params.gamma_cavity))
     else:
-        frac = float(step.duration_over_pi_gamma)
-        if backend == "analytic":
-            gam = params.gamma
-            u = dispersive_map(gam, frac * math.pi / gam).entries
-        elif params.explicit_cavity:
-            u = _cavity_dispersive_unitary(
-                params, frac * math.pi / params.gamma_cavity)
-        else:
-            gam = params.gamma
-            u = matexp_unitary(h_eff_vacuum(gam), frac * math.pi / gam).entries
+        gam = params.gamma
+        t = step.duration(gam)
+        u = (dispersive_map(gam, t) if backend == "analytic"
+             else matexp_unitary(h_eff_vacuum(gam), t)).entries
     u.setflags(write=False)
     return u
 
@@ -383,7 +384,6 @@ def _step_unitary(step, backend: str, params: ExecutionParams,
 def execute(schedule: GateSchedule, psi0: StateVector,
             backend: str = "analytic",
             params: ExecutionParams | None = None, *,
-            want_propagator: bool = False,
             record_intermediate: bool = False) -> EvolutionResult:
     """Run a schedule on an input state.
 
@@ -392,11 +392,15 @@ def execute(schedule: GateSchedule, psi0: StateVector,
     vacuum-projected dispersive form by default, or the explicit-cavity
     model when ``params.explicit_cavity`` is set (input states on dims
     (3, 3) are then embedded next to the cavity vacuum, and results live
-    on dims (3, 3, fock_cutoff)).
+    on dims (3, 3, fock_cutoff)).  The analytic backend has no cavity, so
+    it refuses ``params.explicit_cavity``.
     """
     if backend not in ("analytic", "hamiltonian"):
         raise ValueError(f"unknown backend {backend!r}")
     params = params or ExecutionParams()
+    if backend == "analytic" and params.explicit_cavity:
+        raise ValueError("backend 'analytic' has no cavity: explicit_cavity "
+                         "needs backend 'hamiltonian'")
 
     dims = (3, 3)
     vec = psi0.amplitudes
@@ -413,23 +417,19 @@ def execute(schedule: GateSchedule, psi0: StateVector,
         vac[0] = 1.0
         vec = np.kron(vec, vac)
 
-    u_total = np.eye(int(np.prod(dims)), dtype=complex) \
-        if want_propagator else None
     trail: list[StateVector] = []
     drift = abs(float(np.linalg.norm(vec)) - 1.0)
 
     for step in schedule.steps:
         u = _step_unitary(step, backend, params, dims)
         vec = u @ vec
-        if want_propagator:
-            u_total = u @ u_total
         drift = max(drift, abs(float(np.linalg.norm(vec)) - 1.0))
         if record_intermediate:
             trail.append(StateVector(vec, dims))
 
     return EvolutionResult(
         final_state=StateVector(vec, dims),
-        propagator=(Operator(u_total, dims) if want_propagator else None),
+        propagator=None,
         step_count=len(schedule.steps),
         max_norm_drift=drift,
         intermediates=tuple(trail) if record_intermediate else None,

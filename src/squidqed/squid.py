@@ -53,6 +53,7 @@ __all__ = [
     "lambda_check",
     "harmonic_scale_element",
     "load_preset",
+    "params_from_keys",
     "preset_path",
     "PRESET_DIR",
 ]
@@ -346,33 +347,39 @@ class LambdaReport:
         return self.ok
 
 
-def lambda_check(ls: LevelStructure, ratio_threshold: float = 5.0,
-                 element_floor: float = 1e-4) -> LambdaReport:
+#: `lambda_check` thresholds: the smallest omega_20/omega_10 and
+#: omega_21/omega_10, and the floor on the 0<->2 and 1<->2 flux elements as a
+#: fraction of the harmonic-scale element.
+LAMBDA_RATIO_MIN = 5.0
+LAMBDA_ELEMENT_FLOOR = 1e-4
+
+
+def lambda_check(ls: LevelStructure) -> LambdaReport:
     """Check the three-level lambda requirements on a solved structure.
 
-    Both upper transitions must be at least ``ratio_threshold`` times the
-    0-1 splitting, and both 0<->2 and 1<->2 flux elements must exceed
-    ``element_floor`` times the harmonic-scale element (needs the structure's
-    provenance params for that scale).
+    Both upper transitions must be at least :data:`LAMBDA_RATIO_MIN` times
+    the 0-1 splitting, and both 0<->2 and 1<->2 flux elements must exceed
+    :data:`LAMBDA_ELEMENT_FLOOR` times the harmonic-scale element (needs the
+    structure's provenance params for that scale).
     """
     if ls.n_levels < 3:
         raise ValueError("lambda_check needs at least 3 levels")
     if ls.params is None:
         raise ValueError("lambda_check needs provenance params on the "
                          "LevelStructure for the element floor scale")
-    floor = element_floor * harmonic_scale_element(ls.params)
+    floor = LAMBDA_ELEMENT_FLOOR * harmonic_scale_element(ls.params)
     r20 = ls.omega_20 / ls.omega_10 if ls.omega_10 > 0 else np.inf
     r21 = ls.omega_21 / ls.omega_10 if ls.omega_10 > 0 else np.inf
     e02 = float(abs(ls.flux_elements[0, 2]))
     e12 = float(abs(ls.flux_elements[1, 2]))
 
     reasons = []
-    if r20 < ratio_threshold:
+    if r20 < LAMBDA_RATIO_MIN:
         reasons.append(f"transition ratio omega_20/omega_10 = {r20:.2f} "
-                       f"below {ratio_threshold}")
-    if r21 < ratio_threshold:
+                       f"below {LAMBDA_RATIO_MIN}")
+    if r21 < LAMBDA_RATIO_MIN:
         reasons.append(f"transition ratio omega_21/omega_10 = {r21:.2f} "
-                       f"below {ratio_threshold}")
+                       f"below {LAMBDA_RATIO_MIN}")
     if e02 < floor:
         reasons.append("dark 0<->2 transition")
     if e12 < floor:
@@ -383,10 +390,7 @@ def lambda_check(ls: LevelStructure, ratio_threshold: float = 5.0,
 
 
 def preset_path(name: str) -> Path:
-    """Resolve a preset name or path to a file path."""
-    p = Path(name)
-    if p.suffix == ".json" and p.exists():
-        return p
+    """Path of the shipped preset file with this name."""
     candidate = PRESET_DIR / f"{name}.json"
     if candidate.exists():
         return candidate
@@ -395,13 +399,26 @@ def preset_path(name: str) -> Path:
         f"no preset named {name!r}; available: {', '.join(available)}")
 
 
-def load_preset(name: str) -> tuple[SquidParams, FluxGrid]:
-    """Load a preset parameter file by name or path.
+def params_from_keys(data) -> tuple[SquidParams, FluxGrid]:
+    """Loop parameters and flux grid from a mapping holding the keys in
+    :data:`PRESET_KEYS`: fluxes are fractions of the flux quantum, and the
+    grid is centered at half a flux quantum."""
+    params = SquidParams(C=float(data["C_farad"]), L=float(data["L_henry"]),
+                         Ic=float(data["Ic_ampere"]),
+                         Phi_x=float(data["Phix_over_Phi0"]) * PHI0)
+    grid = FluxGrid(center=0.5 * PHI0,
+                    half_width=float(data["grid_halfwidth_over_Phi0"]) * PHI0,
+                    points=int(data["grid_points"]))
+    return params, grid
 
-    Files are flat JSON with the keys in :data:`PRESET_KEYS` (fluxes are
-    recorded as fractions of the flux quantum; the grid is centered at half
-    a flux quantum) plus an optional "note" recording how the numbers were
-    found.
+
+def load_preset(name: str) -> tuple[SquidParams, FluxGrid]:
+    """Load a shipped preset by name (the stem of a file in
+    :data:`PRESET_DIR`, e.g. "ref15_like"); a file path is not accepted.
+
+    Files are flat JSON with the keys in :data:`PRESET_KEYS`, read by
+    :func:`params_from_keys`, plus an optional "note" recording how the
+    numbers were found.
     """
     path = preset_path(name)
     data = json.loads(path.read_text())
@@ -413,10 +430,4 @@ def load_preset(name: str) -> tuple[SquidParams, FluxGrid]:
     if missing:
         raise ValueError(f"preset {path.name} missing keys: "
                          f"{', '.join(sorted(missing))}")
-    params = SquidParams(C=float(data["C_farad"]), L=float(data["L_henry"]),
-                         Ic=float(data["Ic_ampere"]),
-                         Phi_x=float(data["Phix_over_Phi0"]) * PHI0)
-    grid = FluxGrid(center=0.5 * PHI0,
-                    half_width=float(data["grid_halfwidth_over_Phi0"]) * PHI0,
-                    points=int(data["grid_points"]))
-    return params, grid
+    return params_from_keys(data)

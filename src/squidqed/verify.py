@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .constants import TWO_PI
-from .hamiltonians import (CONDITION_RATIO_MAX, CouplingSet, gamma_eff,
+from .hamiltonians import (CONDITION_RATIO_MAX, gamma_eff,
                            loop_cavity_hamiltonian)
 from .hilbert import Operator, StateVector, basis_state
 from .protocols import (AraStep, ExecutionParams, GateSchedule, PulseAction,
@@ -66,6 +66,10 @@ DEFAULT_DISPERSIVE_RATIOS = (0.1, 0.05, 0.025)
 #: Population in the top Fock level beyond this marks the truncation as
 #: untrustworthy for the run.
 FOCK_VIOLATION_TOL = 1e-6
+
+#: Largest amplitude deviation a truth-table column may show and still
+#: pass: the exact backends reach their declared images to roundoff.
+TRUTH_TABLE_ATOL = 1e-9
 
 #: Time points evaluated together when photon statistics are sampled; it
 #: keeps the (block x dimension) temporaries small.
@@ -236,19 +240,17 @@ def truth_table_transfer() -> TruthTable:
 
 
 def check_truth_table(table: TruthTable, backend: str = "analytic",
-                      params: ExecutionParams | None = None,
-                      atol: float = 1e-9) -> TruthCheck:
+                      params: ExecutionParams | None = None) -> TruthCheck:
     """Execute the table's schedule on every declared input and compare all
     intermediate columns phase-exactly (amplitude-by-amplitude, no global
-    phase allowance) within atol."""
+    phase allowance) within `TRUTH_TABLE_ATOL`."""
     trails = {row.label: execute(table.schedule, row.input_state, backend,
                                  params, record_intermediate=True
                                  ).intermediates for row in table.rows}
-    return _compare_truth_table(table, trails, atol)
+    return _compare_truth_table(table, trails)
 
 
-def _compare_truth_table(table: TruthTable, trails,
-                         atol: float = 1e-9) -> TruthCheck:
+def _compare_truth_table(table: TruthTable, trails) -> TruthCheck:
     """Compare recorded intermediates, one sequence per row label in
     ``trails``, with the table's declared columns as `check_truth_table`
     does."""
@@ -258,7 +260,7 @@ def _compare_truth_table(table: TruthTable, trails,
         for k, (g, e) in enumerate(zip(trails[row.label], row.expected)):
             dev = float(np.max(np.abs(_loop_amplitudes(g) - e.amplitudes)))
             worst = max(worst, dev)
-            if dev > atol:
+            if dev > TRUTH_TABLE_ATOL:
                 failures.append(
                     f"{table.schedule.name} row {row.label} step {k + 1}: "
                     f"deviation {dev:.3e}")
@@ -266,16 +268,15 @@ def _compare_truth_table(table: TruthTable, trails,
                       failures=tuple(failures))
 
 
-def corrupt_first_pulse(schedule: GateSchedule,
-                        factor: Fraction = Fraction(9, 10)) -> GateSchedule:
-    """Negative control: scale the first pulse angle (default to 0.9 pi) so
-    the schedule must fail its truth table."""
+def corrupt_first_pulse(schedule: GateSchedule) -> GateSchedule:
+    """Negative control: scale the first pulse angle by 9/10 (a pi pulse
+    becomes 0.9 pi) so the schedule must fail its truth table."""
     steps = list(schedule.steps)
     for idx, step in enumerate(steps):
         if isinstance(step, AraStep):
             first = step.actions[0]
             bent = PulseAction(first.target, first.levels,
-                               first.theta_over_pi * factor)
+                               first.theta_over_pi * Fraction(9, 10))
             steps[idx] = AraStep((bent,) + step.actions[1:])
             break
     else:
@@ -331,16 +332,10 @@ _PRESET_PATTERN.setflags(write=False)
 _PRESET_LEVEL_RATIO = 0.08897007948531035
 
 
-def _preset_coupling_pattern() -> tuple[np.ndarray, float]:
-    """Read-only stored (pattern, omega_10/omega_20) of the shipped loop."""
-    return _PRESET_PATTERN, _PRESET_LEVEL_RATIO
-
-
 def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
                    g02: float = TWO_PI * 1.0e7, *,
                    detuning: float = TWO_PI * 1.0e8,
-                   fock_cutoff: int = 4,
-                   couplings: CouplingSet | None = None) -> ScanResult:
+                   fock_cutoff: int = 4) -> ScanResult:
     """Error of the rotating-wave reduction versus the detuning-to-carrier
     ratio, at fixed coupling g02 and fixed detuning.
 
@@ -357,7 +352,8 @@ def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
     the overlap.  Photon statistics do not depend on the frame
     and are sampled densely on the full model's eigenbasis.  ``meta`` holds
     each point's reduction condition (``condition_ratio``, ``condition_ok``).
-    Default couplings use the stored loop pattern: numpy only, in process.
+    The couplings are the stored loop pattern scaled by g02: numpy only, in
+    process.
     """
     ratios = np.array(sorted(ratio_list, reverse=True), dtype=float)
     if ratios.size == 0:
@@ -365,13 +361,11 @@ def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
     if np.any(ratios <= 0) or np.any(ratios >= 1):
         raise ValueError("ratios must lie strictly between 0 and 1")
 
-    pattern, level_ratio = _preset_coupling_pattern()
-    cs = couplings if couplings is not None else \
-        CouplingSet(g=pattern * g02, lambda_c=-1.0)
-    if cs.g[0, 2] == 0.0:
+    g = _PRESET_PATTERN * g02
+    if g[0, 2] == 0.0:
         raise ValueError("zero 0<->2 coupling g[0, 2]: the exchange period "
                          "that sets the probe time is infinite")
-    t_exchange = math.pi / abs(cs.g[0, 2])
+    t_exchange = math.pi / abs(g[0, 2])
 
     probe = np.zeros(3 * fock_cutoff, dtype=complex)
     probe[0] = probe[2 * fock_cutoff] = 1.0 / math.sqrt(2.0)
@@ -380,17 +374,17 @@ def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
     for ratio in ratios:
         omega_c = detuning / ratio
         omega_20 = omega_c - detuning
-        levels = (0.0, level_ratio * omega_20, omega_20)
+        levels = (0.0, _PRESET_LEVEL_RATIO * omega_20, omega_20)
         carrier = TWO_PI / omega_c
         t_end = max(1, round(t_exchange / carrier)) * carrier
 
-        w, v = np.linalg.eigh(loop_cavity_hamiltonian(levels, omega_c, cs.g,
+        w, v = np.linalg.eigh(loop_cavity_hamiltonian(levels, omega_c, g,
                                                       fock_cutoff))
         psi_full = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
         peak_n, peak_top = _sampled_photon_peaks(w, v, probe, t_end,
                                                  fock_cutoff)
         w, v = np.linalg.eigh(loop_cavity_hamiltonian(
-            levels, omega_c, cs.g, fock_cutoff, rotating_wave=True))
+            levels, omega_c, g, fock_cutoff, rotating_wave=True))
         psi_rwa = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
 
         errors.append(1.0 - abs(np.vdot(psi_rwa, psi_full)) ** 2)
@@ -442,8 +436,7 @@ def _sampled_photon_peaks(w: np.ndarray, v: np.ndarray, vecs: np.ndarray,
 
 
 def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
-                      inputs, intermediates,
-                      samples_per_segment: int = 512) -> tuple[float, float]:
+                      inputs, intermediates) -> tuple[float, float]:
     """Peak expected photon number and peak top-Fock-level population over
     finished explicit-cavity runs of one schedule, from their inputs and
     their recorded intermediates (one sequence per input, in the same
@@ -461,9 +454,8 @@ def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
     peak_n, peak_top = 0.0, 0.0
     for k, step in enumerate(schedule.steps):
         if not isinstance(step, AraStep):
-            t_seg = float(step.duration_over_pi_gamma) * math.pi / gam
             n, top = _sampled_photon_peaks(w, v, np.stack(states, axis=1),
-                                           t_seg, nfock, samples_per_segment)
+                                           step.duration(gam), nfock)
             peak_n = max(peak_n, n)
             peak_top = max(peak_top, top)
         states = [trail[k].amplitudes for trail in intermediates]
@@ -471,8 +463,7 @@ def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
 
 
 def photon_excursion(schedule: GateSchedule, params: ExecutionParams,
-                     psi0: StateVector, samples_per_segment: int = 512
-                     ) -> tuple[float, float]:
+                     psi0: StateVector) -> tuple[float, float]:
     """Peak expected photon number and peak top-Fock-level population over
     one explicit-cavity run of a schedule (pulses leave the cavity alone,
     so only dispersive segments are sampled).  Callers that already hold
@@ -482,13 +473,11 @@ def photon_excursion(schedule: GateSchedule, params: ExecutionParams,
                          "explicit-cavity backend")
     res = execute(schedule, psi0, "hamiltonian", params,
                   record_intermediate=True)
-    return _run_photon_peaks(schedule, params, [psi0], [res.intermediates],
-                             samples_per_segment)
+    return _run_photon_peaks(schedule, params, [psi0], [res.intermediates])
 
 
 def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
-                          fock_cutoff: int = 4,
-                          samples_per_segment: int = 512) -> ScanResult:
+                          fock_cutoff: int = 4) -> ScanResult:
     """Error of the vacuum-projected dispersive reduction versus the
     coupling-to-detuning ratio, probed with the controlled-phase schedule.
 
@@ -531,8 +520,7 @@ def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
             inputs.append(psi)
             trails.append(res_c.intermediates)
 
-        peak_n, peak_top = _run_photon_peaks(sched, p_cav, inputs, trails,
-                                             samples_per_segment)
+        peak_n, peak_top = _run_photon_peaks(sched, p_cav, inputs, trails)
         errors.append(err)
         peaks.append(peak_n)
         violations.append(peak_top >= FOCK_VIOLATION_TOL)

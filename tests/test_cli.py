@@ -541,3 +541,86 @@ def test_cavity_gate_logs_an_ignored_gamma(tmp_path):
     for name in ("gate_states.csv", "gate_summary.txt"):
         assert (grab(given, name).splitlines()[1:]
                 == grab(plain, name).splitlines()[1:])
+
+
+#: SHA-256 of the data files of spectrum, feasibility and the dispersive
+#: scan at fixed configs, keyed by a label; the guard below prints new
+#: literals.
+_DATA_DIGESTS = {
+    "spectrum ref15_like": (
+        "spectrum", {"preset": "ref15_like"},
+        ("bbcd40573b678a3c937b27cb055b7f85480a0f0e2fe996bd4fad642ad198bd8f",
+         "c3525d0e9aff77663415d0fc2b1a8ddf6b348d74bbed8036ec63541c5d4987d5",
+         "f7bf0483764050ccbc9e754038cc6f59cf8c227faff0363ce96ba88ad1a05cf7")),
+    "spectrum harmonic": (
+        "spectrum", {"preset": "harmonic"},
+        ("2b1038df825c6fbf899325d86cc8d9f0b195af688ccb8e2e05dfa6e8af9d7a69",
+         "f54724c7f6807545736051015f09039e08244e19633c80f216fc2a6fcb2620f0",
+         "4452e907ef80669e151e4da2f43f70d5ee9cd4fdb3523657f6e39216bc28c38d")),
+    "feasibility default": (
+        "feasibility", {},
+        ("2fcd49acf3f401e133a368c075d5864edb32324aa1e7f072d4cb4c182ab9412c",)),
+    "feasibility derived": (
+        "feasibility", {"gamma_radps": 314159265.0, "rabi_radps": 6.0e9},
+        ("2a6fcca7778dd54466dd8fc3dfc63263438bf018f460035b346ba4de751e32e6",)),
+    "scan dispersive": (
+        "scan", {"scan_kind": "dispersive"},
+        ("33a1cbd1b4930d2b195f5eb235cb9170e96927e1c0e500e4da311fa55f60e138",)),
+}
+
+_DATA_FILES = {
+    "spectrum": ("spectrum_levels.csv", "spectrum_elements.csv",
+                 "spectrum_summary.txt"),
+    "feasibility": ("feasibility.txt",),
+    "scan": ("scan.csv",),
+}
+
+
+def test_data_outputs_are_byte_stable(tmp_path):
+    import hashlib
+
+    got = {}
+    for k, (key, (command, cfg, _)) in enumerate(_DATA_DIGESTS.items()):
+        out = tmp_path / str(k)
+        assert run_cli(out, command, cfg) == 0
+        got[key] = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                         for name in _DATA_FILES[command])
+    want = {key: digests for key, (_, _, digests) in _DATA_DIGESTS.items()}
+    assert got == want, f"data outputs moved; store {got!r}"
+
+
+def test_spectrum_inline_keys_match_the_preset(tmp_path):
+    from squidqed.squid import PRESET_DIR
+
+    inline = json.loads((PRESET_DIR / "ref15_like.json").read_text())
+    inline.pop("note", None)
+    preset, given = tmp_path / "preset", tmp_path / "inline"
+    assert run_cli(preset, "spectrum", {"preset": "ref15_like"}) == 0
+    assert run_cli(given, "spectrum", inline) == 0
+    # the config hash on the header line differs; every data row agrees
+    for name in _DATA_FILES["spectrum"]:
+        assert (grab(given, name).splitlines()[1:]
+                == grab(preset, name).splitlines()[1:])
+
+
+_UNREAD_KEYS = ([("gate", backend, key) for backend in ("analytic",
+                                                        "dispersive")
+                 for key in ("g02_radps", "detuning_radps", "fock_cutoff")]
+                + [("scan", None, key)
+                   for key in ("g02_radps", "detuning_radps")])
+
+
+@pytest.mark.parametrize("command, backend, key", _UNREAD_KEYS)
+def test_keys_the_path_never_reads_are_refused(tmp_path, capsys, command,
+                                               backend, key):
+    if command == "gate":
+        cfg, extra = {"schedule": "cps"}, ["--backend", backend]
+        where = f"gate --backend {backend}"
+    else:
+        cfg, extra = {"scan_kind": "dispersive"}, []
+        where = "scan_kind 'dispersive'"
+    cfg[key] = 6 if key == "fock_cutoff" else 0.1
+    assert run_cli(tmp_path, command, cfg, extra=extra) == 2
+    assert (f"config key '{key}' is not read by {where}"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

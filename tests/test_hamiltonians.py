@@ -68,9 +68,9 @@ def test_coupling_set_validation():
     g = np.zeros((3, 3))
     g[0, 2] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
-        CouplingSet(g=g, lambda_c=-1.0)
+        CouplingSet(g=g)
     with pytest.raises(ValueError):
-        CouplingSet(g=np.zeros((2, 2)), lambda_c=-1.0)
+        CouplingSet(g=np.zeros((2, 2)))
 
 
 def test_couplings_from_structure(solved):
@@ -78,8 +78,7 @@ def test_couplings_from_structure(solved):
     m = CavityMode(omega_c=2 * np.pi * 80.1e9, fock_cutoff=4,
                    effective_flux_amplitude=1.0e-16)
     cs = couplings_from_structure(ls, m, p.L, p.Phi_x)
-    assert cs.lambda_c == pytest.approx(-1.0 / p.L)
-    pref = cs.lambda_c * np.sqrt(HBAR * m.omega_c / (2 * MU0)) \
+    pref = -1.0 / p.L * np.sqrt(HBAR * m.omega_c / (2 * MU0)) \
         * m.effective_flux_amplitude / HBAR
     assert cs.g[0, 2] == pytest.approx(pref * ls.flux_elements[0, 2])
     assert cs.g[1, 2] == pytest.approx(pref * ls.flux_elements[1, 2])
@@ -131,7 +130,7 @@ def test_interaction_full_term_structure():
     ls = three_level()
     m = CavityMode(omega_c=W20 + 2 * np.pi * 1.1e9, fock_cutoff=4)
     g = np.array([[0.4, 0.0, 1.0], [0.0, -0.2, 0.0], [1.0, 0.0, 0.7]])
-    cs = CouplingSet(g=2 * np.pi * 1e7 * g, lambda_c=-1.0)
+    cs = CouplingSet(g=2 * np.pi * 1e7 * g)
     h = h_int_full_factory(cs, ls, m)
     assert h.omega_max == pytest.approx(m.omega_c + W20)
     assert h.detuning == pytest.approx(m.omega_c - W20)
@@ -199,7 +198,7 @@ def test_loop_cavity_hamiltonian_terms():
 def test_interaction_rwa_keeps_one_pair():
     ls = three_level()
     g = np.array([[0.4, 0.0, 1.0], [0.0, -0.2, 0.0], [1.0, 0.0, 0.7]])
-    cs = CouplingSet(g=2 * np.pi * 1e7 * g, lambda_c=-1.0)
+    cs = CouplingSet(g=2 * np.pi * 1e7 * g)
 
     # on resonance the co-rotating pair is static
     m_res = CavityMode(omega_c=W20, fock_cutoff=3)
@@ -270,7 +269,7 @@ def test_effective_vacuum_spectrum():
 def test_effective_two_squid_vacuum_sector():
     g = np.zeros((3, 3))
     g[0, 2] = g[2, 0] = 2 * np.pi * 1e7
-    cs = CouplingSet(g=g, lambda_c=-1.0)
+    cs = CouplingSet(g=g)
     det = 2 * np.pi * 2e8
     n = 4
     h = h_eff_two_squid(cs, det, CavityMode(omega_c=1.0, fock_cutoff=n))

@@ -21,7 +21,7 @@ from squidqed.verify import (ScanResult, TruthTable, check_truth_table,
                              gate_fidelity, halving_ratios, photon_excursion,
                              rwa_error_scan, truth_table_cps,
                              truth_table_swap, truth_table_transfer,
-                             _preset_coupling_pattern,
+                             _PRESET_LEVEL_RATIO, _PRESET_PATTERN,
                              _sampled_photon_peaks)
 
 
@@ -169,9 +169,8 @@ def test_rwa_scan_records_condition_and_refuses_zero_coupling():
     scan = rwa_error_scan(ratios)
     np.testing.assert_allclose(scan.meta["condition_ratio"], ratios)
     assert scan.meta["condition_ok"].tolist() == [True, True]
-    dark = CouplingSet(g=np.diag([1.0e7, 0.0, 2.0e7]), lambda_c=-1.0)
     with pytest.raises(ValueError, match=r"zero 0<->2 coupling g\[0, 2\]"):
-        rwa_error_scan(ratios, couplings=dark)
+        rwa_error_scan(ratios, g02=0.0)
 
 
 def test_stored_coupling_pattern_matches_the_preset_solve():
@@ -185,16 +184,15 @@ def test_stored_coupling_pattern_matches_the_preset_solve():
         elems[i, i] -= params.Phi_x
     pattern = elems / elems[0, 2]
     level_ratio = ls.omega_10 / ls.omega_20
-    stored, stored_ratio = _preset_coupling_pattern()
-    assert np.array_equal(stored, pattern) and stored_ratio == level_ratio, (
+    assert (np.array_equal(_PRESET_PATTERN, pattern)
+            and _PRESET_LEVEL_RATIO == level_ratio), (
         f"store _PRESET_PATTERN = {pattern.tolist()!r} and "
         f"_PRESET_LEVEL_RATIO = {level_ratio!r} in squidqed/verify.py")
 
 
 def test_stored_coupling_pattern_is_read_only():
-    pattern, _ = _preset_coupling_pattern()
     with pytest.raises(ValueError, match="read-only"):
-        pattern[0, 0] = 0.0
+        _PRESET_PATTERN[0, 0] = 0.0
 
 
 def test_exact_frame_propagation_matches_time_stepping():
@@ -202,7 +200,7 @@ def test_exact_frame_propagation_matches_time_stepping():
     midpoint steps of the interaction-picture closures: e^{i H0 T} W
     e^{-i w T} W^dag psi0 must agree with the stepped state, to second
     order in the step."""
-    pattern, level_ratio = _preset_coupling_pattern()
+    pattern, level_ratio = _PRESET_PATTERN, _PRESET_LEVEL_RATIO
     detuning = TWO_PI * 1.0e8
     omega_c = detuning / 0.02
     omega_20 = omega_c - detuning
@@ -213,7 +211,7 @@ def test_exact_frame_propagation_matches_time_stepping():
                         omega_20=omega_20, omega_21=omega_20 - omega_10)
     nfock = 4
     mode = CavityMode(omega_c=omega_c, fock_cutoff=nfock)
-    cs = CouplingSet(g=pattern * TWO_PI * 1.0e7, lambda_c=-1.0)
+    cs = CouplingSet(g=pattern * TWO_PI * 1.0e7)
     t_end = 20 * TWO_PI / omega_c
     psi0 = np.kron(np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0),
                    np.eye(nfock)[0]).astype(complex)
