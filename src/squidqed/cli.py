@@ -26,21 +26,21 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .constants import HBAR, TWO_PI
-from .feasibility import (DEFAULT_MARGIN, FeasibilityInput, assess,
-                          gate_time_estimate)
-from .hamiltonians import CONDITION_RATIO_MAX, gamma_eff
+from .feasibility import FeasibilityInput, assess, gate_time_estimate
+from .hamiltonians import CONDITION_RATIO_MAX
 from .hilbert import StateVector, basis_state, fidelity_up_to_global_phase
 from .protocols import ExecutionParams, SCHEDULE_BUILDERS, execute
 from .squid import (PRESET_KEYS, ResolutionError, lambda_check, load_preset,
                     params_from_keys, solve)
 from .verify import (_BASIS, DEFAULT_DISPERSIVE_RATIOS, DEFAULT_RWA_RATIOS,
                      _compare_truth_table, _loop_amplitudes, _propagator,
-                     _run_photon_peaks, concurrence, dispersive_error_scan,
-                     gate_fidelity, rwa_error_scan, truth_table_cps,
+                     _run_photon_peaks, concurrence, dispersive_error_point,
+                     gate_fidelity, rwa_error_point, truth_table_cps,
                      truth_table_swap, truth_table_transfer)
 
 __all__ = ["main"]
@@ -60,12 +60,19 @@ class ConfigError(Exception):
     """Bad config content; maps to exit code 2."""
 
 
-def _positive(key):
+def _number(key, what="finite number", accept=lambda x: True):
+    """Validator for a finite JSON number that fits a float (JSON integers
+    may not); ``what`` names the rule, ``accept`` checks what it adds."""
     def check(v):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-            raise ConfigError(f"config key '{key}' must be a positive number")
+        if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                or not abs(v) <= sys.float_info.max or not accept(v)):
+            raise ConfigError(f"config key '{key}' must be a {what}")
         return float(v)
     return check
+
+
+def _positive(key):
+    return _number(key, "finite positive number", lambda x: x > 0)
 
 
 def _positive_int(key, minimum=1):
@@ -108,8 +115,9 @@ _SPECTRUM_SCHEMA = {
     "n_levels": _positive_int("n_levels"),
     "C_farad": _positive("C_farad"),
     "L_henry": _positive("L_henry"),
-    "Ic_ampere": lambda v: _nonneg_number("Ic_ampere", v),
-    "Phix_over_Phi0": lambda v: _any_number("Phix_over_Phi0", v),
+    "Ic_ampere": _number("Ic_ampere", "finite non-negative number",
+                         lambda x: x >= 0),
+    "Phix_over_Phi0": _number("Phix_over_Phi0"),
     "grid_points": _positive_int("grid_points", minimum=64),
     "grid_halfwidth_over_Phi0": _positive("grid_halfwidth_over_Phi0"),
 }
@@ -145,18 +153,6 @@ _FEASIBILITY_SCHEMA = {
 }
 
 
-def _nonneg_number(key, v):
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-        raise ConfigError(f"config key '{key}' must be a non-negative number")
-    return float(v)
-
-
-def _any_number(key, v):
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"config key '{key}' must be a number")
-    return float(v)
-
-
 def _validate(cfg: dict, schema: dict, command: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a flat JSON object")
@@ -167,6 +163,12 @@ def _validate(cfg: dict, schema: dict, command: str) -> dict:
                               f"'{command}'")
         out[key] = schema[key](value)
     return out
+
+
+def _given(cfg: dict, **keys) -> dict:
+    """Keyword arguments from the config keys the user gave (``keys`` maps
+    argument name to config key); the library fills in the rest."""
+    return {arg: cfg[key] for arg, key in keys.items() if key in cfg}
 
 
 def _refuse_unread(cfg: dict, keys, where: str) -> None:
@@ -212,19 +214,16 @@ def _fmt(x: float) -> str:
 
 def _backend_params(args, cfg: dict) -> tuple[str, ExecutionParams]:
     """Map the CLI backend name onto (protocols backend, params)."""
-    gamma = cfg.get("gamma_radps", 1.0)
     rabi = cfg.get("rabi_radps", 100.0)
     if args.backend != "cavity":
         _refuse_unread(cfg, _CAVITY_KEYS, f"gate --backend {args.backend}")
         return ("analytic" if args.backend == "analytic" else "hamiltonian",
-                ExecutionParams(gamma=gamma, rabi=rabi))
-    g02 = cfg.get("g02_radps", 0.05)
-    detuning = cfg.get("detuning_radps", 1.0)
-    fock = cfg.get("fock_cutoff", 4)
+                ExecutionParams(rabi=rabi, **_given(cfg, gamma="gamma_radps")))
+    params = ExecutionParams(rabi=rabi, explicit_cavity=True, **_given(
+        cfg, g02="g02_radps", detuning="detuning_radps",
+        fock_cutoff="fock_cutoff"))
     # explicit cavity: gamma is derived from (g02, detuning)
-    return "hamiltonian", ExecutionParams(
-        gamma=gamma_eff(g02, detuning), rabi=rabi, g02=g02, detuning=detuning,
-        fock_cutoff=fock, explicit_cavity=True)
+    return "hamiltonian", replace(params, gamma=params.gamma_cavity)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +247,8 @@ def cmd_spectrum(args, raw_cfg: dict) -> int:
     else:
         params, grid = load_preset(cfg.get("preset", "ref15_like"))
 
-    n_levels = cfg.get("n_levels", 3)
     try:
-        ls = solve(params, grid, n_levels=n_levels)
+        ls = solve(params, grid, **_given(cfg, n_levels="n_levels"))
     except ResolutionError as exc:
         print(f"spectrum: {exc}", file=sys.stderr)
         return 1
@@ -388,25 +386,14 @@ def cmd_gate(args, raw_cfg: dict) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_point(kind: str, ratio: float, g02: float, detuning: float,
-                fock_cutoff: int) -> dict:
+def _scan_point(point, ratio: float, kwargs: dict) -> dict:
     """One scan point, run in the calling process."""
     try:
-        if kind == "rwa":
-            res = rwa_error_scan([ratio], g02, detuning=detuning,
-                                 fock_cutoff=fock_cutoff)
-        else:
-            res = dispersive_error_scan([ratio], fock_cutoff=fock_cutoff)
-    except (ValueError, ResolutionError, np.linalg.LinAlgError) as exc:
+        return {"parameter": ratio, **point(ratio, **kwargs)}
+    except (ValueError, np.linalg.LinAlgError) as exc:
         # a physics or input failure costs one point; programming errors
         # propagate
         return {"parameter": ratio, "failed": f"{type(exc).__name__}: {exc}"}
-    # per-point meta columns: gate_fidelity (dispersive), condition_* (rwa)
-    meta = {k: v[0].item() for k, v in res.meta.items()
-            if isinstance(v, np.ndarray)}
-    return {"parameter": ratio, "error": float(res.error[0]),
-            "peak": float(res.peak_photon_population[0]),
-            "violation": bool(res.fock_violation[0]), **meta}
 
 
 def cmd_scan(args, raw_cfg: dict) -> int:
@@ -419,11 +406,10 @@ def cmd_scan(args, raw_cfg: dict) -> int:
     default_grid = list(DEFAULT_RWA_RATIOS if kind == "rwa"
                         else DEFAULT_DISPERSIVE_RATIOS)
     grid = sorted(cfg.get("grid", default_grid), reverse=True)
-    g02 = cfg.get("g02_radps", TWO_PI * 1.0e7)
-    detuning = cfg.get("detuning_radps", TWO_PI * 1.0e8)
-    fock = cfg.get("fock_cutoff", 4)
-
-    rows = [_scan_point(kind, r, g02, detuning, fock) for r in grid]
+    kwargs = _given(cfg, g02="g02_radps", detuning="detuning_radps",
+                    fock_cutoff="fock_cutoff")
+    point = rwa_error_point if kind == "rwa" else dispersive_error_point
+    rows = [_scan_point(point, r, kwargs) for r in grid]
 
     has_fid = kind == "dispersive"
     head = _header("scan", None, cfg)
@@ -472,6 +458,9 @@ def cmd_feasibility(args, raw_cfg: dict) -> int:
     t_r = cfg.get("t_r_s", 1.0e-6)
     t_op = cfg.get("t_op_s")
     if t_op is not None:
+        # the gate time is given, so no rate can set it
+        _refuse_unread(cfg, ("gamma_radps", "rabi_radps"),
+                       "feasibility with 't_op_s'")
         t_op_source = "explicit"
     elif "gamma_radps" in cfg or "rabi_radps" in cfg:
         # gate time omitted but rates given: estimate from the
@@ -486,7 +475,7 @@ def cmd_feasibility(args, raw_cfg: dict) -> int:
     f = FeasibilityInput(q_factor=cfg.get("q_factor", 1.0e8),
                          nu=cfg.get("nu_hz", 80.1e9),
                          t_op=t_op, t_r=t_r)
-    report = assess(f, margin=cfg.get("margin", DEFAULT_MARGIN))
+    report = assess(f, **_given(cfg, margin="margin"))
 
     lines = [_header("feasibility", None, cfg)]
     lines.append(f"q_factor                   {_fmt(f.q_factor)}\n")

@@ -10,10 +10,11 @@ number is always reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import TWO_PI
-from .protocols import AraStep, DispersiveStep, GateSchedule
+from .protocols import DispersiveStep, GateSchedule
 
 __all__ = [
     "FeasibilityInput",
@@ -39,8 +40,8 @@ class FeasibilityInput:
 
     def __post_init__(self):
         for name in ("q_factor", "nu", "t_op", "t_r"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,12 @@ def gate_time_estimate(gamma: float, schedule: GateSchedule,
     pi/gamma; a pulse group contributes the duration of its longest
     rotation, theta / (2 rabi), since simultaneous rotations overlap.
     """
-    if gamma <= 0 or rabi <= 0:
-        raise ValueError("gamma and rabi must be positive rates")
+    if not (0 < gamma < math.inf and 0 < rabi < math.inf):
+        raise ValueError("gamma and rabi must be finite, positive rates")
     total = 0.0
     for step in schedule.steps:
         if isinstance(step, DispersiveStep):
             total += step.duration(gamma)
-        elif isinstance(step, AraStep):
-            total += max(a.theta for a in step.actions) / (2.0 * rabi)
         else:
-            raise TypeError(f"unsupported step type {type(step).__name__}")
+            total += max(a.duration(rabi) for a in step.actions)
     return total

@@ -76,6 +76,10 @@ class PulseAction:
     def theta(self) -> float:
         return float(self.theta_over_pi) * math.pi
 
+    def duration(self, rabi: float) -> float:
+        """Length of the rotation (s) at Rabi rate rabi (rad/s)."""
+        return self.theta / (2.0 * rabi)
+
 
 @dataclass(frozen=True)
 class AraStep:
@@ -299,12 +303,12 @@ class ExecutionParams:
     explicit_cavity: bool = False
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.rabi <= 0:
-            raise ValueError("gamma and rabi must be positive")
+        if not (0 < self.gamma < math.inf and 0 < self.rabi < math.inf):
+            raise ValueError("gamma and rabi must be finite and positive")
         if self.explicit_cavity:
-            if self.g02 <= 0 or self.detuning <= 0:
-                raise ValueError("explicit cavity needs positive g02 and "
-                                 "detuning")
+            if not (0 < self.g02 < math.inf and 0 < self.detuning < math.inf):
+                raise ValueError("explicit cavity needs finite, positive g02 "
+                                 "and detuning")
             if self.fock_cutoff < 2:
                 raise ValueError("fock_cutoff must be at least 2")
 
@@ -367,7 +371,7 @@ def _step_unitary(step, backend: str, params: ExecutionParams,
             else:
                 h = Operator(_pulse_generator(act, dims, params.rabi), dims,
                              hermitian_flag=True)
-                r = matexp_unitary(h, act.theta / (2.0 * params.rabi)).entries
+                r = matexp_unitary(h, act.duration(params.rabi)).entries
             u = r @ u
     elif params.explicit_cavity:
         u = _cavity_dispersive_unitary(params,
@@ -390,10 +394,11 @@ def execute(schedule: GateSchedule, psi0: StateVector,
     backend "analytic" composes the closed-form step maps; backend
     "hamiltonian" exponentiates the generators instead — the
     vacuum-projected dispersive form by default, or the explicit-cavity
-    model when ``params.explicit_cavity`` is set (input states on dims
-    (3, 3) are then embedded next to the cavity vacuum, and results live
-    on dims (3, 3, fock_cutoff)).  The analytic backend has no cavity, so
-    it refuses ``params.explicit_cavity``.
+    model when ``params.explicit_cavity`` is set (the input is then
+    embedded next to the cavity vacuum, and results live on dims
+    (3, 3, fock_cutoff)).  Inputs live on the two loops, dims (3, 3).  The
+    analytic backend has no cavity, so it refuses
+    ``params.explicit_cavity``.
     """
     if backend not in ("analytic", "hamiltonian"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -402,20 +407,14 @@ def execute(schedule: GateSchedule, psi0: StateVector,
         raise ValueError("backend 'analytic' has no cavity: explicit_cavity "
                          "needs backend 'hamiltonian'")
 
-    dims = (3, 3)
-    vec = psi0.amplitudes
     if psi0.dims != (3, 3):
-        if (backend == "hamiltonian" and params.explicit_cavity
-                and psi0.dims == (3, 3, params.fock_cutoff)):
-            dims = psi0.dims
-        else:
-            raise ValueError(f"input state dims {psi0.dims} not supported "
-                             f"for backend {backend!r}")
-    elif backend == "hamiltonian" and params.explicit_cavity:
+        raise ValueError(f"input state dims {psi0.dims} not supported "
+                         f"for backend {backend!r}")
+    dims, vec = (3, 3), psi0.amplitudes
+    if backend == "hamiltonian" and params.explicit_cavity:
         dims = (3, 3, params.fock_cutoff)
-        vac = np.zeros(params.fock_cutoff, dtype=complex)
-        vac[0] = 1.0
-        vec = np.kron(vec, vac)
+        # next to the cavity vacuum |0>, the first row of an identity
+        vec = np.kron(vec, np.eye(1, params.fock_cutoff, dtype=complex)[0])
 
     trail: list[StateVector] = []
     drift = abs(float(np.linalg.norm(vec)) - 1.0)

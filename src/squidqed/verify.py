@@ -20,8 +20,7 @@ from functools import partial
 import numpy as np
 
 from .constants import TWO_PI
-from .hamiltonians import (CONDITION_RATIO_MAX, gamma_eff,
-                           loop_cavity_hamiltonian)
+from .hamiltonians import CONDITION_RATIO_MAX, loop_cavity_hamiltonian
 from .hilbert import Operator, StateVector, basis_state
 from .protocols import (AraStep, ExecutionParams, GateSchedule, PulseAction,
                         _cavity_eigensystem, execute, schedule_cps,
@@ -40,7 +39,9 @@ __all__ = [
     "truth_table_transfer",
     "check_truth_table",
     "corrupt_first_pulse",
+    "rwa_error_point",
     "rwa_error_scan",
+    "dispersive_error_point",
     "dispersive_error_scan",
     "photon_excursion",
     "halving_ratios",
@@ -332,78 +333,96 @@ _PRESET_PATTERN.setflags(write=False)
 _PRESET_LEVEL_RATIO = 0.08897007948531035
 
 
-def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
-                   g02: float = TWO_PI * 1.0e7, *,
-                   detuning: float = TWO_PI * 1.0e8,
-                   fock_cutoff: int = 4) -> ScanResult:
-    """Error of the rotating-wave reduction versus the detuning-to-carrier
-    ratio, at fixed coupling g02 and fixed detuning.
+def _scan(kind: str, ratio_list, point, meta: dict) -> ScanResult:
+    """Run ``point`` on each ratio, from coarse to fine, and stack its
+    returned values into columns: every value beyond error, peak and
+    violation becomes a per-point array in ``meta``."""
+    ratios = np.array(sorted(ratio_list, reverse=True), dtype=float)
+    if ratios.size == 0:
+        raise ValueError("the ratio list must not be empty")
+    if np.any(ratios <= 0) or np.any(ratios >= 1):
+        raise ValueError("ratios must lie strictly between 0 and 1")
+    points = [point(ratio) for ratio in ratios]
+    cols = {k: np.array([p[k] for p in points]) for k in points[0]}
+    return ScanResult(kind=kind, parameter=ratios, error=cols.pop("error"),
+                      peak_photon_population=cols.pop("peak"),
+                      fock_violation=cols.pop("violation"),
+                      meta={**meta, **cols})
 
-    For each ratio the carrier is omega_c = detuning / ratio and the
-    0<->2 transition sits at omega_c - detuning.  The probe
-    (|0> + |2>)/sqrt(2) (x) |vacuum> runs for one exchange period pi/|g_02|,
-    rounded to a whole number of carrier periods; the error is
+
+def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
+                    detuning: float = TWO_PI * 1.0e8,
+                    fock_cutoff: int = 4) -> dict:
+    """Error of the rotating-wave reduction at one detuning-to-carrier
+    ratio, at coupling g02 and detuning.
+
+    The carrier is omega_c = detuning / ratio and the 0<->2 transition
+    sits at omega_c - detuning.  The probe (|0> + |2>)/sqrt(2) (x)
+    |vacuum> runs for one exchange period pi/|g_02|, rounded to a whole
+    number of carrier periods; the error is
     1 - |<psi_rwa(T)|psi_full(T)>|^2.
 
     Both models share the diagonal H0 of `loop_cavity_hamiltonian` (loop
     levels 0, omega_10, omega_20 plus omega_c per photon), so each is
     propagated exactly with one eigendecomposition of its H0 + V; the
     interaction-picture frame e^{i H0 T} is common to both and cancels in
-    the overlap.  Photon statistics do not depend on the frame
-    and are sampled densely on the full model's eigenbasis.  ``meta`` holds
-    each point's reduction condition (``condition_ratio``, ``condition_ok``).
-    The couplings are the stored loop pattern scaled by g02: numpy only, in
-    process.
-    """
-    ratios = np.array(sorted(ratio_list, reverse=True), dtype=float)
-    if ratios.size == 0:
-        raise ValueError("ratio_list must not be empty")
-    if np.any(ratios <= 0) or np.any(ratios >= 1):
-        raise ValueError("ratios must lie strictly between 0 and 1")
+    the overlap.  Photon statistics do not depend on the frame and are
+    sampled densely on the full model's eigenbasis.  The couplings are the
+    stored loop pattern scaled by g02: numpy only, in process.
 
+    Returns ``error``, ``peak`` (photon number), ``violation`` (top Fock
+    level populated beyond `FOCK_VIOLATION_TOL`) and the reduction
+    condition |omega_c - omega_20| / omega_c as ``condition_ratio`` with
+    ``condition_ok``.  A carrier, probe time or carrier-period count that
+    is not finite raises ValueError.
+    """
     g = _PRESET_PATTERN * g02
     if g[0, 2] == 0.0:
         raise ValueError("zero 0<->2 coupling g[0, 2]: the exchange period "
                          "that sets the probe time is infinite")
-    t_exchange = math.pi / abs(g[0, 2])
+    t_exchange = math.pi / abs(float(g[0, 2]))
+    if not math.isfinite(t_exchange):
+        raise ValueError("probe time pi/|g_02| is not finite")
+    omega_c = detuning / ratio
+    if not math.isfinite(omega_c):
+        raise ValueError("carrier omega_c = detuning / ratio is not finite")
+    omega_20 = omega_c - detuning
+    levels = (0.0, _PRESET_LEVEL_RATIO * omega_20, omega_20)
+    carrier = TWO_PI / omega_c
+    periods = t_exchange / carrier
+    if not math.isfinite(periods):
+        raise ValueError("probe time pi/|g_02| in carrier periods is not "
+                         "finite")
+    t_end = max(1, round(periods)) * carrier
 
     probe = np.zeros(3 * fock_cutoff, dtype=complex)
     probe[0] = probe[2 * fock_cutoff] = 1.0 / math.sqrt(2.0)
+    w, v = np.linalg.eigh(loop_cavity_hamiltonian(levels, omega_c, g,
+                                                  fock_cutoff))
+    psi_full = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
+    peak_n, peak_top = _sampled_photon_peaks(w, v, probe, t_end, fock_cutoff)
+    w, v = np.linalg.eigh(loop_cavity_hamiltonian(
+        levels, omega_c, g, fock_cutoff, rotating_wave=True))
+    psi_rwa = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
+    condition = abs(omega_c - omega_20) / omega_c
+    return {"error": 1.0 - abs(np.vdot(psi_rwa, psi_full)) ** 2,
+            "peak": peak_n, "violation": peak_top >= FOCK_VIOLATION_TOL,
+            "condition_ratio": condition,
+            "condition_ok": condition < CONDITION_RATIO_MAX}
 
-    errors, peaks, violations, cond_ratios, cond_ok = [], [], [], [], []
-    for ratio in ratios:
-        omega_c = detuning / ratio
-        omega_20 = omega_c - detuning
-        levels = (0.0, _PRESET_LEVEL_RATIO * omega_20, omega_20)
-        carrier = TWO_PI / omega_c
-        t_end = max(1, round(t_exchange / carrier)) * carrier
 
-        w, v = np.linalg.eigh(loop_cavity_hamiltonian(levels, omega_c, g,
-                                                      fock_cutoff))
-        psi_full = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
-        peak_n, peak_top = _sampled_photon_peaks(w, v, probe, t_end,
-                                                 fock_cutoff)
-        w, v = np.linalg.eigh(loop_cavity_hamiltonian(
-            levels, omega_c, g, fock_cutoff, rotating_wave=True))
-        psi_rwa = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
-
-        errors.append(1.0 - abs(np.vdot(psi_rwa, psi_full)) ** 2)
-        peaks.append(peak_n)
-        violations.append(peak_top >= FOCK_VIOLATION_TOL)
-        cond_ratios.append(abs(omega_c - omega_20) / omega_c)
-        cond_ok.append(cond_ratios[-1] < CONDITION_RATIO_MAX)
-
-    return ScanResult(
-        kind="rwa",
-        parameter=ratios,
-        error=np.array(errors),
-        peak_photon_population=np.array(peaks),
-        fock_violation=np.array(violations, dtype=bool),
-        meta={"g02": g02, "detuning": detuning,
-              "fock_cutoff": fock_cutoff,
-              "condition_ratio": np.array(cond_ratios),
-              "condition_ok": np.array(cond_ok, dtype=bool)},
-    )
+def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
+                   g02: float = TWO_PI * 1.0e7, *,
+                   detuning: float = TWO_PI * 1.0e8,
+                   fock_cutoff: int = 4) -> ScanResult:
+    """`rwa_error_point` over a list of detuning-to-carrier ratios, from
+    coarse to fine.  ``meta`` holds g02, detuning and fock_cutoff, and each
+    point's reduction condition (``condition_ratio``, ``condition_ok``)."""
+    return _scan("rwa", ratio_list,
+                 partial(rwa_error_point, g02=g02, detuning=detuning,
+                         fock_cutoff=fock_cutoff),
+                 {"g02": g02, "detuning": detuning,
+                  "fock_cutoff": fock_cutoff})
 
 
 def _sampled_photon_peaks(w: np.ndarray, v: np.ndarray, vecs: np.ndarray,
@@ -438,9 +457,9 @@ def _sampled_photon_peaks(w: np.ndarray, v: np.ndarray, vecs: np.ndarray,
 def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
                       inputs, intermediates) -> tuple[float, float]:
     """Peak expected photon number and peak top-Fock-level population over
-    finished explicit-cavity runs of one schedule, from their inputs and
-    their recorded intermediates (one sequence per input, in the same
-    order).  Pulses leave the cavity alone, so only dispersive segments
+    finished explicit-cavity runs of one schedule, from their two-loop
+    inputs and their recorded intermediates (one sequence per input, in
+    the same order).  Pulses leave the cavity alone, so only dispersive segments
     are sampled, each from the states the runs start it in, on the
     eigensystem the segment propagator was built from.  The schedule is
     walked once: every segment is one sampler call on the block of all
@@ -448,9 +467,8 @@ def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
     nfock = params.fock_cutoff
     w, v = _cavity_eigensystem(params.g02, params.detuning, nfock)
     gam = params.gamma_cavity
-    vacuum = basis_state((nfock,), 0).amplitudes
-    states = [np.kron(psi.amplitudes, vacuum) if psi.dims == (3, 3)
-              else psi.amplitudes for psi in inputs]
+    vacuum = np.eye(1, nfock, dtype=complex)[0]  # as `execute` builds it
+    states = [np.kron(psi.amplitudes, vacuum) for psi in inputs]
     peak_n, peak_top = 0.0, 0.0
     for k, step in enumerate(schedule.steps):
         if not isinstance(step, AraStep):
@@ -476,9 +494,8 @@ def photon_excursion(schedule: GateSchedule, params: ExecutionParams,
     return _run_photon_peaks(schedule, params, [psi0], [res.intermediates])
 
 
-def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
-                          fock_cutoff: int = 4) -> ScanResult:
-    """Error of the vacuum-projected dispersive reduction versus the
+def dispersive_error_point(ratio: float, *, fock_cutoff: int = 4) -> dict:
+    """Error of the vacuum-projected dispersive reduction at one
     coupling-to-detuning ratio, probed with the controlled-phase schedule.
 
     Computational basis inputs are dark until the first pulse lifts them
@@ -486,53 +503,41 @@ def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
     schedule on both backends; the error is the worst vacuum-sector
     infidelity over the four inputs.  Photon statistics are sampled
     densely inside the dispersive segments, from the cavity runs already
-    made, with one `_run_photon_peaks` call per ratio: the four inputs
-    share each segment's phase tables.  ``meta["gate_fidelity"]``
-    holds the controlled-phase gate fidelity of the explicit-cavity run at
-    each point.
+    made, with one `_run_photon_peaks` call: the four inputs share each
+    segment's phase tables.  Returns ``error``, ``peak``, ``violation`` and
+    the controlled-phase ``gate_fidelity`` of the explicit-cavity run.
     """
-    ratios = np.array(sorted(g_over_delta_list, reverse=True), dtype=float)
-    if ratios.size == 0:
-        raise ValueError("g_over_delta_list must not be empty")
-    if np.any(ratios <= 0) or np.any(ratios >= 1):
-        raise ValueError("ratios must lie strictly between 0 and 1")
-
     sched = schedule_cps()
-    ideal = sched.ideal_unitary.entries
-    errors, peaks, violations, gate_fids = [], [], [], []
-    for ratio in ratios:
-        p_cav = ExecutionParams(g02=float(ratio), detuning=1.0,
-                                explicit_cavity=True,
-                                fock_cutoff=fock_cutoff,
-                                gamma=gamma_eff(float(ratio), 1.0))
-        p_vac = ExecutionParams(gamma=p_cav.gamma_cavity)
+    p_cav = ExecutionParams(g02=float(ratio), detuning=1.0,
+                            explicit_cavity=True, fock_cutoff=fock_cutoff)
+    p_vac = ExecutionParams(gamma=p_cav.gamma_cavity)
 
-        err = 0.0
-        inputs, trails = [], []
-        for _, ab in _BASIS:
-            psi = basis_state((3, 3), ab)
-            res_c = execute(sched, psi, "hamiltonian", p_cav,
-                            record_intermediate=True)
-            res_v = execute(sched, psi, "analytic", p_vac)
-            err = max(err, 1.0 - abs(np.vdot(
-                res_v.final_state.amplitudes,
-                _loop_amplitudes(res_c.final_state))) ** 2)
-            inputs.append(psi)
-            trails.append(res_c.intermediates)
+    err = 0.0
+    inputs, trails = [], []
+    for _, ab in _BASIS:
+        psi = basis_state((3, 3), ab)
+        res_c = execute(sched, psi, "hamiltonian", p_cav,
+                        record_intermediate=True)
+        res_v = execute(sched, psi, "analytic", p_vac)
+        err = max(err, 1.0 - abs(np.vdot(
+            res_v.final_state.amplitudes,
+            _loop_amplitudes(res_c.final_state))) ** 2)
+        inputs.append(psi)
+        trails.append(res_c.intermediates)
 
-        peak_n, peak_top = _run_photon_peaks(sched, p_cav, inputs, trails)
-        errors.append(err)
-        peaks.append(peak_n)
-        violations.append(peak_top >= FOCK_VIOLATION_TOL)
-        gate_fids.append(gate_fidelity(_propagator([t[-1] for t in trails]),
-                                       ideal, unitarity_tol=1.0))
+    peak_n, peak_top = _run_photon_peaks(sched, p_cav, inputs, trails)
+    return {"error": err, "peak": peak_n,
+            "violation": peak_top >= FOCK_VIOLATION_TOL,
+            "gate_fidelity": gate_fidelity(
+                _propagator([t[-1] for t in trails]),
+                sched.ideal_unitary.entries, unitarity_tol=1.0)}
 
-    return ScanResult(
-        kind="dispersive",
-        parameter=ratios,
-        error=np.array(errors),
-        peak_photon_population=np.array(peaks),
-        fock_violation=np.array(violations, dtype=bool),
-        meta={"fock_cutoff": fock_cutoff,
-              "gate_fidelity": np.array(gate_fids)},
-    )
+
+def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
+                          fock_cutoff: int = 4) -> ScanResult:
+    """`dispersive_error_point` over a list of coupling-to-detuning ratios,
+    from coarse to fine.  ``meta["gate_fidelity"]`` holds each point's
+    controlled-phase gate fidelity."""
+    return _scan("dispersive", g_over_delta_list,
+                 partial(dispersive_error_point, fock_cutoff=fock_cutoff),
+                 {"fock_cutoff": fock_cutoff})

@@ -180,7 +180,7 @@ def test_scan_point_reports_physics_errors_and_raises_bugs(tmp_path,
         raise ValueError("refused on purpose")
 
     cfg = {"scan_kind": "rwa", "grid": [0.02, 0.01]}
-    monkeypatch.setattr(cli, "rwa_error_scan", refuse)
+    monkeypatch.setattr(cli, "rwa_error_point", refuse)
     assert run_cli(tmp_path, "scan", cfg, extra=["--workers", "1"]) == 1
     lines = grab(tmp_path, "scan.csv").strip().splitlines()
     assert ("# point 2.000000000000e-02 failed: "
@@ -189,7 +189,7 @@ def test_scan_point_reports_physics_errors_and_raises_bugs(tmp_path,
     def broken(*args, **kwargs):
         raise TypeError("a programming error")
 
-    monkeypatch.setattr(cli, "rwa_error_scan", broken)
+    monkeypatch.setattr(cli, "rwa_error_point", broken)
     with pytest.raises(TypeError, match="programming error"):
         run_cli(tmp_path / "bug", "scan", cfg, extra=["--workers", "1"])
 
@@ -283,15 +283,15 @@ def test_cli_import_loads_no_process_pool():
 def test_scan_failures_are_written_to_run_log(tmp_path, monkeypatch):
     import squidqed.cli as cli
 
-    real = cli.rwa_error_scan
+    real = cli.rwa_error_point
 
-    def refuse_the_finest(ratios, *args, **kwargs):
-        if ratios[0] < 0.015:
+    def refuse_the_finest(ratio, *args, **kwargs):
+        if ratio < 0.015:
             raise ValueError("refused on purpose")
-        return real(ratios, *args, **kwargs)
+        return real(ratio, *args, **kwargs)
 
     cfg = {"scan_kind": "rwa", "grid": [0.02, 0.01]}
-    monkeypatch.setattr(cli, "rwa_error_scan", refuse_the_finest)
+    monkeypatch.setattr(cli, "rwa_error_point", refuse_the_finest)
     assert run_cli(tmp_path, "scan", cfg, extra=["--workers", "1"]) == 0
     log = grab(tmp_path, "run.log").splitlines()
     assert log[0].startswith("command=scan")
@@ -624,3 +624,107 @@ def test_keys_the_path_never_reads_are_refused(tmp_path, capsys, command,
     assert (f"config key '{key}' is not read by {where}"
             in capsys.readouterr().err)
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def _schema_keys():
+    import squidqed.cli as cli
+    return [(command, key) for command, schema in (
+        ("spectrum", cli._SPECTRUM_SCHEMA), ("gate", cli._GATE_SCHEMA),
+        ("scan", cli._SCAN_SCHEMA), ("feasibility", cli._FEASIBILITY_SCHEMA))
+        for key in schema]
+
+
+@pytest.mark.parametrize("command, key", _schema_keys())
+def test_non_finite_numbers_are_refused(tmp_path, capsys, command, key):
+    for k, bad in enumerate((float("nan"), float("inf"), -float("inf"))):
+        out = tmp_path / str(k)
+        assert run_cli(out, command, {key: bad}) == 2, bad
+        assert f"config key '{key}' must be" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+
+
+def test_grid_entries_and_huge_integers_are_refused(tmp_path, capsys):
+    assert run_cli(tmp_path / "grid", "scan", {"grid": [0.1, float("nan")]}) \
+        == 2
+    # a JSON integer too large for a float
+    assert run_cli(tmp_path / "huge", "feasibility", {"margin": 10 ** 400}) \
+        == 2
+    assert "config key 'margin' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["gamma_radps", "rabi_radps"])
+def test_feasibility_with_a_gate_time_refuses_rates(tmp_path, capsys, key):
+    assert run_cli(tmp_path, "feasibility", {"t_op_s": 1e-8, key: 1e9}) == 2
+    assert (f"config key '{key}' is not read by feasibility with 't_op_s'"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("cfg, reason", [
+    ({"detuning_radps": 1e308},
+     "carrier omega_c = detuning / ratio is not finite"),
+    ({"g02_radps": 1e-320}, "probe time pi/|g_02| is not finite"),
+])
+def test_rwa_points_that_overflow_are_recorded_failures(tmp_path, cfg,
+                                                       reason):
+    cfg = dict(cfg, scan_kind="rwa", grid=[0.02])
+    assert run_cli(tmp_path, "scan", cfg) == 1
+    assert (f"# point 2.000000000000e-02 failed: ValueError: {reason}"
+            in grab(tmp_path, "scan.csv").splitlines())
+    assert grab(tmp_path, "run.log").splitlines()[1:] == [
+        f"failed_point parameter=2.000000000000e-02 reason=ValueError: "
+        f"{reason}"]
+
+
+@pytest.mark.parametrize("cfg, kind, want", [
+    ({"scan_kind": "rwa"}, "rwa", {}),
+    ({"scan_kind": "rwa", "g02_radps": 2.0e7}, "rwa", {"g02": 2.0e7}),
+    ({"scan_kind": "rwa", "detuning_radps": 3e8, "fock_cutoff": 5}, "rwa",
+     {"detuning": 3e8, "fock_cutoff": 5}),
+    ({}, "dispersive", {}),
+    ({"fock_cutoff": 6}, "dispersive", {"fock_cutoff": 6}),
+])
+def test_scan_points_take_only_the_given_keys(tmp_path, monkeypatch, cfg,
+                                              kind, want):
+    import squidqed.cli as cli
+
+    name = f"{kind}_error_point"
+    calls, real = [], getattr(cli, name)
+
+    def recorded(ratio, **kwargs):
+        calls.append(kwargs)
+        return real(ratio, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorded)
+    assert run_cli(tmp_path, "scan", dict(cfg, grid=[0.05])) == 0
+    assert calls == [want]
+
+
+def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    import squidqed.cli as cli
+    from squidqed.protocols import ExecutionParams
+
+    seen = []
+    real_execute, real_solve = cli.execute, cli.solve
+
+    def execute(sched, psi, backend, params, **kwargs):
+        seen.append(params)
+        return real_execute(sched, psi, backend, params, **kwargs)
+
+    def solve(params, grid, **kwargs):
+        seen.append(kwargs)
+        return real_solve(params, grid, **kwargs)
+
+    monkeypatch.setattr(cli, "execute", execute)
+    monkeypatch.setattr(cli, "solve", solve)
+    assert run_cli(tmp_path / "a", "gate", {}) == 0
+    assert run_cli(tmp_path / "c", "gate", {}, extra=["--backend",
+                                                     "cavity"]) == 0
+    assert run_cli(tmp_path / "s", "spectrum", {}) == 0
+    cavity = ExecutionParams(rabi=100.0, explicit_cavity=True)
+    # the CLI's own default is the Rabi rate, which the library leaves at 1
+    assert seen == ([ExecutionParams(rabi=100.0)] * 4
+                    + [replace(cavity, gamma=cavity.gamma_cavity)] * 4
+                    + [{}])

@@ -8,8 +8,9 @@ import pytest
 from squidqed.feasibility import (DEFAULT_MARGIN, FeasibilityInput,
                                   FeasibilityReport, assess,
                                   gate_time_estimate)
-from squidqed.protocols import (DispersiveStep, GateSchedule, PulseAction,
-                                schedule_cps, schedule_swap, simultaneous)
+from squidqed.protocols import (SCHEDULE_BUILDERS, AraStep, DispersiveStep,
+                                GateSchedule, PulseAction, schedule_cps,
+                                schedule_swap, simultaneous)
 
 
 def test_input_validation():
@@ -99,6 +100,31 @@ def test_gate_time_validation():
         gate_time_estimate(0.0, schedule_cps(), 1.0)
     with pytest.raises(ValueError):
         gate_time_estimate(1.0, schedule_cps(), -1.0)
+    with pytest.raises(ValueError):
+        gate_time_estimate(float("nan"), schedule_cps(), 1.0)
+
+
+def test_gate_time_pulses_use_the_pulse_duration_rule():
+    # the longest rotation's theta / (2 rabi), to the last bit
+    for build in SCHEDULE_BUILDERS.values():
+        sched = build()
+        for rabi in (1.0, 100.0, 123.4, 2 * math.pi * 1e9):
+            want = 0.0
+            for step in sched.steps:
+                if isinstance(step, AraStep):
+                    want += (max(a.theta for a in step.actions)
+                             / (2.0 * rabi))
+                else:
+                    want += step.duration(0.37)
+            assert gate_time_estimate(0.37, sched, rabi) == want
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_input_refuses_non_finite_values(bad):
+    good = dict(q_factor=1e8, nu=80.1e9, t_op=1e-8, t_r=1e-6)
+    for name in good:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FeasibilityInput(**dict(good, **{name: bad}))
 
 
 def test_bool_protocol():

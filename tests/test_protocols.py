@@ -151,6 +151,29 @@ def test_execute_validation():
         execute(schedule_cps(), basis_state((3,), (0,)))
 
 
+def test_execute_takes_two_loop_inputs_only():
+    cavity = ExecutionParams(explicit_cavity=True, fock_cutoff=4)
+    with pytest.raises(ValueError, match="dims"):
+        execute(schedule_cps(), basis_state((3, 3, 4), (1, 0, 0)),
+                "hamiltonian", cavity)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 0.0])
+def test_execution_params_refuse_rates_that_are_not_finite_and_positive(bad):
+    for field in ("gamma", "rabi"):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ExecutionParams(**{field: bad})
+    for field in ("g02", "detuning"):
+        with pytest.raises(ValueError, match="finite, positive"):
+            ExecutionParams(explicit_cavity=True, **{field: bad})
+
+
+def test_pulse_duration_is_theta_over_twice_the_rabi_rate():
+    act = PulseAction("a", (1, 2), Fraction(3))
+    assert act.duration(7.0) == 3 * np.pi / 14.0
+
+
 def test_analytic_backend_refuses_the_cavity():
     with pytest.raises(ValueError, match="'analytic' has no cavity"):
         execute(schedule_cps(), basis_state((3, 3), (0, 0)), "analytic",

@@ -1,6 +1,8 @@
 """Verification layer: fidelity/concurrence metrics, truth tables with a
 negative control, and the two reduction-error scans."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,10 @@ from squidqed.protocols import (ExecutionParams, GateSchedule,
 from squidqed.squid import LevelStructure, load_preset, solve
 from squidqed.verify import (ScanResult, TruthTable, check_truth_table,
                              computational_propagator, concurrence,
-                             corrupt_first_pulse, dispersive_error_scan,
-                             gate_fidelity, halving_ratios, photon_excursion,
-                             rwa_error_scan, truth_table_cps,
+                             corrupt_first_pulse, dispersive_error_point,
+                             dispersive_error_scan, gate_fidelity,
+                             halving_ratios, photon_excursion,
+                             rwa_error_point, rwa_error_scan, truth_table_cps,
                              truth_table_swap, truth_table_transfer,
                              _PRESET_LEVEL_RATIO, _PRESET_PATTERN,
                              _sampled_photon_peaks)
@@ -171,6 +174,39 @@ def test_rwa_scan_records_condition_and_refuses_zero_coupling():
     assert scan.meta["condition_ok"].tolist() == [True, True]
     with pytest.raises(ValueError, match=r"zero 0<->2 coupling g\[0, 2\]"):
         rwa_error_scan(ratios, g02=0.0)
+
+
+def test_rwa_point_refuses_values_that_overflow():
+    with pytest.raises(ValueError, match="carrier omega_c"):
+        rwa_error_point(0.02, detuning=1e308)
+    with pytest.raises(ValueError, match=r"probe time pi/\|g_02\| is not"):
+        rwa_error_point(0.02, 1e-320)
+    with pytest.raises(ValueError, match="in carrier periods"):
+        rwa_error_point(0.5, 1e-300)
+
+
+def test_scans_are_their_point_functions_over_the_grid():
+    coarse_first = partial(sorted, reverse=True)
+    ratios = [0.02, 0.5, 0.01]
+    cases = [
+        (rwa_error_scan(), [rwa_error_point(r) for r in
+                            coarse_first(verify.DEFAULT_RWA_RATIOS)]),
+        (rwa_error_scan(ratios, 1.1e7, detuning=3e8, fock_cutoff=5),
+         [rwa_error_point(r, 1.1e7, detuning=3e8, fock_cutoff=5)
+          for r in coarse_first(ratios)]),
+        (dispersive_error_scan(), [dispersive_error_point(r) for r in
+                                   verify.DEFAULT_DISPERSIVE_RATIOS]),
+    ]
+    for scan, points in cases:
+        cols = {k: np.array([p[k] for p in points]) for k in points[0]}
+        assert np.array_equal(scan.error, cols.pop("error"))
+        assert np.array_equal(scan.peak_photon_population, cols.pop("peak"))
+        assert np.array_equal(scan.fock_violation, cols.pop("violation"))
+        assert set(cols) == ({"gate_fidelity"} if scan.kind == "dispersive"
+                             else {"condition_ratio", "condition_ok"})
+        for key, col in cols.items():
+            assert np.array_equal(scan.meta[key], col), key
+    assert cases[1][0].meta["condition_ok"].tolist() == [False, True, True]
 
 
 def test_stored_coupling_pattern_matches_the_preset_solve():
