@@ -77,8 +77,8 @@ class FeasibilityReport:
 def assess(f: FeasibilityInput, margin: float = DEFAULT_MARGIN
            ) -> FeasibilityReport:
     """Evaluate the decoherence budget; passes iff Q >= margin * q_min."""
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < math.inf:
+        raise ValueError("margin must be finite and positive")
     t_c = f.q_factor / (TWO_PI * f.nu)
     p = f.t_op / f.t_r
     q_min = TWO_PI * f.nu * f.t_op

@@ -12,15 +12,16 @@ dedicated tridiagonal eigensolver.  Eigenfunctions are chosen real with a
 fixed sign gauge; flux matrix elements <i|Phi|j> use trapezoidal quadrature.
 
 `solve` trusts a spectrum only if its transition energies survive a halving
-of the grid step.  That check reads eigenvalues alone: one bisection on the
-doubled grid over a window whose lower edge is the Gershgorin bound (so the
-values found are certified to be the lowest) and whose upper edge sits just
-above the coarse top level.  Too few values in the window, or a shift too
-close to the tolerance for that bisection to decide, send it to the
-index-mode search instead.  Bisection resolves eigenvalues only to about
-eps * max|diag|; when the check fails on transitions near that floor (the
-collapsing 0-1 splitting at the symmetric bias), the error names that limit
-instead of advising more points.
+of the grid step.  That check reads eigenvalues alone: on the doubled grid,
+one bisection per level in a narrow window centered on the coarse level.  The
+values found are certified to be the lowest ones when the windows are
+disjoint, each holds exactly one value, and a Sturm count from the
+Gershgorin bound up to the top window edge finds no others.  A window that
+misses, or a shift too close to the tolerance for bisection to decide,
+sends it to the index-mode search instead.  Bisection resolves eigenvalues
+only to about eps * max|diag|; when the check fails on transitions near
+that floor (the collapsing 0-1 splitting at the symmetric bias), the error
+names that limit instead of advising more points.
 
 Biased near half a flux quantum with loop parameter beta_L = 2 pi L Ic / Phi_0
 slightly above 1, the potential is a tilted double well whose two lowest
@@ -210,14 +211,14 @@ def _solve_grid(p: SquidParams, g: FluxGrid, n_levels: int):
     return energies, vecs, phi, v_pot
 
 
-#: Upper edge of the doubled-grid search window, above the coarse top level,
-#: as a fraction of the coarse span E_top - E_0.  Wide enough for the fine
-#: top level on any grid that passes the check; narrow enough to keep the
-#: next level out, which bisection would otherwise also resolve.
-_BRACKET_MARGIN = 1e-3
+#: Least half-width of each doubled-grid window, in resolution floors
+#: eps * max|diag|: wide enough that bisection rounding, which places an
+#: eigenvalue to within about 2 floors, cannot push a fine level out of the
+#: window around its own coarse level.
+_WINDOW_FLOORS = 64.0
 
 #: Width, in units of floor / smallest transition, of the band around
-#: ``check_rtol`` inside which the value search cannot decide.  Bisection
+#: ``check_rtol`` inside which the window search cannot decide.  Bisection
 #: narrows each eigenvalue to a bracket eps * (max|diag| + 2 kin) <= 2 * floor
 #: wide and returns its midpoint, so two searches can place one eigenvalue
 #: up to 2 * floor apart and one transition up to 4 * floor.
@@ -233,35 +234,66 @@ def _transition_shift(coarse: np.ndarray, fine: np.ndarray):
     return float(shift), float(np.min(np.abs(fine_tr)))
 
 
+def _window_levels(diag: np.ndarray, off: np.ndarray, centers: np.ndarray,
+                   half: float):
+    """The eigenvalues of the tridiagonal matrix (diag, off) in the windows
+    (c - half, c + half] around ``centers``, or None unless they are
+    certified to be its lowest ``centers.size`` eigenvalues.
+
+    They are when the windows are disjoint, each holds exactly one value,
+    and a count over (lo, top window edge] finds exactly as many values as
+    there are windows; lo is the Gershgorin bound min(diag) - 2 |off|,
+    below which no eigenvalue lies.  With a tolerance equal to its width,
+    that count returns after the Sturm counts at its two ends.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    if np.any(np.diff(centers) <= 2.0 * half):
+        return None
+    lo = diag.min() - 2.0 * abs(off[0])
+    top = centers[-1] + half
+    if eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, top),
+                            tol=top - lo).size != centers.size:
+        return None
+    levels = np.empty(centers.size)
+    for k, center in enumerate(centers):
+        found = eigvalsh_tridiagonal(diag, off, select="v",
+                                     select_range=(center - half,
+                                                   center + half))
+        if found.size != 1:
+            return None
+        levels[k] = found[0]
+    return levels
+
+
 def _doubled_grid_energies(p: SquidParams, g: FluxGrid, coarse: np.ndarray,
                            check_rtol: float):
     """Lowest ``coarse.size`` eigenvalues on the doubled grid, without
     eigenvectors, and the resolution floor eps * max|diag| there (J).
 
-    One value-range bisection over (lo, hi]: lo is the Gershgorin bound
-    min(diag) - 2 kin, below which no eigenvalue lies, so the values found
-    are certified to be the lowest ones; hi is the coarse top level plus
-    :data:`_BRACKET_MARGIN` of the coarse span.  The index-mode search, which
-    gives the same values as a full solve on that grid, runs instead when
-    the window holds too few values (a grid far from convergence) or when
-    the resulting shift lies within :data:`_UNDECIDED_BAND` resolutions of
-    ``check_rtol``, so the check passes and raises where it always has.
+    Each fine level is searched in its own narrow window centered on its
+    coarse level, of half-width ``check_rtol`` times the coarse span
+    E_top - E_0 and never less than :data:`_WINDOW_FLOORS` floors, and the
+    values found are certified to be the lowest ones (see
+    :func:`_window_levels`).  The index-mode search, which gives the same
+    values as a full solve on that grid, runs instead when the windows
+    cannot be certified (a grid far from convergence, or levels closer than
+    a window) or when the resulting shift lies within
+    :data:`_UNDECIDED_BAND` resolutions of ``check_rtol``, so the check
+    passes and raises where the index-mode search alone would.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
-    n_levels = coarse.size
-    diag, off, _ = _tridiagonal(p, g.doubled())
+    diag, off = _tridiagonal(p, g.doubled())[:2]
     floor = np.finfo(float).eps * np.max(np.abs(diag))
-    lo = diag.min() - 2.0 * abs(off[0])
-    hi = coarse[-1] + _BRACKET_MARGIN * (coarse[-1] - coarse[0])
-    fine = eigvalsh_tridiagonal(diag, off, select="v",
-                                select_range=(lo, hi))[:n_levels]
-    if fine.size == n_levels:
+    half = max(check_rtol * (coarse[-1] - coarse[0]), _WINDOW_FLOORS * floor)
+    fine = _window_levels(diag, off, coarse, half)
+    if fine is not None:
         shift, smallest = _transition_shift(coarse, fine)
         if abs(shift - check_rtol) > _UNDECIDED_BAND * floor / smallest:
             return fine, floor
     fine = eigvalsh_tridiagonal(diag, off, select="i",
-                                select_range=(0, n_levels - 1))
+                                select_range=(0, coarse.size - 1))
     return fine, floor
 
 
@@ -275,17 +307,22 @@ def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
     reproduce the transition energies on a doubled grid to ``check_rtol``
     relative; violations raise :class:`ResolutionError` with a diagnostic.
 
-    The check reads eigenvalues only: the doubled grid gets one bisection
-    over a certified window (see :func:`_doubled_grid_energies`), with no
-    eigenvectors, and falls back to the index-mode search when that window
-    holds too few levels or cannot decide.  It never changes the returned
-    structure.  Bisection resolves eigenvalues to about eps * max|diag|;
-    when that floor exceeds ``check_rtol`` times the smallest transition
-    (near the symmetric bias, where the 0-1 splitting collapses), the
-    error names that limit instead of advising more points.
+    The check reads eigenvalues only: each doubled-grid level gets one
+    bisection in a narrow window around its coarse level, with no
+    eigenvectors, and the window values are certified to be the lowest ones
+    (see :func:`_doubled_grid_energies`); the check falls back to the
+    index-mode search when that certification fails or the windows cannot
+    decide.  It never changes the returned structure.  Bisection resolves
+    eigenvalues to about eps * max|diag|; when that floor exceeds
+    ``check_rtol`` times the smallest transition (near the symmetric bias,
+    where the 0-1 splitting collapses), the error names that limit instead
+    of advising more points.  ``check_rtol`` must be finite and positive.
     """
     if not 1 <= n_levels <= 8:
         raise ValueError(f"n_levels must be in 1..8, got {n_levels}")
+    if not 0 < check_rtol < np.inf:
+        raise ValueError(
+            f"check_rtol must be finite and positive, got {check_rtol}")
     energies, vecs, phi, v_pot = _solve_grid(p, g, n_levels)
 
     top = energies[-1]

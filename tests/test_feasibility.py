@@ -22,6 +22,12 @@ def test_input_validation():
         assess(FeasibilityInput(1e8, 80.1e9, 1e-8, 1e-6), margin=0.0)
 
 
+@pytest.mark.parametrize("margin", [math.nan, math.inf, 0.0, -1.0])
+def test_assess_refuses_a_margin_that_is_not_finite_and_positive(margin):
+    with pytest.raises(ValueError, match="margin must be finite and positive"):
+        assess(FeasibilityInput(1e8, 80.1e9, 1e-8, 1e-6), margin=margin)
+
+
 def test_reference_scenario():
     # Q = 1e8 cavity at 80.1 GHz, 10 ns gates, 1 us auxiliary relaxation
     f = FeasibilityInput(q_factor=1e8, nu=80.1e9, t_op=1e-8, t_r=1e-6)

@@ -10,7 +10,8 @@ from squidqed.squid import (FluxGrid, LevelStructure, ResolutionError,
                             SquidParams, build_potential,
                             harmonic_scale_element, lambda_check, load_preset,
                             preset_path, solve)
-from squidqed.squid import _doubled_grid_energies, _solve_grid
+from squidqed.squid import (_WINDOW_FLOORS, _doubled_grid_energies,
+                            _solve_grid, _tridiagonal, _window_levels)
 
 
 def make_structure(omega_10, omega_20, e02, e12, params):
@@ -183,47 +184,185 @@ def _check_inputs():
         yield f"{name} 101", p, FluxGrid(g.center, g.half_width, 101)
 
 
+def _fine_reference(p, g, n_levels=3):
+    """Doubled-grid tridiagonal, its resolution floor, the index-mode
+    eigenvalues on it, and the check's window half-width at rtol 1e-6."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    coarse = _solve_grid(p, g, n_levels)[0]
+    diag, off, _ = _tridiagonal(p, g.doubled())
+    floor = np.finfo(float).eps * np.max(np.abs(diag))
+    index = eigvalsh_tridiagonal(diag, off, select="i",
+                                 select_range=(0, n_levels - 1))
+    half = max(1e-6 * (coarse[-1] - coarse[0]), _WINDOW_FLOORS * floor)
+    return coarse, diag, off, floor, index, half
+
+
 @pytest.fixture
 def search_modes(monkeypatch):
-    """Record the select mode of every eigenvalue-only tridiagonal search."""
+    """Record every eigenvalue-only tridiagonal search as "count" (a value
+    range searched with a tolerance as wide as the range), "window" (a value
+    range at full resolution) or "index"."""
     import scipy.linalg
 
     modes = []
     real = scipy.linalg.eigvalsh_tridiagonal
 
     def spy(*args, **kwargs):
-        modes.append(kwargs["select"])
+        if kwargs["select"] == "i":
+            modes.append("index")
+        else:
+            modes.append("count" if kwargs.get("tol") else "window")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
     return modes
 
 
+def _index_mode_decision(p, g, n_levels, rtol):
+    """Whether the check should raise, judged on the full index-mode solve
+    of the doubled grid with eigenvectors (the check's original reference),
+    and that solve's eigenvalues."""
+    coarse = _solve_grid(p, g, n_levels)[0]
+    ref_fine = _solve_grid(p, g.doubled(), n_levels)[0]
+    ref_tr = ref_fine[1:] - ref_fine[0]
+    ref_shift = np.max(np.abs(coarse[1:] - coarse[0] - ref_tr) / ref_tr)
+    return ref_shift > rtol, coarse, ref_fine
+
+
+def _assert_decides(p, g, n_levels, rtol, raises):
+    if raises:
+        with pytest.raises(ResolutionError, match="doubling"):
+            solve(p, g, n_levels, check_rtol=rtol)
+    else:
+        solve(p, g, n_levels, check_rtol=rtol)
+
+
 def test_doubled_grid_check_decides_like_the_index_mode_solve(search_modes):
-    # reference: the full index-mode solve on the doubled grid, with
-    # eigenvectors, that the check used before it read eigenvalues only
     rtol = 1e-6
     for label, p, g in _check_inputs():
-        coarse = _solve_grid(p, g, 3)[0]
-        ref_fine = _solve_grid(p, g.doubled(), 3)[0]
+        raises, coarse, ref_fine = _index_mode_decision(p, g, 3, rtol)
         ref_tr = ref_fine[1:] - ref_fine[0]
-        ref_shift = np.max(np.abs(coarse[1:] - coarse[0] - ref_tr) / ref_tr)
         search_modes.clear()
         fine, _ = _doubled_grid_energies(p, g, coarse, rtol)
         np.testing.assert_allclose(fine[1:] - fine[0], ref_tr, rtol=1e-7,
                                    err_msg=label)
-        assert search_modes[0] == "v", label
+        # a count, then the windows, and at most one index search, last
+        assert search_modes[0] in ("count", "index"), label
+        assert "index" not in search_modes[:-1], label
         if label == "ref15_like preset":
-            assert search_modes == ["v"]  # no index search when converged
+            # no index search when converged
+            assert search_modes == ["count"] + ["window"] * 3
         if label.endswith("101"):
-            assert search_modes == ["v", "i"], label  # the fallback ran
-        if search_modes[-1] == "i":
+            assert search_modes[-1] == "index", label  # the fallback ran
+        if search_modes[-1] == "index":
             np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
-        if ref_shift > rtol:
-            with pytest.raises(ResolutionError, match="doubling"):
-                solve(p, g, check_rtol=rtol)
-        else:
-            solve(p, g, check_rtol=rtol)
+        _assert_decides(p, g, 3, rtol, raises)
+
+
+def test_each_window_holds_one_value_near_the_index_mode_value():
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    for label, p, g in _check_inputs():
+        coarse, diag, off, floor, index, half = _fine_reference(p, g)
+        found = [eigvalsh_tridiagonal(diag, off, select="v",
+                                      select_range=(c - half, c + half))
+                 for c in coarse]
+        if label.endswith("101"):
+            # far from convergence every fine level leaves its window
+            assert [f.size for f in found] == [0, 0, 0], label
+            assert _window_levels(diag, off, coarse, half) is None, label
+            continue
+        assert [f.size for f in found] == [1, 1, 1], label
+        levels = _window_levels(diag, off, coarse, half)
+        assert np.array_equal(levels, np.concatenate(found)), label
+        assert np.max(np.abs(levels - index)) <= 2.0 * floor, label
+
+
+def test_a_window_miss_falls_back_to_the_index_mode_search(monkeypatch,
+                                                            search_modes):
+    import squidqed.squid as squid
+
+    real = squid._window_levels
+    monkeypatch.setattr(squid, "_window_levels",
+                        lambda diag, off, centers, half:
+                        real(diag, off, centers, 0.0))
+    rtol = 1e-6
+    for label, p, g in _check_inputs():
+        if label.endswith(("preset", "0.5098", "101")):
+            raises, coarse, ref_fine = _index_mode_decision(p, g, 3, rtol)
+            search_modes.clear()
+            fine, _ = _doubled_grid_energies(p, g, coarse, rtol)
+            assert search_modes[-1] == "index", label
+            np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
+            _assert_decides(p, g, 3, rtol, raises)
+
+
+@pytest.mark.parametrize("name", ["ref15_like", "harmonic"])
+@pytest.mark.parametrize("n_levels", [2, 5, 8])
+@pytest.mark.parametrize("points", [None, 2001])
+def test_level_counts_decide_like_the_index_mode_solve(name, n_levels,
+                                                       points):
+    p, g = load_preset(name)
+    if points is not None:  # too coarse: the check raises
+        g = FluxGrid(g.center, g.half_width, points)
+    rtol = 1e-6
+    raises, coarse, ref_fine = _index_mode_decision(p, g, n_levels, rtol)
+    fine, _ = _doubled_grid_energies(p, g, coarse, rtol)
+    ref_tr = ref_fine[1:] - ref_fine[0]
+    np.testing.assert_allclose(fine[1:] - fine[0], ref_tr, rtol=1e-7)
+    _assert_decides(p, g, n_levels, rtol, raises)
+
+
+def test_overlapping_windows_are_never_certified():
+    # two windows around level 1 each hold it alone, and the count up to the
+    # top edge finds two values (levels 0 and 1); only disjointness stops
+    # level 1 from being returned twice
+    p, g = load_preset("ref15_like")
+    _, diag, off, _, index, half = _fine_reference(p, g)
+    centers = index[1] + np.array([-0.5, 0.5]) * half
+    assert _window_levels(diag, off, centers, half) is None
+
+
+def test_converged_check_makes_one_lapack_call_per_level_and_one_count(
+        monkeypatch):
+    # every LAPACK routine the tridiagonal eigensolvers fetch is counted,
+    # so an index-mode or wide value search creeping back would show
+    import scipy.linalg._decomp as decomp
+
+    calls = []
+    real = decomp.get_lapack_funcs
+
+    def fetch(names, arrays=(), *args, **kwargs):
+        def counted(func):
+            def call(*a, **k):
+                calls.append((func.__name__, *a[2:5], a[7]))
+                return func(*a, **k)
+            return call
+        return tuple(counted(f) for f in real(names, arrays, *args, **kwargs))
+
+    p, g = load_preset("ref15_like")
+    for n_levels in (2, 3, 5):
+        coarse, _, _, _, _, half = _fine_reference(p, g, n_levels)
+        monkeypatch.setattr(decomp, "get_lapack_funcs", fetch)
+        calls.clear()
+        _doubled_grid_energies(p, g, coarse, 1e-6)
+        monkeypatch.undo()
+        assert len(calls) <= n_levels + 1, calls
+        # stebz(d, e, select, vl, vu, ..., tol): select 1 searches by value
+        # (2 by index); only the count may search more than one window,
+        # 2 * half wide up to the rounding of its edges
+        for name, select, vl, vu, tol in calls:
+            assert name.endswith("stebz") and select == 1, calls
+            assert tol > 0 or vu - vl < 2.01 * half, calls
+        assert sum(tol > 0 for *_, tol in calls) == 1, calls
+
+
+@pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_solve_refuses_a_check_rtol_that_is_not_finite_and_positive(rtol):
+    p, g = load_preset("harmonic")
+    with pytest.raises(ValueError, match="check_rtol"):
+        solve(p, g, check_rtol=rtol)
 
 
 def test_symmetric_point_refusal_names_the_resolution_floor():
