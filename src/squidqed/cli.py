@@ -2,9 +2,9 @@
 
 Four subcommands — spectrum, gate, scan, feasibility — each reading an
 optional flat JSON config (every physical key carries a unit suffix, e.g.
-``gamma_radps``, ``t_r_s``; unknown keys, and keys the chosen gate backend
-or scan kind never reads, are rejected) and writing
-delimited text files into the output directory.  Data files are
+``gamma_radps``, ``t_r_s``; unknown keys, keys the chosen gate backend
+or scan kind never reads, and ``--backend`` outside ``gate`` are rejected)
+and writing delimited text files into the output directory.  Data files are
 deterministic: identical config gives byte-identical bytes, every column
 header names its units, and the only header line carries the producing
 command and a hash of the effective config.  Run metadata that may vary
@@ -13,8 +13,9 @@ command and a hash of the effective config.  Run metadata that may vary
 Scans run in the calling process; ``--workers`` is accepted for
 compatibility only.
 
-Exit codes: 0 success, 1 physics-check failure (failed truth table,
-solver resolution error, all scan points failed), 2 usage or config error.
+Exit codes: 0 success, 1 physics-check failure (failed truth table or
+dispersive condition, solver resolution error, all scan points failed),
+2 usage or config error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -219,11 +219,10 @@ def _backend_params(args, cfg: dict) -> tuple[str, ExecutionParams]:
         _refuse_unread(cfg, _CAVITY_KEYS, f"gate --backend {args.backend}")
         return ("analytic" if args.backend == "analytic" else "hamiltonian",
                 ExecutionParams(rabi=rabi, **_given(cfg, gamma="gamma_radps")))
-    params = ExecutionParams(rabi=rabi, explicit_cavity=True, **_given(
-        cfg, g02="g02_radps", detuning="detuning_radps",
-        fock_cutoff="fock_cutoff"))
-    # explicit cavity: gamma is derived from (g02, detuning)
-    return "hamiltonian", replace(params, gamma=params.gamma_cavity)
+    return "hamiltonian", ExecutionParams(
+        rabi=rabi, explicit_cavity=True, **_given(
+            cfg, g02="g02_radps", detuning="detuning_radps",
+            fock_cutoff="fock_cutoff"))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +339,13 @@ def cmd_gate(args, raw_cfg: dict) -> int:
             failures.extend(chk.failures)
 
     # exact backends reach the ideal to roundoff; the cavity model may lose
-    # the leading single-channel leakage 4 (g02/detuning)^2 to photons
-    limit = (1e-9 if exact_backend
-             else 4.0 * params.gamma_cavity / params.detuning)
+    # the leading single-channel leakage 4 (g02/detuning)^2 to photons,
+    # which bounds nothing unless g02/detuning is small
+    limit = 1e-9 if exact_backend else 4.0 * params.gamma / params.detuning
+    ratio = params.g02 / params.detuning
+    if not exact_backend and ratio >= CONDITION_RATIO_MAX:
+        failures.append(f"dispersive condition g02/detuning = {ratio!r} "
+                        f"not below {CONDITION_RATIO_MAX}")
 
     if schedule.ideal_unitary is not None:
         u_sim = _propagator(trail[-1] for trail in trails.values())
@@ -408,6 +411,9 @@ def cmd_scan(args, raw_cfg: dict) -> int:
     grid = sorted(cfg.get("grid", default_grid), reverse=True)
     kwargs = _given(cfg, g02="g02_radps", detuning="detuning_radps",
                     fock_cutoff="fock_cutoff")
+    if "detuning" in kwargs:
+        # scan rwa's key is omega_c - omega_20, the library's is its negative
+        kwargs["detuning"] = -kwargs["detuning"]
     point = rwa_error_point if kind == "rwa" else dispersive_error_point
     rows = [_scan_point(point, r, kwargs) for r in grid]
 
@@ -506,9 +512,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="accepted for compatibility only; scans run "
                              "in the calling process")
-    parser.add_argument("--backend", default="analytic",
+    parser.add_argument("--backend", default=None,
                         choices=("analytic", "dispersive", "cavity"),
-                        help="gate execution backend")
+                        help="gate execution backend (default analytic); "
+                             "other commands refuse it")
     return parser
 
 
@@ -523,6 +530,11 @@ def main(argv=None) -> int:
     args.run_log = []  # lines a handler adds to run.log
     start = time.time()
     try:
+        if args.command == "gate":
+            args.backend = args.backend or "analytic"
+        elif args.backend is not None:
+            raise ConfigError(f"option '--backend' is not read by "
+                              f"'{args.command}'")
         raw_cfg = _load_config(args.config)
         code = handler(args, raw_cfg)
     except ConfigError as exc:
@@ -532,8 +544,9 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     # run metadata lives apart from the deterministic data files
-    head = (f"command={args.command} backend={args.backend} "
-            f"elapsed_s={time.time() - start:.3f}")
+    head = (f"command={args.command} "
+            + (f"backend={args.backend} " if args.backend else "")
+            + f"elapsed_s={time.time() - start:.3f}")
     _write(args.out, "run.log",
            "".join(ln + "\n" for ln in [head, *args.run_log]))
     return code

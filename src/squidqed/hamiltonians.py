@@ -4,11 +4,10 @@ Covers the truncated Fock operators of the cavity mode, the inductive
 loop-cavity coupling in the lab frame and in the interaction picture (with
 and without the rotating-wave reduction), the classical microwave drive
 (full and resonant forms), and the dispersive two-loop effective
-Hamiltonians that generate the gates.  Every loop-cavity generator, on
-one loop or two, comes from `loop_cavity_hamiltonian`.  The cavity backend
-(``ExecutionParams.detuning``) and gamma = g_02^2 / Delta use
-Delta = omega_20 - omega_c; the ``detuning`` attribute of the
-``h_int_*_factory`` closures is omega_c - omega_20.
+Hamiltonian that generates the gates.  Every loop-cavity generator, on
+one loop or two, comes from `loop_cavity_hamiltonian`.  Every detuning in
+the library is Delta = omega_20 - omega_c, signed, and gamma = g_02^2 /
+Delta.
 
 Unit convention: every builder returns an hbar-normalized generator in
 rad/s, so a propagator's phase is the generator times the time.
@@ -47,7 +46,6 @@ __all__ = [
     "h_drive_full_factory",
     "h_drive_rwa",
     "gamma_eff",
-    "h_eff_two_squid",
     "h_eff_vacuum",
 ]
 
@@ -203,8 +201,8 @@ def _unit(i: int, j: int) -> np.ndarray:
     return m
 
 
-#: Read-only loop operators: |0><2|, |2><0| and the projectors on |0>, |2>.
-_X02, _X20, _P0, _P2 = _unit(0, 2), _unit(2, 0), _unit(0, 0), _unit(2, 2)
+#: Read-only loop operators: |0><2|, |2><0| and the projector on |2>.
+_X02, _X20, _P2 = _unit(0, 2), _unit(2, 0), _unit(2, 2)
 
 
 def _on_loop(m3: np.ndarray, loop: int, dims) -> np.ndarray:
@@ -273,11 +271,11 @@ def h_int_full_factory(cs: CouplingSet, ls: LevelStructure, m: CavityMode):
     omega_c, weights g_00, g_11, g_22), the counter-rotating 0<->2 pair
     (phases at omega_c + omega_20) and the co-rotating 0<->2 pair (phases
     at omega_c - omega_20).  ``omega_max`` on the closure is
-    omega_c + omega_20; ``detuning`` is omega_c - omega_20.
+    omega_c + omega_20; ``detuning`` is omega_20 - omega_c.
     """
     h = _interaction_picture(cs, ls, m, rotating_wave=False)
     h.omega_max = m.omega_c + ls.omega_20
-    h.detuning = m.omega_c - ls.omega_20
+    h.detuning = ls.omega_20 - m.omega_c
     return h
 
 
@@ -286,12 +284,12 @@ def h_int_rwa_factory(cs: CouplingSet, ls: LevelStructure, m: CavityMode):
 
     Keeps the co-rotating 0<->2 pair alone, phases e^{+/- i (omega_c -
     omega_20) t}.  The closure records the reduction condition: attributes
-    ``detuning`` (omega_c - omega_20, rad/s), ``condition_ratio``
+    ``detuning`` (omega_20 - omega_c, rad/s), ``condition_ratio``
     (|detuning| / omega_c) and ``condition_ok`` (ratio below the module
     threshold).
     """
     h = _interaction_picture(cs, ls, m, rotating_wave=True)
-    wm = m.omega_c - ls.omega_20
+    wm = ls.omega_20 - m.omega_c
     h.omega_max = abs(wm)
     h.detuning = wm
     h.condition_ratio = abs(wm) / m.omega_c
@@ -342,7 +340,7 @@ def h_drive_rwa(d: DriveSpec, ls: LevelStructure) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# dispersive two-loop effective forms
+# dispersive two-loop effective form
 # ---------------------------------------------------------------------------
 
 def gamma_eff(g02: float, detuning: float) -> float:
@@ -352,36 +350,11 @@ def gamma_eff(g02: float, detuning: float) -> float:
     return g02 * g02 / detuning
 
 
-def _dispersive_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P0_a + P0_b, P2_a + P2_b, |2><0|_a |0><2|_b + h.c.) on the two
-    loops (9x9)."""
-    p0, p2 = (_on_loop(p, 0, (3, 3)) + _on_loop(p, 1, (3, 3))
-              for p in (_P0, _P2))
-    return p0, p2, np.kron(_X20, _X02) + np.kron(_X02, _X20)
-
-
-def h_eff_two_squid(cs: CouplingSet, detuning: float,
-                    m: CavityMode) -> Operator:
-    """Dispersive effective Hamiltonian on (loop_a, loop_b, cavity).
-
-    gamma * [ sum_m ( |2><2|_m a a_dag - |0><0|_m a_dag a ) + cross ] with
-    cross = |2><0|_a |0><2|_b + h.c. acting on the loops alone.  The
-    dispersive condition (|g_02| much smaller than the detuning) is the
-    caller's responsibility; `gamma_eff` gives the rate.
-    """
-    gam = gamma_eff(cs.g[0, 2], detuning)
-    n = m.fock_cutoff
-    a = fock_lowering(n)
-    p0, p2, cross = _dispersive_terms()
-    mat = (np.kron(p2, a @ a.conj().T) - np.kron(p0, a.conj().T @ a)
-           + np.kron(cross, np.eye(n)))
-    return Operator(gam * mat, (3, 3, n), hermitian_flag=True)
-
-
 def h_eff_vacuum(gamma: float) -> Operator:
     """Vacuum-projected dispersive Hamiltonian on the two loops (9x9):
     gamma * [ |2><2|_a + |2><2|_b + |2><0|_a |0><2|_b + h.c. ]."""
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    _, p2, cross = _dispersive_terms()
+    p2 = _on_loop(_P2, 0, (3, 3)) + _on_loop(_P2, 1, (3, 3))
+    cross = np.kron(_X20, _X02) + np.kron(_X02, _X20)
     return Operator(gamma * (p2 + cross), (3, 3), hermitian_flag=True)

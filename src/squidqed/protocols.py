@@ -285,14 +285,12 @@ SCHEDULE_BUILDERS = {
 class ExecutionParams:
     """Physical bindings for the Hamiltonian backends.
 
-    gamma is the dispersive rate (rad/s) used directly by the
-    vacuum-projected backend; the explicit-cavity backend instead derives
-    it as g02^2 / detuning, defaulting to the g02/detuning = 0.05 working
-    point.  detuning is Delta = omega_20 - omega_c, positive with the
-    cavity below the 0<->2 transition (the opposite sign to
-    ``h_int_*_factory.detuning``).  rabi sets the pulse amplitude;
-    rotations are exact exponentials, so its value does not affect the
-    resulting map.
+    gamma is the dispersive rate (rad/s) every backend times its waits by.
+    With ``explicit_cavity`` it is set to g02^2 / detuning, whatever was
+    passed; the defaults give the working point g02/detuning = 0.05.
+    detuning is Delta = omega_20 - omega_c, positive with the cavity below
+    the 0<->2 transition.  rabi sets the pulse amplitude; rotations are exact
+    exponentials, so its value does not affect the resulting map.
     """
 
     gamma: float = 1.0
@@ -303,18 +301,19 @@ class ExecutionParams:
     explicit_cavity: bool = False
 
     def __post_init__(self):
-        if not (0 < self.gamma < math.inf and 0 < self.rabi < math.inf):
-            raise ValueError("gamma and rabi must be finite and positive")
         if self.explicit_cavity:
             if not (0 < self.g02 < math.inf and 0 < self.detuning < math.inf):
                 raise ValueError("explicit cavity needs finite, positive g02 "
                                  "and detuning")
             if self.fock_cutoff < 2:
                 raise ValueError("fock_cutoff must be at least 2")
-
-    @property
-    def gamma_cavity(self) -> float:
-        return gamma_eff(self.g02, self.detuning)
+            gamma = gamma_eff(self.g02, self.detuning)
+            if not 0 < gamma < math.inf:
+                raise ValueError(f"explicit cavity rate g02^2/detuning = "
+                                 f"{gamma!r} is not finite and positive")
+            object.__setattr__(self, "gamma", gamma)
+        if not (0 < self.gamma < math.inf and 0 < self.rabi < math.inf):
+            raise ValueError("gamma and rabi must be finite and positive")
 
 
 def _pulse_generator(action: PulseAction, dims, rabi: float) -> np.ndarray:
@@ -373,14 +372,15 @@ def _step_unitary(step, backend: str, params: ExecutionParams,
                              hermitian_flag=True)
                 r = matexp_unitary(h, act.duration(params.rabi)).entries
             u = r @ u
-    elif params.explicit_cavity:
-        u = _cavity_dispersive_unitary(params,
-                                       step.duration(params.gamma_cavity))
     else:
         gam = params.gamma
         t = step.duration(gam)
-        u = (dispersive_map(gam, t) if backend == "analytic"
-             else matexp_unitary(h_eff_vacuum(gam), t)).entries
+        if params.explicit_cavity:
+            u = _cavity_dispersive_unitary(params, t)
+        elif backend == "analytic":
+            u = dispersive_map(gam, t).entries
+        else:
+            u = matexp_unitary(h_eff_vacuum(gam), t).entries
     u.setflags(write=False)
     return u
 

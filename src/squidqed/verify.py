@@ -351,16 +351,16 @@ def _scan(kind: str, ratio_list, point, meta: dict) -> ScanResult:
 
 
 def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
-                    detuning: float = TWO_PI * 1.0e8,
+                    detuning: float = -TWO_PI * 1.0e8,
                     fock_cutoff: int = 4) -> dict:
     """Error of the rotating-wave reduction at one detuning-to-carrier
-    ratio, at coupling g02 and detuning.
+    ratio, at coupling g02 and signed detuning Delta = omega_20 - omega_c.
 
-    The carrier is omega_c = detuning / ratio and the 0<->2 transition
-    sits at omega_c - detuning.  The probe (|0> + |2>)/sqrt(2) (x)
-    |vacuum> runs for one exchange period pi/|g_02|, rounded to a whole
-    number of carrier periods; the error is
-    1 - |<psi_rwa(T)|psi_full(T)>|^2.
+    The carrier is omega_c = |detuning| / ratio and the 0<->2 transition
+    sits at omega_c + detuning, on either side of the cavity; the default
+    puts it below.  The probe (|0> + |2>)/sqrt(2) (x) |vacuum> runs for
+    one exchange period pi/|g_02|, rounded to a whole number of carrier
+    periods; the error is 1 - |<psi_rwa(T)|psi_full(T)>|^2.
 
     Both models share the diagonal H0 of `loop_cavity_hamiltonian` (loop
     levels 0, omega_10, omega_20 plus omega_c per photon), so each is
@@ -372,9 +372,10 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
 
     Returns ``error``, ``peak`` (photon number), ``violation`` (top Fock
     level populated beyond `FOCK_VIOLATION_TOL`) and the reduction
-    condition |omega_c - omega_20| / omega_c as ``condition_ratio`` with
-    ``condition_ok``.  A carrier, probe time or carrier-period count that
-    is not finite raises ValueError.
+    condition |detuning| / omega_c as ``condition_ratio`` with
+    ``condition_ok``.  A zero detuning, a transition that is not positive
+    (ratio >= 1 below the cavity), or a carrier, probe time or
+    carrier-period count that is not finite, raises ValueError.
     """
     g = _PRESET_PATTERN * g02
     if g[0, 2] == 0.0:
@@ -383,10 +384,15 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
     t_exchange = math.pi / abs(float(g[0, 2]))
     if not math.isfinite(t_exchange):
         raise ValueError("probe time pi/|g_02| is not finite")
-    omega_c = detuning / ratio
+    if detuning == 0.0:
+        raise ValueError("zero detuning omega_20 - omega_c: the carrier "
+                         "|detuning| / ratio is zero")
+    omega_c = abs(detuning) / ratio
     if not math.isfinite(omega_c):
         raise ValueError("carrier omega_c = detuning / ratio is not finite")
-    omega_20 = omega_c - detuning
+    omega_20 = omega_c + detuning
+    if not omega_20 > 0.0:
+        raise ValueError("0<->2 transition omega_c + detuning is not positive")
     levels = (0.0, _PRESET_LEVEL_RATIO * omega_20, omega_20)
     carrier = TWO_PI / omega_c
     periods = t_exchange / carrier
@@ -404,7 +410,7 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
     w, v = np.linalg.eigh(loop_cavity_hamiltonian(
         levels, omega_c, g, fock_cutoff, rotating_wave=True))
     psi_rwa = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
-    condition = abs(omega_c - omega_20) / omega_c
+    condition = abs(omega_20 - omega_c) / omega_c
     return {"error": 1.0 - abs(np.vdot(psi_rwa, psi_full)) ** 2,
             "peak": peak_n, "violation": peak_top >= FOCK_VIOLATION_TOL,
             "condition_ratio": condition,
@@ -413,7 +419,7 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
 
 def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
                    g02: float = TWO_PI * 1.0e7, *,
-                   detuning: float = TWO_PI * 1.0e8,
+                   detuning: float = -TWO_PI * 1.0e8,
                    fock_cutoff: int = 4) -> ScanResult:
     """`rwa_error_point` over a list of detuning-to-carrier ratios, from
     coarse to fine.  ``meta`` holds g02, detuning and fock_cutoff, and each
@@ -466,14 +472,14 @@ def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
     inputs, so the inputs share its phase tables."""
     nfock = params.fock_cutoff
     w, v = _cavity_eigensystem(params.g02, params.detuning, nfock)
-    gam = params.gamma_cavity
     vacuum = np.eye(1, nfock, dtype=complex)[0]  # as `execute` builds it
     states = [np.kron(psi.amplitudes, vacuum) for psi in inputs]
     peak_n, peak_top = 0.0, 0.0
     for k, step in enumerate(schedule.steps):
         if not isinstance(step, AraStep):
             n, top = _sampled_photon_peaks(w, v, np.stack(states, axis=1),
-                                           step.duration(gam), nfock)
+                                           step.duration(params.gamma),
+                                           nfock)
             peak_n = max(peak_n, n)
             peak_top = max(peak_top, top)
         states = [trail[k].amplitudes for trail in intermediates]
@@ -510,7 +516,7 @@ def dispersive_error_point(ratio: float, *, fock_cutoff: int = 4) -> dict:
     sched = schedule_cps()
     p_cav = ExecutionParams(g02=float(ratio), detuning=1.0,
                             explicit_cavity=True, fock_cutoff=fock_cutoff)
-    p_vac = ExecutionParams(gamma=p_cav.gamma_cavity)
+    p_vac = ExecutionParams(gamma=p_cav.gamma)
 
     err = 0.0
     inputs, trails = [], []

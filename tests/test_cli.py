@@ -523,6 +523,32 @@ def test_cavity_gate_fails_on_the_opposite_dispersive_sign(tmp_path,
                for ln in summary.splitlines()), summary
 
 
+@pytest.mark.parametrize("schedule, g02", [("cps", 3.0), ("entangle", 0.9),
+                                           ("swap", 0.1)])
+def test_cavity_gate_fails_outside_the_dispersive_regime(tmp_path, schedule,
+                                                         g02):
+    # at g02/detuning >= 1/2 the leakage limit 4 (g02/detuning)^2 bounds
+    # nothing, so the regime itself is checked; the files are still written
+    assert run_cli(tmp_path, "gate", {"schedule": schedule, "g02_radps": g02,
+                                      "detuning_radps": 1.0},
+                   extra=["--backend", "cavity"]) == 1
+    summary = grab(tmp_path, "gate_summary.txt").splitlines()
+    assert "physics_checks FAIL" in summary
+    assert (f"failure dispersive condition g02/detuning = {g02!r} not below "
+            f"0.1") in summary
+    assert grab(tmp_path, "gate_states.csv").count("\n") > 2
+
+
+@pytest.mark.parametrize("command", ["spectrum", "scan", "feasibility"])
+@pytest.mark.parametrize("backend", ["analytic", "cavity"])
+def test_backend_is_refused_where_it_is_not_read(tmp_path, capsys, command,
+                                                 backend):
+    assert run_cli(tmp_path, command, {}, extra=["--backend", backend]) == 2
+    assert (f"option '--backend' is not read by '{command}'"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_cavity_gate_logs_an_ignored_gamma(tmp_path):
     rates = {"schedule": "cps", "g02_radps": 0.1, "detuning_radps": 2.0}
     given = tmp_path / "given"
@@ -679,8 +705,9 @@ def test_rwa_points_that_overflow_are_recorded_failures(tmp_path, cfg,
 @pytest.mark.parametrize("cfg, kind, want", [
     ({"scan_kind": "rwa"}, "rwa", {}),
     ({"scan_kind": "rwa", "g02_radps": 2.0e7}, "rwa", {"g02": 2.0e7}),
+    # the key is omega_c - omega_20; the library takes omega_20 - omega_c
     ({"scan_kind": "rwa", "detuning_radps": 3e8, "fock_cutoff": 5}, "rwa",
-     {"detuning": 3e8, "fock_cutoff": 5}),
+     {"detuning": -3e8, "fock_cutoff": 5}),
     ({}, "dispersive", {}),
     ({"fock_cutoff": 6}, "dispersive", {"fock_cutoff": 6}),
 ])
@@ -701,8 +728,6 @@ def test_scan_points_take_only_the_given_keys(tmp_path, monkeypatch, cfg,
 
 
 def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
-    from dataclasses import replace
-
     import squidqed.cli as cli
     from squidqed.protocols import ExecutionParams
 
@@ -723,8 +748,7 @@ def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
     assert run_cli(tmp_path / "c", "gate", {}, extra=["--backend",
                                                      "cavity"]) == 0
     assert run_cli(tmp_path / "s", "spectrum", {}) == 0
-    cavity = ExecutionParams(rabi=100.0, explicit_cavity=True)
     # the CLI's own default is the Rabi rate, which the library leaves at 1
     assert seen == ([ExecutionParams(rabi=100.0)] * 4
-                    + [replace(cavity, gamma=cavity.gamma_cavity)] * 4
+                    + [ExecutionParams(rabi=100.0, explicit_cavity=True)] * 4
                     + [{}])

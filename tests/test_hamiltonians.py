@@ -10,7 +10,7 @@ from squidqed.hamiltonians import (CavityMode, CouplingSet, DriveSpec,
                                    drive_from_structure, fock_lowering,
                                    fock_number, gamma_eff,
                                    h_drive_full_factory, h_drive_rwa,
-                                   h_eff_two_squid, h_eff_vacuum,
+                                   h_eff_vacuum,
                                    h_int_full_factory, h_int_rwa_factory,
                                    loop_cavity_hamiltonian,
                                    transition_frequency)
@@ -133,7 +133,7 @@ def test_interaction_full_term_structure():
     cs = CouplingSet(g=2 * np.pi * 1e7 * g)
     h = h_int_full_factory(cs, ls, m)
     assert h.omega_max == pytest.approx(m.omega_c + W20)
-    assert h.detuning == pytest.approx(m.omega_c - W20)
+    assert h.detuning == pytest.approx(W20 - m.omega_c)
 
     # t = 0: all phases are 1, so the matrix is (D + X)(a + a^dag) pieces
     a = fock_lowering(4)
@@ -216,6 +216,7 @@ def test_interaction_rwa_keeps_one_pair():
     # detuned: condition ratio recorded against the threshold
     m_det = CavityMode(omega_c=W20 + 2 * np.pi * 1.1e9, fock_cutoff=3)
     h2 = h_int_rwa_factory(cs, ls, m_det)
+    assert h2.detuning == pytest.approx(W20 - m_det.omega_c)
     assert h2.condition_ratio == pytest.approx(
         (m_det.omega_c - W20) / m_det.omega_c)
     assert h2.condition_ok  # ~1.4% detuning
@@ -264,18 +265,3 @@ def test_effective_vacuum_spectrum():
     # superposition and |2,2> at 2*gamma
     np.testing.assert_allclose(
         w, gam * np.array([0, 0, 0, 0, 0, 1, 1, 2, 2]), atol=1e-6)
-
-
-def test_effective_two_squid_vacuum_sector():
-    g = np.zeros((3, 3))
-    g[0, 2] = g[2, 0] = 2 * np.pi * 1e7
-    cs = CouplingSet(g=g)
-    det = 2 * np.pi * 2e8
-    n = 4
-    h = h_eff_two_squid(cs, det, CavityMode(omega_c=1.0, fock_cutoff=n))
-    assert h.dims == (3, 3, n)
-    gam = gamma_eff(g[0, 2], det)
-    # photon-vacuum block reproduces the 9x9 vacuum form
-    vac = np.ix_(np.arange(9) * n, np.arange(9) * n)
-    np.testing.assert_allclose(h.entries[vac], h_eff_vacuum(gam).entries,
-                               atol=1e-9)

@@ -202,11 +202,21 @@ def test_pulses_leave_cavity_untouched():
             assert abs(after - before) < 1e-8
 
 
-def test_gamma_cavity_property():
-    p = ExecutionParams(g02=0.05, detuning=1.0, explicit_cavity=True)
-    assert p.gamma_cavity == pytest.approx(0.0025)
-    with pytest.raises(ValueError):
+def test_explicit_cavity_sets_gamma():
+    # the explicit cavity times its waits by g02^2 / detuning, whatever
+    # gamma was passed
+    p = ExecutionParams(gamma=7.0, g02=0.05, detuning=1.0,
+                        explicit_cavity=True)
+    assert p.gamma == 0.05 * 0.05 / 1.0
+    assert p == ExecutionParams(g02=0.05, detuning=1.0, explicit_cavity=True)
+    assert ExecutionParams(gamma=7.0).gamma == 7.0
+    with pytest.raises(ValueError, match="gamma and rabi"):
         ExecutionParams(gamma=-1.0)
+    # a rate that underflows or overflows is refused by name
+    for g02, delta in ((1e-200, 1.0), (1e200, 1e-200)):
+        with pytest.raises(ValueError, match=r"g02\^2/detuning = .* is not "
+                                             r"finite and positive"):
+            ExecutionParams(g02=g02, detuning=delta, explicit_cavity=True)
 
 
 CAVITY = ExecutionParams(g02=0.05, detuning=1.0, fock_cutoff=4,
@@ -289,7 +299,7 @@ def test_cavity_vacuum_block_follows_the_dispersive_map():
     for ratio in (0.05, 0.025):
         params = ExecutionParams(g02=ratio, detuning=1.0, fock_cutoff=nfock,
                                  explicit_cavity=True)
-        gam = params.gamma_cavity
+        gam = params.gamma
         t = np.pi / (4.0 * gam)
         u = _cavity_dispersive_unitary(params, t)[np.ix_(vac, vac)]
         dev.append(np.max(np.abs(u - dispersive_map(gam, t).entries)))

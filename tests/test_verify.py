@@ -178,11 +178,46 @@ def test_rwa_scan_records_condition_and_refuses_zero_coupling():
 
 def test_rwa_point_refuses_values_that_overflow():
     with pytest.raises(ValueError, match="carrier omega_c"):
-        rwa_error_point(0.02, detuning=1e308)
+        rwa_error_point(0.02, detuning=-1e308)
     with pytest.raises(ValueError, match=r"probe time pi/\|g_02\| is not"):
         rwa_error_point(0.02, 1e-320)
     with pytest.raises(ValueError, match="in carrier periods"):
         rwa_error_point(0.5, 1e-300)
+
+
+def test_rwa_point_runs_on_both_sides_of_the_cavity(monkeypatch):
+    """The signed detuning omega_20 - omega_c puts the 0<->2 transition
+    above or below the carrier |detuning| / ratio; a zero detuning and a
+    transition at or below zero are refused."""
+    built = []
+    real = verify.loop_cavity_hamiltonian
+
+    def recorded(levels, omega_c, *args, **kwargs):
+        built.append((levels[2], omega_c))
+        return real(levels, omega_c, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "loop_cavity_hamiltonian", recorded)
+    ratio, delta = 0.1 / 40.1, TWO_PI * 1.0e8
+    below = rwa_error_point(ratio, detuning=-delta)
+    assert below == rwa_error_point(ratio)  # the default side
+    above = rwa_error_point(ratio, detuning=delta)
+    for (omega_20, omega_c), sign in zip(built[::2], (-1, -1, 1)):
+        assert omega_c == pytest.approx(delta / ratio, rel=1e-15)
+        assert omega_20 - omega_c == pytest.approx(sign * delta, rel=1e-6)
+    assert below["condition_ratio"] == pytest.approx(ratio, rel=1e-6)
+    assert above["condition_ratio"] == pytest.approx(ratio, rel=1e-6)
+    assert below["condition_ok"] and above["condition_ok"]
+    # the same reduction on either side, at slightly different frequencies
+    np.testing.assert_allclose([below["error"], above["error"]],
+                               [7.4649e-6, 7.4677e-6], rtol=1e-4)
+    with pytest.raises(ValueError, match="zero detuning omega_20 - omega_c"):
+        rwa_error_point(ratio, detuning=0.0)
+    # below the cavity a ratio of 1 or more would put omega_20 at or below 0
+    for r in (1.0, 2.0):
+        with pytest.raises(ValueError, match=r"transition omega_c \+ "
+                                             r"detuning is not positive"):
+            rwa_error_point(r)
+    assert rwa_error_point(2.0, detuning=delta)["condition_ok"] is False
 
 
 def test_scans_are_their_point_functions_over_the_grid():
@@ -191,8 +226,8 @@ def test_scans_are_their_point_functions_over_the_grid():
     cases = [
         (rwa_error_scan(), [rwa_error_point(r) for r in
                             coarse_first(verify.DEFAULT_RWA_RATIOS)]),
-        (rwa_error_scan(ratios, 1.1e7, detuning=3e8, fock_cutoff=5),
-         [rwa_error_point(r, 1.1e7, detuning=3e8, fock_cutoff=5)
+        (rwa_error_scan(ratios, 1.1e7, detuning=-3e8, fock_cutoff=5),
+         [rwa_error_point(r, 1.1e7, detuning=-3e8, fock_cutoff=5)
           for r in coarse_first(ratios)]),
         (dispersive_error_scan(), [dispersive_error_point(r) for r in
                                    verify.DEFAULT_DISPERSIVE_RATIOS]),
