@@ -8,7 +8,7 @@ and writing delimited text files into the output directory.  Data files are
 deterministic: identical config gives byte-identical bytes, every column
 header names its units, and the only header line carries the producing
 command and a hash of the effective config.  Run metadata that may vary
-(wall time, failed scan points, failed rotating-wave conditions, a
+(wall time, failed scan points, failed reduction conditions, a
 ``gamma_radps`` the cavity backend ignored) goes to a separate run.log.
 Scans run in the calling process; ``--workers`` is accepted for
 compatibility only.
@@ -446,7 +446,7 @@ def cmd_scan(args, raw_cfg: dict) -> int:
                          f"{r['failed']}\n")
             args.run_log.append(f"failed_point parameter="
                                 f"{_fmt(r['parameter'])} reason={r['failed']}")
-        elif not r.get("condition_ok", True):
+        elif not r["condition_ok"]:
             args.run_log.append(f"condition_failed parameter="
                                 f"{_fmt(r['parameter'])} ratio="
                                 f"{_fmt(r['condition_ratio'])} threshold="

@@ -119,14 +119,15 @@ class DispersiveStep:
         return float(self.duration_over_pi_gamma) * math.pi / gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateSchedule:
     """Named step sequence with optional declared ideal action.
 
     ``ideal_unitary`` (when set) acts on the two-qubit computational
     subspace, dims (2, 2); ``target_state`` (when set) is the declared
     output on dims (3, 3) for a state-preparation schedule started from
-    |0, 0>.
+    |0, 0>.  A schedule compares and hashes by identity, so `execute` can
+    look up all of its step propagators with one cheap key.
     """
 
     name: str
@@ -385,6 +386,26 @@ def _step_unitary(step, backend: str, params: ExecutionParams,
     return u
 
 
+@lru_cache(maxsize=64)
+def _schedule_unitaries(schedule: GateSchedule, backend: str,
+                        params: ExecutionParams, dims) -> tuple:
+    """The read-only propagators of a schedule's steps, in order, each built
+    by `_step_unitary`.  A schedule hashes by identity while a step hashes
+    its fractions, so a run resolves all of its steps with one cheap
+    lookup here."""
+    return tuple(_step_unitary(step, backend, params, dims)
+                 for step in schedule.steps)
+
+
+def _with_cavity_vacuum(amplitudes: np.ndarray, fock_cutoff: int
+                        ) -> np.ndarray:
+    """Two-loop amplitudes next to the cavity vacuum |0>, the first row of
+    an identity, on (loop_a, loop_b, cavity): the product `np.kron` forms,
+    bit for bit, without its overhead."""
+    return (amplitudes[:, None]
+            * np.eye(1, fock_cutoff, dtype=complex)).reshape(-1)
+
+
 def execute(schedule: GateSchedule, psi0: StateVector,
             backend: str = "analytic",
             params: ExecutionParams | None = None, *,
@@ -413,14 +434,12 @@ def execute(schedule: GateSchedule, psi0: StateVector,
     dims, vec = (3, 3), psi0.amplitudes
     if backend == "hamiltonian" and params.explicit_cavity:
         dims = (3, 3, params.fock_cutoff)
-        # next to the cavity vacuum |0>, the first row of an identity
-        vec = np.kron(vec, np.eye(1, params.fock_cutoff, dtype=complex)[0])
+        vec = _with_cavity_vacuum(vec, params.fock_cutoff)
 
     trail: list[StateVector] = []
     drift = abs(float(np.linalg.norm(vec)) - 1.0)
 
-    for step in schedule.steps:
-        u = _step_unitary(step, backend, params, dims)
+    for u in _schedule_unitaries(schedule, backend, params, dims):
         vec = u @ vec
         drift = max(drift, abs(float(np.linalg.norm(vec)) - 1.0))
         if record_intermediate:

@@ -8,6 +8,13 @@ reduction.  The dispersive scan does not: every default g/detuning point
 makes the dispersive wait a whole number of detuning periods, where the
 leading leakage term vanishes, so its error column reads one favourable
 sampling phase, not the envelope over the segment.
+
+Photon statistics are sampled at 512 evenly spaced times from a table of
+phases e^{-i w t} on the generator's eigenvalues w.  For an
+explicit-cavity segment the table depends only on (g02, detuning,
+fock_cutoff, segment length), so `_segment_phases` builds it once and
+every later run of that segment reads it; a rotating-wave point builds its
+own.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -23,8 +30,8 @@ from .constants import TWO_PI
 from .hamiltonians import CONDITION_RATIO_MAX, loop_cavity_hamiltonian
 from .hilbert import Operator, StateVector, basis_state
 from .protocols import (AraStep, ExecutionParams, GateSchedule, PulseAction,
-                        _cavity_eigensystem, execute, schedule_cps,
-                        schedule_swap, schedule_transfer)
+                        _cavity_eigensystem, _with_cavity_vacuum, execute,
+                        schedule_cps, schedule_swap, schedule_transfer)
 
 __all__ = [
     "TruthRow",
@@ -406,7 +413,8 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
     w, v = np.linalg.eigh(loop_cavity_hamiltonian(levels, omega_c, g,
                                                   fock_cutoff))
     psi_full = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
-    peak_n, peak_top = _sampled_photon_peaks(w, v, probe, t_end, fock_cutoff)
+    peak_n, peak_top = _sampled_photon_peaks(_phase_table(w, t_end), v,
+                                             probe, fock_cutoff)
     w, v = np.linalg.eigh(loop_cavity_hamiltonian(
         levels, omega_c, g, fock_cutoff, rotating_wave=True))
     psi_rwa = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
@@ -431,29 +439,51 @@ def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
                   "fock_cutoff": fock_cutoff})
 
 
-def _sampled_photon_peaks(w: np.ndarray, v: np.ndarray, vecs: np.ndarray,
-                          t_end: float, nfock: int, n_samples: int = 512
+def _phase_table(w: np.ndarray, t_end: float, n_samples: int = 512
+                 ) -> np.ndarray:
+    """Phases e^{-i w t}, one row per time of n_samples evenly spaced times
+    in [0, t_end], one column per eigenvalue in w."""
+    return np.exp(-1j * np.outer(np.linspace(0.0, t_end, n_samples), w))
+
+
+@lru_cache(maxsize=8)
+def _segment_phases(g02: float, detuning: float, fock_cutoff: int,
+                    t_end: float) -> np.ndarray:
+    """Read-only `_phase_table` of the explicit-cavity segment of length
+    t_end, on the eigenvalues of `_cavity_eigensystem`: it does not depend
+    on the states sampled, so each segment builds it once.  Its last row
+    is the e^{-i w t_end} of the segment propagator, bit for bit up to the
+    sign of a zero."""
+    w, _ = _cavity_eigensystem(g02, detuning, fock_cutoff)
+    phases = _phase_table(w, t_end)
+    phases.setflags(write=False)
+    return phases
+
+
+def _sampled_photon_peaks(phases: np.ndarray, v: np.ndarray,
+                          vecs: np.ndarray, nfock: int
                           ) -> tuple[float, float]:
     """Peak expected photon number and peak top-Fock-level population of
-    v e^{-i w t} v^dag vec, sampled at n_samples evenly spaced times in
-    [0, t_end], maximised over every column vec of the (dim x k) block
-    vecs (a 1-D vector is one column).  The states end in the cavity
-    factor, cavity index fast.  Each block of _SAMPLE_BLOCK times builds
-    its phase table e^{-i w t} once and applies it to every column, one
-    matrix product per column: rows e^{-i w t} (v^dag vec) times v^T.
-    Every column runs the same operations as a call with that column
-    alone, so the peaks are bit-identical to the maxima of k such calls."""
+    v e^{-i w t} v^dag vec at the times of a `_phase_table` ``phases``
+    (rows e^{-i w t}), maximised over every column vec of the (dim x k)
+    block vecs (a 1-D vector is one column).  The states end in the cavity
+    factor, cavity index fast.  The table comes from the caller: memoized
+    per segment by `_segment_phases` for cavity runs, built per point by
+    `rwa_error_point`.  Each block of _SAMPLE_BLOCK rows is applied to
+    every column, one matrix product per column: rows e^{-i w t}
+    (v^dag vec) times v^T.  Every column runs the same operations as a
+    call with that column alone, so the peaks are bit-identical to the
+    maxima of k such calls."""
     cols = np.ascontiguousarray(vecs.T if vecs.ndim == 2 else vecs[None])
     num_diag = np.tile(np.arange(nfock, dtype=float), cols.shape[1] // nfock)
     top_mask = num_diag == nfock - 1
     v_dag = v.conj().T
     coeffs = [v_dag @ col for col in cols]
-    times = np.linspace(0.0, t_end, n_samples)
     peak_n, peak_top = 0.0, 0.0
-    for start in range(0, n_samples, _SAMPLE_BLOCK):
-        phases = np.exp(-1j * np.outer(times[start:start + _SAMPLE_BLOCK], w))
+    for start in range(0, len(phases), _SAMPLE_BLOCK):
+        block = phases[start:start + _SAMPLE_BLOCK]
         for c in coeffs:
-            prob = np.abs((phases * c) @ v.T) ** 2
+            prob = np.abs((block * c) @ v.T) ** 2
             peak_n = max(peak_n, float((num_diag * prob).sum(axis=1).max()))
             peak_top = max(peak_top,
                            float(prob[:, top_mask].sum(axis=1).max()))
@@ -465,21 +495,22 @@ def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
     """Peak expected photon number and peak top-Fock-level population over
     finished explicit-cavity runs of one schedule, from their two-loop
     inputs and their recorded intermediates (one sequence per input, in
-    the same order).  Pulses leave the cavity alone, so only dispersive segments
-    are sampled, each from the states the runs start it in, on the
+    the same order).  Pulses leave the cavity alone, so only dispersive
+    segments are sampled, each from the states the runs start it in, on the
     eigensystem the segment propagator was built from.  The schedule is
     walked once: every segment is one sampler call on the block of all
-    inputs, so the inputs share its phase tables."""
+    inputs, with the segment's memoized `_segment_phases` table, so the
+    inputs, and every later run of the segment, share that table."""
     nfock = params.fock_cutoff
-    w, v = _cavity_eigensystem(params.g02, params.detuning, nfock)
-    vacuum = np.eye(1, nfock, dtype=complex)[0]  # as `execute` builds it
-    states = [np.kron(psi.amplitudes, vacuum) for psi in inputs]
+    _, v = _cavity_eigensystem(params.g02, params.detuning, nfock)
+    states = [_with_cavity_vacuum(psi.amplitudes, nfock) for psi in inputs]
     peak_n, peak_top = 0.0, 0.0
     for k, step in enumerate(schedule.steps):
         if not isinstance(step, AraStep):
-            n, top = _sampled_photon_peaks(w, v, np.stack(states, axis=1),
-                                           step.duration(params.gamma),
-                                           nfock)
+            phases = _segment_phases(params.g02, params.detuning, nfock,
+                                     step.duration(params.gamma))
+            n, top = _sampled_photon_peaks(phases, v,
+                                           np.stack(states, axis=1), nfock)
             peak_n = max(peak_n, n)
             peak_top = max(peak_top, top)
         states = [trail[k].amplitudes for trail in intermediates]
@@ -510,8 +541,11 @@ def dispersive_error_point(ratio: float, *, fock_cutoff: int = 4) -> dict:
     infidelity over the four inputs.  Photon statistics are sampled
     densely inside the dispersive segments, from the cavity runs already
     made, with one `_run_photon_peaks` call: the four inputs share each
-    segment's phase tables.  Returns ``error``, ``peak``, ``violation`` and
-    the controlled-phase ``gate_fidelity`` of the explicit-cavity run.
+    segment's phase tables.  Returns ``error``, ``peak``, ``violation``,
+    the controlled-phase ``gate_fidelity`` of the explicit-cavity run, and
+    the dispersive condition g02 / detuning as ``condition_ratio`` with
+    ``condition_ok`` (below `CONDITION_RATIO_MAX`, the threshold the
+    cavity backend of ``gate`` fails at).
     """
     sched = schedule_cps()
     p_cav = ExecutionParams(g02=float(ratio), detuning=1.0,
@@ -532,18 +566,22 @@ def dispersive_error_point(ratio: float, *, fock_cutoff: int = 4) -> dict:
         trails.append(res_c.intermediates)
 
     peak_n, peak_top = _run_photon_peaks(sched, p_cav, inputs, trails)
+    condition = p_cav.g02 / p_cav.detuning
     return {"error": err, "peak": peak_n,
             "violation": peak_top >= FOCK_VIOLATION_TOL,
             "gate_fidelity": gate_fidelity(
                 _propagator([t[-1] for t in trails]),
-                sched.ideal_unitary.entries, unitarity_tol=1.0)}
+                sched.ideal_unitary.entries, unitarity_tol=1.0),
+            "condition_ratio": condition,
+            "condition_ok": condition < CONDITION_RATIO_MAX}
 
 
 def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
                           fock_cutoff: int = 4) -> ScanResult:
     """`dispersive_error_point` over a list of coupling-to-detuning ratios,
-    from coarse to fine.  ``meta["gate_fidelity"]`` holds each point's
-    controlled-phase gate fidelity."""
+    from coarse to fine.  ``meta`` holds each point's controlled-phase
+    ``gate_fidelity`` and its dispersive condition (``condition_ratio``,
+    ``condition_ok``)."""
     return _scan("dispersive", g_over_delta_list,
                  partial(dispersive_error_point, fock_cutoff=fock_cutoff),
                  {"fock_cutoff": fock_cutoff})

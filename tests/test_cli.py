@@ -302,9 +302,29 @@ def test_scan_failures_are_written_to_run_log(tmp_path, monkeypatch):
 
 
 def test_run_log_has_one_line_when_no_point_fails(tmp_path):
-    cfg = {"scan_kind": "dispersive", "grid": [0.1]}
+    # 0.05: inside the dispersive condition (0.1 fails it, see below)
+    cfg = {"scan_kind": "dispersive", "grid": [0.05]}
     assert run_cli(tmp_path, "scan", cfg, extra=["--workers", "1"]) == 0
     assert len(grab(tmp_path, "run.log").splitlines()) == 1
+
+
+def test_dispersive_condition_failures_agree_with_the_cavity_gate(tmp_path):
+    scan = tmp_path / "scan"
+    assert run_cli(scan, "scan", {}) == 0
+    assert grab(scan, "run.log").splitlines()[1:] == [
+        "condition_failed parameter=1.000000000000e-01 "
+        "ratio=1.000000000000e-01 threshold=1.000000000000e-01"]
+    assert "failed" not in grab(scan, "scan.csv")
+    # the cavity gate fails at the scan's flagged point and passes at the
+    # next one
+    for ratio, code in ((0.1, 1), (0.05, 0)):
+        gate = tmp_path / f"gate{ratio}"
+        cfg = {"schedule": "cps", "g02_radps": ratio, "detuning_radps": 1.0}
+        assert run_cli(gate, "gate", cfg,
+                       extra=["--backend", "cavity"]) == code
+        failed = "failure dispersive condition" in grab(gate,
+                                                        "gate_summary.txt")
+        assert failed == (code == 1)
 
 
 def test_rwa_condition_failures_are_written_to_run_log(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from squidqed import protocols
 from squidqed.hamiltonians import h_eff_vacuum
 from squidqed.hilbert import StateVector, basis_state, matexp_unitary
 from squidqed.protocols import (AraStep, DispersiveStep, ExecutionParams,
@@ -14,7 +15,8 @@ from squidqed.protocols import (AraStep, DispersiveStep, ExecutionParams,
                                 schedule_cps, schedule_entanglement,
                                 schedule_swap, schedule_transfer,
                                 simultaneous, _cavity_dispersive_unitary,
-                                _cavity_eigensystem, _step_unitary)
+                                _cavity_eigensystem, _schedule_unitaries,
+                                _step_unitary, _with_cavity_vacuum)
 
 COMP = (0, 1, 3, 4)  # |00>, |01>, |10>, |11> on the 9-dim two-loop space
 
@@ -243,11 +245,16 @@ def test_execute_unchanged_by_cache_clear():
                       / np.linalg.norm(np.arange(1, 10)), (3, 3))
     for backend, params, _ in BACKENDS:
         for build in SCHEDULE_BUILDERS.values():
+            # one schedule object, so the warm run hits the per-schedule
+            # lookup as well as the per-step propagators
+            sched = build()
+
             def run():
-                return execute(build(), psi, backend, params,
+                return execute(sched, psi, backend, params,
                                record_intermediate=True)
             run()  # fills the caches
             warm = run()
+            _schedule_unitaries.cache_clear()
             _step_unitary.cache_clear()
             _cavity_eigensystem.cache_clear()
             cold = run()
@@ -255,6 +262,48 @@ def test_execute_unchanged_by_cache_clear():
                                           cold.final_state.amplitudes)
             for a, b in zip(warm.intermediates, cold.intermediates):
                 np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+
+
+def test_warm_execute_resolves_its_schedule_with_one_lookup(monkeypatch):
+    psi = basis_state((3, 3), (1, 1))
+    for backend, params, dims in BACKENDS:
+        for build in SCHEDULE_BUILDERS.values():
+            sched = build()
+            first = execute(sched, psi, backend, params)
+            calls = []
+
+            def counted(*args):
+                calls.append(args)
+                return _step_unitary(*args)
+
+            monkeypatch.setattr(protocols, "_step_unitary", counted)
+            again = execute(sched, psi, backend, params)
+            monkeypatch.undo()
+            assert calls == [], (sched.name, backend, dims)
+            np.testing.assert_array_equal(again.final_state.amplitudes,
+                                          first.final_state.amplitudes)
+            # the lookup hands out the one cached propagator of each step
+            units = _schedule_unitaries(sched, backend, params, dims)
+            assert all(u is _step_unitary(step, backend, params, dims)
+                       for u, step in zip(units, sched.steps))
+
+
+def test_cavity_vacuum_embedding_is_the_kron_product_bit_for_bit():
+    # signed zeros, infinities and NaNs included: the helper must run the
+    # same complex products as np.kron, not merely equal values
+    rng = np.random.default_rng(3)
+    parts = np.array([0.0, -0.0, 1.0, -1.0, 0.3, -2.5, np.inf, -np.inf,
+                      np.nan, 5e-324, -5e-324])
+    for nfock in (2, 4, 8):
+        vacuum = np.eye(1, nfock, dtype=complex)[0]
+        for _ in range(200):
+            amps = np.array([complex(re, im) for re, im in
+                             zip(rng.choice(parts, 9), rng.choice(parts, 9))])
+            with np.errstate(invalid="ignore"):
+                want = np.kron(amps, vacuum)
+                got = _with_cavity_vacuum(amps, nfock)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (nfock, amps)
 
 
 def _lab_frame_rwa(omega_c, delta, g02, omega_10, nfock):

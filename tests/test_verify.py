@@ -1,12 +1,14 @@
 """Verification layer: fidelity/concurrence metrics, truth tables with a
 negative control, and the two reduction-error scans."""
 
+import sys
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 
-from squidqed import verify
+from squidqed import protocols, verify
 from squidqed.constants import HBAR, TWO_PI
 from squidqed.dynamics import evolve_timedep, max_step_for
 from squidqed.hamiltonians import (CavityMode, CouplingSet,
@@ -25,7 +27,7 @@ from squidqed.verify import (ScanResult, TruthTable, check_truth_table,
                              rwa_error_point, rwa_error_scan, truth_table_cps,
                              truth_table_swap, truth_table_transfer,
                              _PRESET_LEVEL_RATIO, _PRESET_PATTERN,
-                             _sampled_photon_peaks)
+                             _phase_table, _sampled_photon_peaks)
 
 
 def test_gate_fidelity_basics():
@@ -237,11 +239,16 @@ def test_scans_are_their_point_functions_over_the_grid():
         assert np.array_equal(scan.error, cols.pop("error"))
         assert np.array_equal(scan.peak_photon_population, cols.pop("peak"))
         assert np.array_equal(scan.fock_violation, cols.pop("violation"))
-        assert set(cols) == ({"gate_fidelity"} if scan.kind == "dispersive"
+        assert set(cols) == ({"gate_fidelity", "condition_ratio",
+                              "condition_ok"} if scan.kind == "dispersive"
                              else {"condition_ratio", "condition_ok"})
         for key, col in cols.items():
             assert np.array_equal(scan.meta[key], col), key
     assert cases[1][0].meta["condition_ok"].tolist() == [False, True, True]
+    # g02/detuning = 0.1 is where the cavity backend of `gate` fails
+    assert cases[2][0].meta["condition_ok"].tolist() == [False, True, True]
+    assert np.array_equal(cases[2][0].meta["condition_ratio"],
+                          cases[2][0].parameter)
 
 
 def test_stored_coupling_pattern_matches_the_preset_solve():
@@ -352,8 +359,8 @@ def test_blocked_photon_sampling_matches_per_sample_loop():
                     ref_n = max(ref_n, float(np.sum(num * prob)))
                     ref_top = max(ref_top,
                                   float(np.sum(prob[num == nfock - 1])))
-                got = _sampled_photon_peaks(w, v, vec, t_end, nfock,
-                                            n_samples)
+                got = _sampled_photon_peaks(
+                    _phase_table(w, t_end, n_samples), v, vec, nfock)
                 np.testing.assert_allclose(
                     got, (ref_n, ref_top), rtol=1e-13,
                     err_msg=f"dim {dim}, t_end {t_end}, {n_samples} samples")
@@ -368,11 +375,11 @@ def test_block_photon_sampling_is_bitwise_k_single_column_calls():
         block /= np.linalg.norm(block, axis=0)
         for k in range(1, 5):
             for n_samples in (512, 100):
-                single = [_sampled_photon_peaks(w, v, block[:, j].copy(),
-                                                3.7, nfock, n_samples)
+                phases = _phase_table(w, 3.7, n_samples)
+                single = [_sampled_photon_peaks(phases, v, block[:, j].copy(),
+                                                nfock)
                           for j in range(k)]
-                got = _sampled_photon_peaks(w, v, block[:, :k], 3.7, nfock,
-                                            n_samples)
+                got = _sampled_photon_peaks(phases, v, block[:, :k], nfock)
                 assert got == tuple(map(max, zip(*single))), (dim, k,
                                                               n_samples)
 
@@ -413,3 +420,90 @@ def test_dispersive_scan_samples_each_segment_once_per_ratio(monkeypatch):
     dispersive_error_scan()
     # one controlled-phase wait per ratio, all four inputs in one block
     assert blocks == [(36, 4)] * 3
+
+
+def _clear_package_caches() -> list[str]:
+    """Empty every memo of the package, as a fresh process starts, and
+    name the memos emptied."""
+    cleared = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("squidqed"):
+            for obj in vars(module).values():
+                if (hasattr(obj, "cache_clear")
+                        and getattr(obj, "__module__", None) == name):
+                    obj.cache_clear()
+                    cleared.append(obj.__name__)
+    return cleared
+
+
+def test_photon_peaks_unchanged_by_clearing_every_cache():
+    rng = np.random.default_rng(17)
+    amps = rng.normal(size=9) + 1j * rng.normal(size=9)
+    psi = StateVector(amps / np.linalg.norm(amps), (3, 3))
+
+    def runs():
+        out = [photon_excursion(build(), ExecutionParams(
+                   g02=0.05, detuning=1.0, fock_cutoff=nfock,
+                   explicit_cavity=True), psi)
+               for build in (schedule_cps, schedule_swap)
+               for nfock in (4, 8)]
+        return out, dispersive_error_point(0.05)
+
+    runs()  # fills the caches
+    warm = runs()
+    cleared = _clear_package_caches()
+    assert {"_cavity_eigensystem", "_step_unitary", "_schedule_unitaries",
+            "_segment_phases"} <= set(cleared), cleared
+    assert verify._segment_phases.cache_info().currsize == 0
+    cold = runs()
+    assert cold == warm
+
+
+def test_segment_phase_tables_are_read_only_and_end_on_the_propagator():
+    nfock = 4
+    for g02 in (0.1, 0.05, 0.025, 0.0125):
+        params = ExecutionParams(g02=g02, detuning=1.0, fock_cutoff=nfock,
+                                 explicit_cavity=True)
+        w, v = protocols._cavity_eigensystem(g02, 1.0, nfock)
+        for frac in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
+            t = protocols.DispersiveStep(frac).duration(params.gamma)
+            table = verify._segment_phases(g02, 1.0, nfock, t)
+            assert table.shape == (512, 9 * nfock)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+            assert verify._segment_phases(g02, 1.0, nfock, t) is table
+            # bit for bit once the sign of zero is dropped (+ 0.0): at the
+            # eigenvalue w = 0 the two products leave +0 and -0 imaginary
+            last = np.exp(-1j * w * t)
+            assert ((table[-1] + 0.0).tobytes()
+                    == (last + 0.0).tobytes()), (g02, frac)
+            # the segment propagator, rebuilt from the table's last row
+            frame = np.exp(-1j * 1.0 * np.arange(nfock) * t)
+            rebuilt = (np.kron(np.ones(9), frame)[:, None]
+                       * ((v * table[-1]) @ v.conj().T))
+            assert (rebuilt.tobytes()
+                    == protocols._cavity_dispersive_unitary(params,
+                                                            t).tobytes())
+
+
+def test_warm_dispersive_scan_builds_no_table_and_no_propagator(monkeypatch):
+    # every phase table goes through `_phase_table` and every propagator
+    # through `_step_unitary`, so a repeat that rebuilt either would show
+    first = dispersive_error_scan()
+    builds = []
+    real = verify._phase_table
+
+    def counted(*args):
+        builds.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_phase_table", counted)
+    misses = {f: f.cache_info().misses for f in (
+        protocols._step_unitary, protocols._cavity_eigensystem,
+        verify._segment_phases)}
+    again = dispersive_error_scan()
+    assert builds == []
+    assert {f: f.cache_info().misses for f in misses} == misses
+    for name in ("error", "peak_photon_population", "fock_violation"):
+        assert np.array_equal(getattr(again, name), getattr(first, name))
