@@ -13,9 +13,16 @@ command and a hash of the effective config.  Run metadata that may vary
 Scans run in the calling process; ``--workers`` is accepted for
 compatibility only.
 
+``gate`` runs the computational inputs of a schedule as one block (for
+``transfer``, those with loop b in |0>), and its states file and every
+check read that block.
+
 Exit codes: 0 success, 1 physics-check failure (failed truth table or
-dispersive condition, solver resolution error, all scan points failed),
-2 usage or config error.
+dispersive condition, a fidelity below its bound or NaN, solver resolution
+error, all scan points failed), 2 usage or config error, or an input the
+library refuses by name before any data file is written: a rate whose
+step length or total gate time is not finite, a feasibility budget whose
+derived quantity is not finite and positive.
 """
 
 from __future__ import annotations
@@ -33,15 +40,15 @@ import numpy as np
 from .constants import HBAR, TWO_PI
 from .feasibility import FeasibilityInput, assess, gate_time_estimate
 from .hamiltonians import CONDITION_RATIO_MAX
-from .hilbert import StateVector, basis_state, fidelity_up_to_global_phase
-from .protocols import ExecutionParams, SCHEDULE_BUILDERS, execute
+from .hilbert import StateVector, fidelity_up_to_global_phase
+from .protocols import ExecutionParams, SCHEDULE_BUILDERS, _run_block
 from .squid import (PRESET_KEYS, ResolutionError, lambda_check, load_preset,
                     params_from_keys, solve)
-from .verify import (_BASIS, DEFAULT_DISPERSIVE_RATIOS, DEFAULT_RWA_RATIOS,
-                     _compare_truth_table, _loop_amplitudes, _propagator,
-                     _run_photon_peaks, concurrence, dispersive_error_point,
-                     gate_fidelity, rwa_error_point, truth_table_cps,
-                     truth_table_swap, truth_table_transfer)
+from .verify import (_BASIS, _BASIS_ROWS, _COMP, DEFAULT_DISPERSIVE_RATIOS,
+                     DEFAULT_RWA_RATIOS, _compare_truth_table,
+                     _loop_amplitudes, _run_photon_peaks, concurrence,
+                     dispersive_error_point, gate_fidelity, rwa_error_point,
+                     truth_table_cps, truth_table_swap, truth_table_transfer)
 
 __all__ = ["main"]
 
@@ -302,26 +309,26 @@ def cmd_gate(args, raw_cfg: dict) -> int:
         args.run_log.append(f"ignored_key "
                             f"gamma_radps={_fmt(cfg['gamma_radps'])} "
                             f"used_gamma_radps={_fmt(params.gamma)}")
+    # refuses rates that make a step length overflow before any file is
+    # written
+    t_gate = gate_time_estimate(params.gamma, schedule, params.rabi)
 
-    # one run per computational input: its per-step states go to the
-    # states file, and every check below reads the same runs
+    # one block of the computational inputs (transfer needs loop b in |0>):
+    # its per-step states go to the states file, and every check below
+    # reads the same runs, rows in `_BASIS` order like the truth tables
+    rows = [k for k, (_, ab) in enumerate(_BASIS)
+            if name != "transfer" or ab[1] == 0]
+    runs = _run_block(schedule, _BASIS_ROWS[rows], backend, params)
+    loops = _loop_amplitudes(runs)
     lines = [head,
              "input_label,step_index,loop_a_level,loop_b_level,"
              "amplitude_real_dimensionless,amplitude_imag_dimensionless\n"]
-    inputs, trails = [], {}
-    for label, ab in _BASIS:
-        if name == "transfer" and ab[1] != 0:
-            continue  # loop b must start in |0>
-        psi = basis_state((3, 3), ab)
-        res = execute(schedule, psi, backend, params,
-                      record_intermediate=True)
-        inputs.append(psi)
-        trails[label] = res.intermediates
-        for k, state in enumerate(res.intermediates):
-            for idx, amp in enumerate(_loop_amplitudes(state)):
+    for r, trail in zip(rows, loops):
+        for k, state in enumerate(trail[1:]):
+            for idx, amp in enumerate(state):
                 if abs(amp) < 1e-14:
                     continue
-                lines.append(f"{label},{k + 1},{idx // 3},{idx % 3},"
+                lines.append(f"{_BASIS[r][0]},{k + 1},{idx // 3},{idx % 3},"
                              f"{_fmt(amp.real)},{_fmt(amp.imag)}\n")
     _write(args.out, "gate_states.csv", "".join(lines))
 
@@ -331,7 +338,7 @@ def cmd_gate(args, raw_cfg: dict) -> int:
                f"backend {args.backend}\n"]
 
     if name in _TRUTH_TABLES and exact_backend:
-        chk = _compare_truth_table(_TRUTH_TABLES[name](), trails)
+        chk = _compare_truth_table(_TRUTH_TABLES[name](), loops)
         summary.append(f"truth_table {'pass' if chk.ok else 'FAIL'}\n")
         summary.append(f"truth_table_max_deviation_dimensionless "
                        f"{_fmt(chk.max_deviation)}\n")
@@ -348,35 +355,33 @@ def cmd_gate(args, raw_cfg: dict) -> int:
                         f"not below {CONDITION_RATIO_MAX}")
 
     if schedule.ideal_unitary is not None:
-        u_sim = _propagator(trail[-1] for trail in trails.values())
         tol = 1e-8 if exact_backend else 1.0
-        fid = gate_fidelity(u_sim, schedule.ideal_unitary, unitarity_tol=tol)
+        fid = gate_fidelity(loops[:, -1, _COMP].T,
+                            schedule.ideal_unitary, unitarity_tol=tol)
         summary.append(f"gate_fidelity_dimensionless {_fmt(fid)}\n")
-        if fid < 1.0 - limit:
+        if not fid >= 1.0 - limit:  # NaN fails too
             failures.append(f"gate fidelity {fid!r} below 1 - {limit:.3e}")
 
     if schedule.target_state is not None:
-        amps = _loop_amplitudes(trails["|00>"][-1])
+        amps = loops[0, -1]  # |00>
         final = StateVector(amps / np.linalg.norm(amps), (3, 3))
         fid = fidelity_up_to_global_phase(final, schedule.target_state)
         conc = concurrence(final, support_tol=1e-6)
         summary.append(f"target_state_fidelity_dimensionless {_fmt(fid)}\n")
         summary.append(f"concurrence_dimensionless {_fmt(conc)}\n")
-        if fid < 1.0 - limit:
+        if not fid >= 1.0 - limit:
             failures.append(f"target state fidelity {fid!r} below "
                             f"1 - {limit:.3e}")
-        if exact_backend and abs(conc - 1.0) > 1e-9:
+        if exact_backend and not abs(conc - 1.0) <= 1e-9:
             failures.append(f"concurrence {conc!r} is not 1")
 
     if args.backend == "cavity":
-        peak_n, peak_top = _run_photon_peaks(schedule, params, inputs,
-                                             trails.values())
+        peak_n, peak_top = _run_photon_peaks(schedule, params, runs)
         summary.append(f"peak_photon_population_dimensionless "
                        f"{_fmt(peak_n)}\n")
         summary.append(f"top_fock_population_dimensionless "
                        f"{_fmt(peak_top)}\n")
 
-    t_gate = gate_time_estimate(params.gamma, schedule, params.rabi)
     summary.append(f"total_gate_time_s {_fmt(t_gate)}\n")
     summary.append(f"physics_checks {'pass' if not failures else 'FAIL'}\n")
     for f in failures:

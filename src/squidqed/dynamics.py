@@ -41,7 +41,8 @@ class EvolutionResult:
     """Outcome of one evolution call.
 
     ``max_norm_drift`` is the largest |norm - 1| observed over the whole
-    run; ``propagator`` (`evolve_timedep` only) and ``intermediates`` are
+    run, and a drift above `NORM_DRIFT_MAX` or NaN rejects the result;
+    ``propagator`` (`evolve_timedep` only) and ``intermediates`` are
     populated only on request.
     """
 
@@ -52,7 +53,7 @@ class EvolutionResult:
     intermediates: tuple[StateVector, ...] | None = None
 
     def __post_init__(self):
-        if self.max_norm_drift > NORM_DRIFT_MAX:
+        if not self.max_norm_drift <= NORM_DRIFT_MAX:  # NaN fails too
             raise RuntimeError(
                 f"norm drift {self.max_norm_drift:.3e} exceeds "
                 f"{NORM_DRIFT_MAX:.0e}; result rejected")

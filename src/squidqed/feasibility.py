@@ -76,21 +76,34 @@ class FeasibilityReport:
 
 def assess(f: FeasibilityInput, margin: float = DEFAULT_MARGIN
            ) -> FeasibilityReport:
-    """Evaluate the decoherence budget; passes iff Q >= margin * q_min."""
+    """Evaluate the decoherence budget; passes iff Q >= margin * q_min.
+
+    A derived quantity that overflows or underflows (not finite and
+    positive) raises ValueError naming it.
+    """
     if not 0 < margin < math.inf:
         raise ValueError("margin must be finite and positive")
-    t_c = f.q_factor / (TWO_PI * f.nu)
-    p = f.t_op / f.t_r
-    q_min = TWO_PI * f.nu * f.t_op
+    t_c = _derived("T_c", f.q_factor / (TWO_PI * f.nu))
+    p = _derived("P", f.t_op / f.t_r)
+    q_min = _derived("q_min", TWO_PI * f.nu * f.t_op)
     return FeasibilityReport(
         T_c=t_c,
         P=p,
-        effective_decay=t_c / p,
+        effective_decay=_derived("effective_decay", t_c / p),
         q_min=q_min,
         margin=margin,
-        margin_achieved=f.q_factor / q_min,
+        margin_achieved=_derived("margin_achieved", f.q_factor / q_min),
         ok=f.q_factor >= margin * q_min,
     )
+
+
+def _derived(name: str, value: float) -> float:
+    """A derived budget quantity, refused by name unless it is finite and
+    positive: extreme inputs can overflow or underflow it."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"derived {name} = {value!r} is not finite and "
+                         f"positive")
+    return value
 
 
 def gate_time_estimate(gamma: float, schedule: GateSchedule,
@@ -109,4 +122,7 @@ def gate_time_estimate(gamma: float, schedule: GateSchedule,
             total += step.duration(gamma)
         else:
             total += max(a.duration(rabi) for a in step.actions)
+    if not math.isfinite(total):
+        raise ValueError(f"total gate time of schedule {schedule.name!r} "
+                         f"is not finite")
     return total

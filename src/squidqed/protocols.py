@@ -77,8 +77,13 @@ class PulseAction:
         return float(self.theta_over_pi) * math.pi
 
     def duration(self, rabi: float) -> float:
-        """Length of the rotation (s) at Rabi rate rabi (rad/s)."""
-        return self.theta / (2.0 * rabi)
+        """Length of the rotation (s) at Rabi rate rabi (rad/s); a length
+        that is not finite raises ValueError."""
+        t = self.theta / (2.0 * rabi)
+        if not math.isfinite(t):
+            raise ValueError(f"rotation length theta / (2 rabi) at rabi = "
+                             f"{rabi!r} rad/s is not finite")
+        return t
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,13 @@ class DispersiveStep:
         object.__setattr__(self, "duration_over_pi_gamma", frac)
 
     def duration(self, gamma: float) -> float:
-        """Length of the segment (s) at dispersive rate gamma (rad/s)."""
-        return float(self.duration_over_pi_gamma) * math.pi / gamma
+        """Length of the segment (s) at dispersive rate gamma (rad/s); a
+        length that is not finite raises ValueError."""
+        t = float(self.duration_over_pi_gamma) * math.pi / gamma
+        if not math.isfinite(t):
+            raise ValueError(f"dispersive segment length at gamma = "
+                             f"{gamma!r} rad/s is not finite")
+        return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,18 +409,48 @@ def _schedule_unitaries(schedule: GateSchedule, backend: str,
 
 def _with_cavity_vacuum(amplitudes: np.ndarray, fock_cutoff: int
                         ) -> np.ndarray:
-    """Two-loop amplitudes next to the cavity vacuum |0>, the first row of
-    an identity, on (loop_a, loop_b, cavity): the product `np.kron` forms,
-    bit for bit, without its overhead."""
-    return (amplitudes[:, None]
-            * np.eye(1, fock_cutoff, dtype=complex)).reshape(-1)
+    """Two-loop amplitudes (last axis) next to the cavity vacuum |0>, the
+    first row of an identity, on (loop_a, loop_b, cavity): the product
+    `np.kron` forms, bit for bit, without its overhead."""
+    return (amplitudes[..., None] * np.eye(1, fock_cutoff, dtype=complex)[0]
+            ).reshape(*amplitudes.shape[:-1], -1)
+
+
+def _run_block(schedule: GateSchedule, inputs: np.ndarray, backend: str,
+               params: ExecutionParams | None) -> np.ndarray:
+    """Run a schedule on a (k x 9) block of two-loop inputs, as `execute`
+    does one.  Returns a (k, steps + 1, dim) array: each input (next to the
+    cavity vacuum on the explicit-cavity backend) and then its state after
+    every step.  Each row runs its own chain of matrix-vector products, so
+    a row holds the bits of a one-input run."""
+    if backend not in ("analytic", "hamiltonian"):
+        raise ValueError(f"unknown backend {backend!r}")
+    params = params or ExecutionParams()
+    if backend == "analytic" and params.explicit_cavity:
+        raise ValueError("backend 'analytic' has no cavity: explicit_cavity "
+                         "needs backend 'hamiltonian'")
+    dims, block = (3, 3), np.asarray(inputs, dtype=complex)
+    if block.ndim != 2 or block.shape[1] != 9:
+        raise ValueError(f"inputs of shape {block.shape} are not a block "
+                         f"of two-loop rows")
+    if backend == "hamiltonian" and params.explicit_cavity:
+        dims = (3, 3, params.fock_cutoff)
+        block = _with_cavity_vacuum(block, params.fock_cutoff)
+    units = _schedule_unitaries(schedule, backend, params, dims)
+    runs = np.empty((len(block), len(units) + 1, block.shape[1]),
+                    dtype=complex)
+    runs[:, 0] = block
+    for run in runs:
+        for k, u in enumerate(units):
+            run[k + 1] = u @ run[k]
+    return runs
 
 
 def execute(schedule: GateSchedule, psi0: StateVector,
             backend: str = "analytic",
             params: ExecutionParams | None = None, *,
             record_intermediate: bool = False) -> EvolutionResult:
-    """Run a schedule on an input state.
+    """Run a schedule on one input state: the one-row view of `_run_block`.
 
     backend "analytic" composes the closed-form step maps; backend
     "hamiltonian" exponentiates the generators instead — the
@@ -419,37 +459,21 @@ def execute(schedule: GateSchedule, psi0: StateVector,
     embedded next to the cavity vacuum, and results live on dims
     (3, 3, fock_cutoff)).  Inputs live on the two loops, dims (3, 3).  The
     analytic backend has no cavity, so it refuses
-    ``params.explicit_cavity``.
+    ``params.explicit_cavity``.  ``max_norm_drift`` is the largest
+    |norm - 1| over the input and every step's state; a NaN drift is
+    rejected.
     """
-    if backend not in ("analytic", "hamiltonian"):
-        raise ValueError(f"unknown backend {backend!r}")
-    params = params or ExecutionParams()
-    if backend == "analytic" and params.explicit_cavity:
-        raise ValueError("backend 'analytic' has no cavity: explicit_cavity "
-                         "needs backend 'hamiltonian'")
-
     if psi0.dims != (3, 3):
         raise ValueError(f"input state dims {psi0.dims} not supported "
                          f"for backend {backend!r}")
-    dims, vec = (3, 3), psi0.amplitudes
-    if backend == "hamiltonian" and params.explicit_cavity:
-        dims = (3, 3, params.fock_cutoff)
-        vec = _with_cavity_vacuum(vec, params.fock_cutoff)
-
-    trail: list[StateVector] = []
-    drift = abs(float(np.linalg.norm(vec)) - 1.0)
-
-    for u in _schedule_unitaries(schedule, backend, params, dims):
-        vec = u @ vec
-        drift = max(drift, abs(float(np.linalg.norm(vec)) - 1.0))
-        if record_intermediate:
-            trail.append(StateVector(vec, dims))
-
+    params = params or ExecutionParams()
+    run = _run_block(schedule, psi0.amplitudes[None], backend, params)[0]
+    dims = (3, 3, params.fock_cutoff) if params.explicit_cavity else (3, 3)
     return EvolutionResult(
-        final_state=StateVector(vec, dims),
+        final_state=StateVector(run[-1], dims),
         propagator=None,
         step_count=len(schedule.steps),
-        max_norm_drift=drift,
-        intermediates=tuple(trail) if record_intermediate else None,
+        max_norm_drift=float(abs(np.linalg.norm(run, axis=1) - 1.0).max()),
+        intermediates=(tuple(StateVector(vec, dims) for vec in run[1:])
+                       if record_intermediate else None),
     )
-

@@ -9,6 +9,11 @@ makes the dispersive wait a whole number of detuning periods, where the
 leading leakage term vanishes, so its error column reads one favourable
 sampling phase, not the envelope over the segment.
 
+Truth tables, the computational propagator, photon excursions and each
+dispersive scan point run their inputs as one block through
+`protocols._run_block` (one block per backend), and read every check from
+that (inputs, steps + 1, dim) array.
+
 Photon statistics are sampled at 512 evenly spaced times from a table of
 phases e^{-i w t} on the generator's eigenvalues w.  For an
 explicit-cavity segment the table depends only on (g02, detuning,
@@ -30,8 +35,8 @@ from .constants import TWO_PI
 from .hamiltonians import CONDITION_RATIO_MAX, loop_cavity_hamiltonian
 from .hilbert import Operator, StateVector, basis_state
 from .protocols import (AraStep, ExecutionParams, GateSchedule, PulseAction,
-                        _cavity_eigensystem, _with_cavity_vacuum, execute,
-                        schedule_cps, schedule_swap, schedule_transfer)
+                        _cavity_eigensystem, _run_block, schedule_cps,
+                        schedule_swap, schedule_transfer)
 
 __all__ = [
     "TruthRow",
@@ -56,13 +61,16 @@ __all__ = [
     "DEFAULT_DISPERSIVE_RATIOS",
 ]
 
-#: Computational-subspace indices within the 9-dimensional two-loop space.
-_COMP = (0, 1, 3, 4)
-
 #: The computational basis inputs, (label, (loop a level, loop b level)),
 #: in the column order of `computational_propagator`.
 _BASIS = (("|00>", (0, 0)), ("|01>", (0, 1)), ("|10>", (1, 0)),
           ("|11>", (1, 1)))
+
+#: Their indices within the 9-dimensional two-loop space, and the inputs
+#: themselves as the rows of a `_run_block` block, both in `_BASIS` order.
+_COMP = tuple(3 * a + b for _, (a, b) in _BASIS)
+_BASIS_ROWS = np.eye(9, dtype=complex)[list(_COMP)]
+_BASIS_ROWS.setflags(write=False)
 
 #: Detuning-to-carrier ratios for the rotating-wave scan: a 0.1 GHz
 #: detuning against 20.1, 40.1 and 80.1 GHz carriers.
@@ -147,21 +155,15 @@ def computational_propagator(schedule: GateSchedule,
     explicit-cavity backend the cavity-vacuum sector is taken, so leakage
     shows up as a unitarity defect of the returned matrix.
     """
-    return _propagator([execute(schedule, basis_state((3, 3), ab), backend,
-                                params).final_state for _, ab in _BASIS])
+    runs = _run_block(schedule, _BASIS_ROWS, backend, params)
+    return _loop_amplitudes(runs[:, -1])[:, _COMP].T
 
 
-def _loop_amplitudes(state: StateVector) -> np.ndarray:
-    """The nine two-loop amplitudes of a run's state: the state itself on
-    dims (3, 3), its cavity-vacuum sector on dims (3, 3, fock_cutoff)."""
-    return state.amplitudes.reshape(9, -1)[:, 0]
-
-
-def _propagator(finals) -> np.ndarray:
-    """4x4 matrix whose columns are the computational amplitudes of the
-    final states of the four basis inputs, given in `_BASIS` order."""
-    return np.stack([_loop_amplitudes(s)[list(_COMP)] for s in finals],
-                    axis=1)
+def _loop_amplitudes(states: np.ndarray) -> np.ndarray:
+    """The nine two-loop amplitudes of every run state along the last
+    axis: the state itself on dims (3, 3), its cavity-vacuum sector on dims
+    (3, 3, fock_cutoff)."""
+    return states.reshape(*states.shape[:-1], 9, -1)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,29 +253,24 @@ def check_truth_table(table: TruthTable, backend: str = "analytic",
                       params: ExecutionParams | None = None) -> TruthCheck:
     """Execute the table's schedule on every declared input and compare all
     intermediate columns phase-exactly (amplitude-by-amplitude, no global
-    phase allowance) within `TRUTH_TABLE_ATOL`."""
-    trails = {row.label: execute(table.schedule, row.input_state, backend,
-                                 params, record_intermediate=True
-                                 ).intermediates for row in table.rows}
-    return _compare_truth_table(table, trails)
+    phase allowance) within `TRUTH_TABLE_ATOL`; a NaN deviation fails."""
+    inputs = np.stack([row.input_state.amplitudes for row in table.rows])
+    runs = _run_block(table.schedule, inputs, backend, params)
+    return _compare_truth_table(table, _loop_amplitudes(runs))
 
 
-def _compare_truth_table(table: TruthTable, trails) -> TruthCheck:
-    """Compare recorded intermediates, one sequence per row label in
-    ``trails``, with the table's declared columns as `check_truth_table`
-    does."""
-    worst = 0.0
-    failures: list[str] = []
-    for row in table.rows:
-        for k, (g, e) in enumerate(zip(trails[row.label], row.expected)):
-            dev = float(np.max(np.abs(_loop_amplitudes(g) - e.amplitudes)))
-            worst = max(worst, dev)
-            if dev > TRUTH_TABLE_ATOL:
-                failures.append(
-                    f"{table.schedule.name} row {row.label} step {k + 1}: "
-                    f"deviation {dev:.3e}")
-    return TruthCheck(ok=not failures, max_deviation=worst,
-                      failures=tuple(failures))
+def _compare_truth_table(table: TruthTable, loops: np.ndarray) -> TruthCheck:
+    """Compare the two-loop amplitudes of runs of the table's inputs, a
+    (rows, steps + 1, 9) array in the order of ``table.rows``, with the
+    declared columns as `check_truth_table` does."""
+    expected = np.array([[e.amplitudes for e in row.expected]
+                         for row in table.rows])
+    dev = np.max(np.abs(loops[:, 1:] - expected), axis=-1)
+    failures = tuple(f"{table.schedule.name} row {table.rows[r].label} "
+                     f"step {k + 1}: deviation {dev[r, k]:.3e}"
+                     for r, k in zip(*np.nonzero(~(dev <= TRUTH_TABLE_ATOL))))
+    return TruthCheck(ok=not failures, max_deviation=float(dev.max()),
+                      failures=failures)
 
 
 def corrupt_first_pulse(schedule: GateSchedule) -> GateSchedule:
@@ -491,29 +488,25 @@ def _sampled_photon_peaks(phases: np.ndarray, v: np.ndarray,
 
 
 def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
-                      inputs, intermediates) -> tuple[float, float]:
+                      runs: np.ndarray) -> tuple[float, float]:
     """Peak expected photon number and peak top-Fock-level population over
-    finished explicit-cavity runs of one schedule, from their two-loop
-    inputs and their recorded intermediates (one sequence per input, in
-    the same order).  Pulses leave the cavity alone, so only dispersive
-    segments are sampled, each from the states the runs start it in, on the
-    eigensystem the segment propagator was built from.  The schedule is
-    walked once: every segment is one sampler call on the block of all
-    inputs, with the segment's memoized `_segment_phases` table, so the
-    inputs, and every later run of the segment, share that table."""
+    finished explicit-cavity runs of one schedule, the (k, steps + 1, dim)
+    array of `_run_block`.  Pulses leave the cavity alone, so only
+    dispersive segments are sampled, each from the states the runs start it
+    in, on the eigensystem the segment propagator was built from.  The
+    schedule is walked once: every segment is one sampler call on the block
+    of all runs, with the segment's memoized `_segment_phases` table, so the
+    runs, and every later run of the segment, share that table."""
     nfock = params.fock_cutoff
     _, v = _cavity_eigensystem(params.g02, params.detuning, nfock)
-    states = [_with_cavity_vacuum(psi.amplitudes, nfock) for psi in inputs]
     peak_n, peak_top = 0.0, 0.0
     for k, step in enumerate(schedule.steps):
         if not isinstance(step, AraStep):
             phases = _segment_phases(params.g02, params.detuning, nfock,
                                      step.duration(params.gamma))
-            n, top = _sampled_photon_peaks(phases, v,
-                                           np.stack(states, axis=1), nfock)
+            n, top = _sampled_photon_peaks(phases, v, runs[:, k].T, nfock)
             peak_n = max(peak_n, n)
             peak_top = max(peak_top, top)
-        states = [trail[k].amplitudes for trail in intermediates]
     return peak_n, peak_top
 
 
@@ -522,13 +515,12 @@ def photon_excursion(schedule: GateSchedule, params: ExecutionParams,
     """Peak expected photon number and peak top-Fock-level population over
     one explicit-cavity run of a schedule (pulses leave the cavity alone,
     so only dispersive segments are sampled).  Callers that already hold
-    the run's intermediates use `_run_photon_peaks` and skip the run."""
+    the runs use `_run_photon_peaks` and skip the run."""
     if not params.explicit_cavity:
         raise ValueError("photon excursion is defined for the "
                          "explicit-cavity backend")
-    res = execute(schedule, psi0, "hamiltonian", params,
-                  record_intermediate=True)
-    return _run_photon_peaks(schedule, params, [psi0], [res.intermediates])
+    runs = _run_block(schedule, psi0.amplitudes[None], "hamiltonian", params)
+    return _run_photon_peaks(schedule, params, runs)
 
 
 def dispersive_error_point(ratio: float, *, fock_cutoff: int = 4) -> dict:
@@ -551,27 +543,18 @@ def dispersive_error_point(ratio: float, *, fock_cutoff: int = 4) -> dict:
     p_cav = ExecutionParams(g02=float(ratio), detuning=1.0,
                             explicit_cavity=True, fock_cutoff=fock_cutoff)
     p_vac = ExecutionParams(gamma=p_cav.gamma)
+    runs = _run_block(sched, _BASIS_ROWS, "hamiltonian", p_cav)
+    cav = _loop_amplitudes(runs[:, -1])
+    vac = _run_block(sched, _BASIS_ROWS, "analytic", p_vac)[:, -1]
+    err = max(0.0, *(1.0 - abs(np.vdot(a, b)) ** 2 for a, b in zip(vac, cav)))
 
-    err = 0.0
-    inputs, trails = [], []
-    for _, ab in _BASIS:
-        psi = basis_state((3, 3), ab)
-        res_c = execute(sched, psi, "hamiltonian", p_cav,
-                        record_intermediate=True)
-        res_v = execute(sched, psi, "analytic", p_vac)
-        err = max(err, 1.0 - abs(np.vdot(
-            res_v.final_state.amplitudes,
-            _loop_amplitudes(res_c.final_state))) ** 2)
-        inputs.append(psi)
-        trails.append(res_c.intermediates)
-
-    peak_n, peak_top = _run_photon_peaks(sched, p_cav, inputs, trails)
+    peak_n, peak_top = _run_photon_peaks(sched, p_cav, runs)
     condition = p_cav.g02 / p_cav.detuning
     return {"error": err, "peak": peak_n,
             "violation": peak_top >= FOCK_VIOLATION_TOL,
             "gate_fidelity": gate_fidelity(
-                _propagator([t[-1] for t in trails]),
-                sched.ideal_unitary.entries, unitarity_tol=1.0),
+                cav[:, _COMP].T, sched.ideal_unitary.entries,
+                unitarity_tol=1.0),
             "condition_ratio": condition,
             "condition_ok": condition < CONDITION_RATIO_MAX}
 

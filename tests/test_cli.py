@@ -387,19 +387,19 @@ def test_gate_runs_each_input_once(tmp_path, monkeypatch, schedule, backend):
     import squidqed.cli as cli
     import squidqed.verify as verify
 
-    runs = []
-    real = cli.execute
+    blocks = []
+    real = cli._run_block
 
-    def counted(sched, psi, *args, **kwargs):
-        runs.append(kwargs.get("record_intermediate", False))
-        return real(sched, psi, *args, **kwargs)
+    def counted(sched, inputs, *args):
+        blocks.append(len(inputs))
+        return real(sched, inputs, *args)
 
     for module in (cli, verify):
-        monkeypatch.setattr(module, "execute", counted)
+        monkeypatch.setattr(module, "_run_block", counted)
     assert run_cli(tmp_path, "gate", {"schedule": schedule},
                    extra=["--backend", backend]) == 0
-    # the states loop only; transfer runs the inputs with loop b in |0>
-    assert runs == [True] * (2 if schedule == "transfer" else 4)
+    # one block; transfer runs the inputs with loop b in |0>
+    assert blocks == [2 if schedule == "transfer" else 4]
     if schedule == "entangle" and backend != "cavity":
         summary = grab(tmp_path, "gate_summary.txt")
         assert summary_value(summary, "concurrence_dimensionless") == \
@@ -589,6 +589,44 @@ def test_cavity_gate_logs_an_ignored_gamma(tmp_path):
                 == grab(plain, name).splitlines()[1:])
 
 
+def test_cavity_gate_ignores_a_vanishing_gamma(tmp_path):
+    # the cavity backend derives gamma, so a rate that would make the
+    # dispersive wait overflow is logged and changes no data line
+    given, plain = tmp_path / "given", tmp_path / "plain"
+    assert run_cli(given, "gate", {"gamma_radps": 5e-324},
+                   extra=["--backend", "cavity"]) == 0
+    assert run_cli(plain, "gate", {}, extra=["--backend", "cavity"]) == 0
+    for name in ("gate_states.csv", "gate_summary.txt"):
+        assert (grab(given, name).splitlines()[1:]
+                == grab(plain, name).splitlines()[1:])
+
+
+@pytest.mark.parametrize("backend, cfg, reason", [
+    ("analytic", {"gamma_radps": 5e-324}, "dispersive segment length"),
+    ("dispersive", {"gamma_radps": 5e-324}, "dispersive segment length"),
+    ("analytic", {"rabi_radps": 5e-324}, "rotation length"),
+    ("dispersive", {"rabi_radps": 5e-324}, "rotation length"),
+    ("cavity", {"rabi_radps": 5e-324}, "rotation length"),
+])
+def test_gate_refuses_rates_whose_step_lengths_overflow(tmp_path, capsys,
+                                                        backend, cfg, reason):
+    assert run_cli(tmp_path, "gate", cfg, extra=["--backend", backend]) == 2
+    assert reason in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("cfg, name", [
+    ({"nu_hz": 1e-10, "t_op_s": 5e-324}, "q_min"),
+    ({"q_factor": 1e300, "nu_hz": 1e-300, "t_r_s": 1e-300, "t_op_s": 1e300},
+     "T_c"),
+])
+def test_feasibility_refuses_a_budget_that_overflows(tmp_path, capsys, cfg,
+                                                     name):
+    assert run_cli(tmp_path, "feasibility", cfg) == 2
+    assert f"derived {name} = " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 #: SHA-256 of the data files of spectrum, feasibility and the dispersive
 #: scan at fixed configs, keyed by a label; the guard below prints new
 #: literals.
@@ -752,23 +790,22 @@ def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
     from squidqed.protocols import ExecutionParams
 
     seen = []
-    real_execute, real_solve = cli.execute, cli.solve
+    real_run_block, real_solve = cli._run_block, cli.solve
 
-    def execute(sched, psi, backend, params, **kwargs):
+    def run_block(sched, inputs, backend, params):
         seen.append(params)
-        return real_execute(sched, psi, backend, params, **kwargs)
+        return real_run_block(sched, inputs, backend, params)
 
     def solve(params, grid, **kwargs):
         seen.append(kwargs)
         return real_solve(params, grid, **kwargs)
 
-    monkeypatch.setattr(cli, "execute", execute)
+    monkeypatch.setattr(cli, "_run_block", run_block)
     monkeypatch.setattr(cli, "solve", solve)
     assert run_cli(tmp_path / "a", "gate", {}) == 0
     assert run_cli(tmp_path / "c", "gate", {}, extra=["--backend",
                                                      "cavity"]) == 0
     assert run_cli(tmp_path / "s", "spectrum", {}) == 0
     # the CLI's own default is the Rabi rate, which the library leaves at 1
-    assert seen == ([ExecutionParams(rabi=100.0)] * 4
-                    + [ExecutionParams(rabi=100.0, explicit_cavity=True)] * 4
-                    + [{}])
+    assert seen == [ExecutionParams(rabi=100.0),
+                    ExecutionParams(rabi=100.0, explicit_cavity=True), {}]

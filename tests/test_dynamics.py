@@ -108,6 +108,13 @@ def test_norm_drift_guard():
                         max_norm_drift=1.0)
 
 
+def test_norm_drift_guard_rejects_nan():
+    nan = StateVector(np.full(2, np.nan), (2,))
+    with pytest.raises(RuntimeError, match="norm drift nan"):
+        EvolutionResult(final_state=nan, propagator=None, step_count=1,
+                        max_norm_drift=float("nan"))
+
+
 def test_weak_resonant_drive_transfers_population():
     # resonant pulse of area pi on the 1<->2 pair of a three-level loop,
     # with the counter-rotating term retained: for rabi 1000x below the

@@ -110,6 +110,25 @@ def test_gate_time_validation():
         gate_time_estimate(float("nan"), schedule_cps(), 1.0)
 
 
+def test_gate_time_refuses_a_total_that_overflows():
+    # each swap wait is finite, their sum 1.8e308 is not
+    with pytest.raises(ValueError, match="total gate time of schedule "
+                                         "'swap' is not finite"):
+        gate_time_estimate(math.pi / 1.2e308, schedule_swap(), 1.0)
+    with pytest.raises(ValueError, match="rotation length"):
+        gate_time_estimate(1.0, schedule_cps(), 5e-324)
+
+
+@pytest.mark.parametrize("inputs, name", [
+    (dict(q_factor=1e8, nu=1e-10, t_op=5e-324, t_r=1e-6), "q_min"),
+    (dict(q_factor=1e300, nu=1e-300, t_op=1e300, t_r=1e-300), "T_c"),
+    (dict(q_factor=1e8, nu=80.1e9, t_op=5e-324, t_r=1e300), "P"),
+])
+def test_assess_refuses_derived_values_that_overflow(inputs, name):
+    with pytest.raises(ValueError, match=f"derived {name} = "):
+        assess(FeasibilityInput(**inputs))
+
+
 def test_gate_time_pulses_use_the_pulse_duration_rule():
     # the longest rotation's theta / (2 rabi), to the last bit
     for build in SCHEDULE_BUILDERS.values():

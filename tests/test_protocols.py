@@ -15,8 +15,9 @@ from squidqed.protocols import (AraStep, DispersiveStep, ExecutionParams,
                                 schedule_cps, schedule_entanglement,
                                 schedule_swap, schedule_transfer,
                                 simultaneous, _cavity_dispersive_unitary,
-                                _cavity_eigensystem, _schedule_unitaries,
-                                _step_unitary, _with_cavity_vacuum)
+                                _cavity_eigensystem, _run_block,
+                                _schedule_unitaries, _step_unitary,
+                                _with_cavity_vacuum)
 
 COMP = (0, 1, 3, 4)  # |00>, |01>, |10>, |11> on the 9-dim two-loop space
 
@@ -176,6 +177,22 @@ def test_pulse_duration_is_theta_over_twice_the_rabi_rate():
     assert act.duration(7.0) == 3 * np.pi / 14.0
 
 
+def test_step_lengths_that_overflow_are_refused_by_name():
+    with pytest.raises(ValueError, match="dispersive segment length"):
+        DispersiveStep(Fraction(1)).duration(5e-324)
+    with pytest.raises(ValueError, match="rotation length"):
+        PulseAction("a", (1, 2), Fraction(1)).duration(5e-324)
+    psi = basis_state((3, 3), (1, 1))
+    for backend in ("analytic", "hamiltonian"):
+        with pytest.raises(ValueError, match="dispersive segment length"):
+            execute(schedule_cps(), psi, backend,
+                    ExecutionParams(gamma=5e-324))
+    for params in (ExecutionParams(rabi=5e-324),
+                   ExecutionParams(rabi=5e-324, explicit_cavity=True)):
+        with pytest.raises(ValueError, match="rotation length"):
+            execute(schedule_cps(), psi, "hamiltonian", params)
+
+
 def test_analytic_backend_refuses_the_cavity():
     with pytest.raises(ValueError, match="'analytic' has no cavity"):
         execute(schedule_cps(), basis_state((3, 3), (0, 0)), "analytic",
@@ -286,6 +303,35 @@ def test_warm_execute_resolves_its_schedule_with_one_lookup(monkeypatch):
             units = _schedule_unitaries(sched, backend, params, dims)
             assert all(u is _step_unitary(step, backend, params, dims)
                        for u, step in zip(units, sched.steps))
+
+
+@pytest.mark.parametrize("fock_cutoff", [4, 8])
+def test_block_rows_are_one_input_runs_bit_for_bit(fock_cutoff):
+    """Every row of a block run holds the bits of that input's own
+    `execute`: its final state and every intermediate.  A product over the
+    whole block (gemm) sums in another order and fails here."""
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(5, 9)) + 1j * rng.normal(size=(5, 9))
+    block /= np.linalg.norm(block, axis=1)[:, None]
+    for backend, params in (
+            ("analytic", ExecutionParams(gamma=1.3, rabi=100.0)),
+            ("hamiltonian", ExecutionParams(gamma=1.3, rabi=100.0)),
+            ("hamiltonian", ExecutionParams(rabi=100.0, explicit_cavity=True,
+                                            fock_cutoff=fock_cutoff))):
+        dim = 9 * (fock_cutoff if params.explicit_cavity else 1)
+        for build in SCHEDULE_BUILDERS.values():
+            sched = build()
+            runs = _run_block(sched, block, backend, params)
+            assert runs.shape == (5, len(sched.steps) + 1, dim)
+            for psi, run in zip(block, runs):
+                res = execute(sched, StateVector(psi, (3, 3)), backend,
+                              params, record_intermediate=True)
+                assert (run[-1].tobytes()
+                        == res.final_state.amplitudes.tobytes())
+                assert ([state.tobytes() for state in run[1:]]
+                        == [s.amplitudes.tobytes()
+                            for s in res.intermediates]), (sched.name,
+                                                           backend)
 
 
 def test_cavity_vacuum_embedding_is_the_kron_product_bit_for_bit():

@@ -459,6 +459,26 @@ def test_photon_peaks_unchanged_by_clearing_every_cache():
     assert cold == warm
 
 
+def test_each_instrument_walks_its_schedule_once_per_backend(monkeypatch):
+    blocks = []
+    real = verify._run_block
+
+    def counted(sched, inputs, backend, params):
+        blocks.append((sched.name, len(inputs), backend))
+        return real(sched, inputs, backend, params)
+
+    monkeypatch.setattr(verify, "_run_block", counted)
+    cavity = ExecutionParams(explicit_cavity=True)
+    check_truth_table(truth_table_transfer(), "hamiltonian")
+    computational_propagator(schedule_swap(), "hamiltonian", cavity)
+    photon_excursion(schedule_cps(), cavity, StateVector(np.eye(9)[4], (3, 3)))
+    dispersive_error_point(0.05)
+    assert blocks == [("transfer", 2, "hamiltonian"),
+                      ("swap", 4, "hamiltonian"),
+                      ("cps", 1, "hamiltonian"),
+                      ("cps", 4, "hamiltonian"), ("cps", 4, "analytic")]
+
+
 def test_segment_phase_tables_are_read_only_and_end_on_the_propagator():
     nfock = 4
     for g02 in (0.1, 0.05, 0.025, 0.0125):
