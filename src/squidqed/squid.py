@@ -12,16 +12,18 @@ dedicated tridiagonal eigensolver.  Eigenfunctions are chosen real with a
 fixed sign gauge; flux matrix elements <i|Phi|j> use trapezoidal quadrature.
 
 `solve` trusts a spectrum only if its transition energies survive a halving
-of the grid step.  That check reads eigenvalues alone: on the doubled grid,
-one bisection per level in a narrow window centered on the coarse level.  The
-values found are certified to be the lowest ones when the windows are
-disjoint, each holds exactly one value, and a Sturm count from the
-Gershgorin bound up to the top window edge finds no others.  A window that
-misses, or a shift too close to the tolerance for bisection to decide,
-sends it to the index-mode search instead.  Bisection resolves eigenvalues
-only to about eps * max|diag|; when the check fails on transitions near
-that floor (the collapsing 0-1 splitting at the symmetric bias), the error
-names that limit instead of advising more points.
+of the grid step.  That check reads eigenvalues alone and, on a converged
+grid, makes no bisection: each coarse eigenvector, interpolated onto the
+doubled grid, predicts its fine level by its Rayleigh quotient, and Sturm
+counts certify that a narrow window around each prediction holds exactly
+one eigenvalue and that no other lies below the top window.  The check
+passes on those counts when the bound they give keeps every transition
+within tolerance.  Any miss, or a bound too wide to pass, sends it to the
+index-mode search, which decides and words every refusal.  Bisection
+resolves eigenvalues only to about eps * max|diag|; when the check fails on
+transitions near that floor (the collapsing 0-1 splitting at the symmetric
+bias), the error names that limit instead of advising more points, and
+levels that coincide on the grid are refused by name.
 
 Biased near half a flux quantum with loop parameter beta_L = 2 pi L Ic / Phi_0
 slightly above 1, the potential is a tilted double well whose two lowest
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +90,10 @@ class SquidParams:
     Phi_x: float
 
     def __post_init__(self):
+        for name in ("C", "L", "Ic", "Phi_x"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not (self.C > 0 and self.L > 0):
             raise ValueError("C and L must be positive")
         if self.Ic < 0:
@@ -117,6 +124,10 @@ class FluxGrid:
     points: int
 
     def __post_init__(self):
+        for name in ("center", "half_width"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
         if self.points < 64 or self.points % 2 == 0:
@@ -185,21 +196,25 @@ def build_potential(p: SquidParams, g: FluxGrid) -> np.ndarray:
 
 def _tridiagonal(p: SquidParams, g: FluxGrid):
     """Central-difference Hamiltonian on one grid: its diagonal and
-    off-diagonal (J), and the potential it samples (J)."""
+    off-diagonal (J), the potential it samples (J), and its resolution floor
+    eps * max|diag| (J), to about which bisection places an eigenvalue."""
     v_pot = build_potential(p, g)
     kin = HBAR * HBAR / (2.0 * p.C * g.step * g.step)
-    return 2.0 * kin + v_pot, np.full(g.points - 1, -kin), v_pot
+    diag = 2.0 * kin + v_pot
+    return (diag, np.full(g.points - 1, -kin), v_pot,
+            np.finfo(float).eps * np.max(np.abs(diag)))
 
 
 def _solve_grid(p: SquidParams, g: FluxGrid, n_levels: int):
-    """Eigenpairs of the central-difference Hamiltonian on one grid."""
+    """Eigenpairs of the central-difference Hamiltonian on one grid, with
+    the grid values, the potential and the resolution floor there."""
     # imported here: scipy.linalg is most of the package's import time, and
     # only the eigensolver needs it
     from scipy.linalg import eigh_tridiagonal
 
     phi = g.values()
     d = g.step
-    diag, off, v_pot = _tridiagonal(p, g)
+    diag, off, v_pot, floor = _tridiagonal(p, g)
     energies, vecs = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, n_levels - 1))
     # L2-normalize by trapezoidal quadrature and fix the real sign gauge
@@ -208,21 +223,14 @@ def _solve_grid(p: SquidParams, g: FluxGrid, n_levels: int):
         col /= np.sqrt(np.trapezoid(col * col, dx=d))
         if col[np.argmax(np.abs(col))] < 0:
             col *= -1.0
-    return energies, vecs, phi, v_pot
+    return energies, vecs, phi, v_pot, floor
 
 
-#: Least half-width of each doubled-grid window, in resolution floors
-#: eps * max|diag|: wide enough that bisection rounding, which places an
-#: eigenvalue to within about 2 floors, cannot push a fine level out of the
-#: window around its own coarse level.
-_WINDOW_FLOORS = 64.0
-
-#: Width, in units of floor / smallest transition, of the band around
-#: ``check_rtol`` inside which the window search cannot decide.  Bisection
-#: narrows each eigenvalue to a bracket eps * (max|diag| + 2 kin) <= 2 * floor
-#: wide and returns its midpoint, so two searches can place one eigenvalue
-#: up to 2 * floor apart and one transition up to 4 * floor.
-_UNDECIDED_BAND = 4.0
+#: Error of one Sturm count, in resolution floors: the count LAPACK makes
+#: at x is exact for a matrix whose entries differ from the stored ones by a
+#: few ulps of max|diag|, so it can only miss or add eigenvalues this close
+#: to x.
+_STURM_SLOP = 4.0
 
 
 def _transition_shift(coarse: np.ndarray, fine: np.ndarray):
@@ -234,67 +242,68 @@ def _transition_shift(coarse: np.ndarray, fine: np.ndarray):
     return float(shift), float(np.min(np.abs(fine_tr)))
 
 
-def _window_levels(diag: np.ndarray, off: np.ndarray, centers: np.ndarray,
-                   half: float):
-    """The eigenvalues of the tridiagonal matrix (diag, off) in the windows
-    (c - half, c + half] around ``centers``, or None unless they are
-    certified to be its lowest ``centers.size`` eigenvalues.
-
-    They are when the windows are disjoint, each holds exactly one value,
-    and a count over (lo, top window edge] finds exactly as many values as
-    there are windows; lo is the Gershgorin bound min(diag) - 2 |off|,
-    below which no eigenvalue lies.  With a tolerance equal to its width,
-    that count returns after the Sturm counts at its two ends.
-    """
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    if np.any(np.diff(centers) <= 2.0 * half):
-        return None
-    lo = diag.min() - 2.0 * abs(off[0])
-    top = centers[-1] + half
-    if eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, top),
-                            tol=top - lo).size != centers.size:
-        return None
-    levels = np.empty(centers.size)
-    for k, center in enumerate(centers):
-        found = eigvalsh_tridiagonal(diag, off, select="v",
-                                     select_range=(center - half,
-                                                   center + half))
-        if found.size != 1:
-            return None
-        levels[k] = found[0]
+def _rayleigh_levels(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray):
+    """Rayleigh quotients on the doubled-grid tridiagonal (diag, off) of the
+    coarse eigenvectors ``vecs`` (columns) interpolated onto that grid: the
+    even points keep the coarse values, and each midpoint takes the cubic
+    4-point value (-v[i-1] + 9 v[i] + 9 v[i+1] - v[i+2]) / 16, with zeros
+    beyond the ends."""
+    kin = -off[0]
+    pot = diag - 2.0 * kin
+    pad = np.zeros(vecs.shape[0] + 2)
+    x = np.empty(2 * vecs.shape[0] - 1)
+    levels = np.empty(vecs.shape[1])
+    for k in range(levels.size):
+        pad[1:-1] = x[::2] = vecs[:, k]
+        x[1::2] = (9.0 * (pad[1:-2] + pad[2:-1]) - pad[:-3] - pad[3:]) / 16.0
+        # the kinetic part as squared differences, which do not cancel
+        dx = np.diff(x)
+        levels[k] = (pot @ (x * x) + kin * (dx @ dx + x[0] ** 2 + x[-1] ** 2)
+                     ) / (x @ x)
     return levels
 
 
 def _doubled_grid_energies(p: SquidParams, g: FluxGrid, coarse: np.ndarray,
-                           check_rtol: float):
-    """Lowest ``coarse.size`` eigenvalues on the doubled grid, without
-    eigenvectors, and the resolution floor eps * max|diag| there (J).
+                           vecs: np.ndarray, check_rtol: float):
+    """Lowest ``coarse.size`` eigenvalues on the doubled grid, or predictions
+    certified to pass the check, and the resolution floor there (J).
 
-    Each fine level is searched in its own narrow window centered on its
-    coarse level, of half-width ``check_rtol`` times the coarse span
-    E_top - E_0 and never less than :data:`_WINDOW_FLOORS` floors, and the
-    values found are certified to be the lowest ones (see
-    :func:`_window_levels`).  The index-mode search, which gives the same
-    values as a full solve on that grid, runs instead when the windows
-    cannot be certified (a grid far from convergence, or levels closer than
-    a window) or when the resulting shift lies within
-    :data:`_UNDECIDED_BAND` resolutions of ``check_rtol``, so the check
-    passes and raises where the index-mode search alone would.
+    :func:`_rayleigh_levels` predicts each level rho_k from the coarse
+    eigenvectors ``vecs``.  Sturm counts certify the predictions when the
+    windows (rho_k - h, rho_k + h] are disjoint and hold one value each and
+    a count from below the Gershgorin bound up to the top edge finds
+    ``coarse.size`` values; counts being monotone in x, the k-th lowest
+    eigenvalue then lies within h + :data:`_STURM_SLOP` floors of rho_k, and
+    the index-mode value within one floor and one slop more.  h is 16 floors
+    or, if wider, ``check_rtol`` / 8 of the smallest predicted transition.
+    Each count is a ``stebz`` call whose tolerance equals its range: two
+    Sturm counts and no bisection.  Unless that bound keeps every index-mode
+    transition within ``check_rtol`` of the coarse one, the index-mode
+    search, which gives the same values as a full solve on that grid,
+    decides instead, so the check passes and raises where it alone would.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
-    diag, off = _tridiagonal(p, g.doubled())[:2]
-    floor = np.finfo(float).eps * np.max(np.abs(diag))
-    half = max(check_rtol * (coarse[-1] - coarse[0]), _WINDOW_FLOORS * floor)
-    fine = _window_levels(diag, off, coarse, half)
-    if fine is not None:
-        shift, smallest = _transition_shift(coarse, fine)
-        if abs(shift - check_rtol) > _UNDECIDED_BAND * floor / smallest:
-            return fine, floor
-    fine = eigvalsh_tridiagonal(diag, off, select="i",
-                                select_range=(0, coarse.size - 1))
-    return fine, floor
+    diag, off, _, floor = _tridiagonal(p, g.doubled())
+    rho = _rayleigh_levels(diag, off, vecs)
+    gap = rho[1:] - rho[0]
+    half = max(16.0 * floor, check_rtol * gap.min() / 8.0)
+    # bound on |index-mode transition - gap|
+    err = 2.0 * (half + (2.0 * _STURM_SLOP + 1.0) * floor)
+
+    def count(lo, hi):
+        return eigvalsh_tridiagonal(diag, off, select="v",
+                                    select_range=(lo, hi), tol=hi - lo).size
+
+    lo = diag.min() - 2.0 * abs(off[0]) - _STURM_SLOP * floor
+    if (np.all(np.diff(rho) > 2.0 * half) and gap[0] > err
+            and np.max((np.abs(coarse[1:] - coarse[0] - gap) + err)
+                       / (gap - err)) < check_rtol
+            and count(lo, rho[-1] + half) == rho.size
+            and all(count(r - half, r + half) == 1 for r in rho)):
+        return rho, floor
+    return eigvalsh_tridiagonal(diag, off, select="i",
+                                select_range=(0, coarse.size - 1)), floor
 
 
 def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
@@ -303,27 +312,29 @@ def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
     """Solve for the lowest ``n_levels`` levels and their flux elements.
 
     The grid must contain the retained levels (edge potential above the
-    highest retained eigenvalue) and, when ``check_convergence`` is on,
-    reproduce the transition energies on a doubled grid to ``check_rtol``
-    relative; violations raise :class:`ResolutionError` with a diagnostic.
+    highest retained eigenvalue) and resolve them (no two coincide), and,
+    when ``check_convergence`` is on, reproduce the transition energies on a
+    doubled grid to ``check_rtol`` relative; violations raise
+    :class:`ResolutionError` with a diagnostic.
 
-    The check reads eigenvalues only: each doubled-grid level gets one
-    bisection in a narrow window around its coarse level, with no
-    eigenvectors, and the window values are certified to be the lowest ones
-    (see :func:`_doubled_grid_energies`); the check falls back to the
-    index-mode search when that certification fails or the windows cannot
-    decide.  It never changes the returned structure.  Bisection resolves
-    eigenvalues to about eps * max|diag|; when that floor exceeds
-    ``check_rtol`` times the smallest transition (near the symmetric bias,
-    where the 0-1 splitting collapses), the error names that limit instead
-    of advising more points.  ``check_rtol`` must be finite and positive.
+    The check reads eigenvalues only and, on a converged grid, makes no
+    bisection: the coarse eigenvectors predict the doubled-grid levels, and
+    Sturm counts certify that the predictions pass (see
+    :func:`_doubled_grid_energies`); otherwise the index-mode search
+    decides and words any refusal.  It never changes the returned
+    structure.  Bisection resolves eigenvalues to about eps * max|diag|;
+    when that floor exceeds ``check_rtol`` times the smallest transition
+    (near the symmetric bias, where the 0-1 splitting collapses), the error
+    names that limit instead of advising more points.  ``n_levels`` must be
+    an int in 1..8 and ``check_rtol`` finite and positive.
     """
-    if not 1 <= n_levels <= 8:
-        raise ValueError(f"n_levels must be in 1..8, got {n_levels}")
+    if (isinstance(n_levels, bool) or not isinstance(n_levels, Integral)
+            or not 1 <= n_levels <= 8):
+        raise ValueError(f"n_levels must be an int in 1..8, got {n_levels!r}")
     if not 0 < check_rtol < np.inf:
         raise ValueError(
             f"check_rtol must be finite and positive, got {check_rtol}")
-    energies, vecs, phi, v_pot = _solve_grid(p, g, n_levels)
+    energies, vecs, phi, v_pot, floor = _solve_grid(p, g, n_levels)
 
     top = energies[-1]
     if v_pot[0] <= top or v_pot[-1] <= top:
@@ -331,11 +342,18 @@ def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
             "grid too narrow: edge potential "
             f"({min(v_pot[0], v_pot[-1]):.4e} J) does not exceed the highest "
             f"retained level ({top:.4e} J); widen half_width")
+    same = np.flatnonzero(np.diff(energies) <= 0)
+    if same.size:
+        k = int(same[0])
+        raise ResolutionError(
+            f"levels {k} and {k + 1} coincide at {energies[k]:.4e} J: their "
+            "splitting is below the eigensolver resolution floor "
+            f"({floor:.3e} J), so more points cannot help")
 
     if check_convergence and n_levels >= 2:
-        fine, floor = _doubled_grid_energies(p, g, energies, check_rtol)
+        fine, floor = _doubled_grid_energies(p, g, energies, vecs, check_rtol)
         shift, smallest = _transition_shift(energies, fine)
-        if shift > check_rtol:
+        if not shift <= check_rtol:
             if floor / smallest > check_rtol:
                 advice = (f"the smallest transition ({smallest:.3e} J) is "
                           f"only {smallest / floor:.1e} times the eigensolver "

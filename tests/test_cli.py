@@ -61,6 +61,19 @@ def test_spectrum_inline_narrow_grid_fails(tmp_path, capsys):
     assert "edge potential" in capsys.readouterr().err
 
 
+def test_spectrum_inline_coincident_levels_fail(tmp_path, capsys):
+    # at the symmetric bias of a deeper well the two lowest levels coincide
+    # on the grid: a resolution failure (exit 1), not invalid input
+    cfg = {"C_farad": 2.6e-14, "L_henry": 6.5e-11, "Ic_ampere": 8e-6,
+           "Phix_over_Phi0": 0.5, "grid_points": 16001,
+           "grid_halfwidth_over_Phi0": 0.35}
+    assert run_cli(tmp_path, "spectrum", cfg) == 1
+    err = capsys.readouterr().err
+    assert "levels 0 and 1 coincide" in err
+    assert "resolution floor" in err
+    assert not (tmp_path / "spectrum_levels.csv").exists()
+
+
 def test_spectrum_rejects_mixed_config(tmp_path, capsys):
     cfg = {"preset": "harmonic", "C_farad": 4e-14}
     assert run_cli(tmp_path, "spectrum", cfg) == 2

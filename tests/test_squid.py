@@ -10,8 +10,8 @@ from squidqed.squid import (FluxGrid, LevelStructure, ResolutionError,
                             SquidParams, build_potential,
                             harmonic_scale_element, lambda_check, load_preset,
                             preset_path, solve)
-from squidqed.squid import (_WINDOW_FLOORS, _doubled_grid_energies,
-                            _solve_grid, _tridiagonal, _window_levels)
+from squidqed.squid import (_STURM_SLOP, _doubled_grid_energies,
+                            _solve_grid)
 
 
 def make_structure(omega_10, omega_20, e02, e12, params):
@@ -127,6 +127,42 @@ def test_solve_argument_validation():
         solve(p, g, n_levels=0)
     with pytest.raises(ValueError):
         solve(p, g, n_levels=9)
+    for n_levels in (3.0, True, "3"):
+        with pytest.raises(ValueError, match="n_levels must be an int"):
+            solve(p, g, n_levels=n_levels)
+    assert solve(p, g, n_levels=np.int64(3)).n_levels == 3
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name", ["C", "L", "Ic", "Phi_x"])
+def test_params_refuse_a_non_finite_value_by_name(name, value):
+    p, _ = load_preset("ref15_like")
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        replace(p, **{name: value})
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name", ["center", "half_width"])
+def test_grid_refuses_a_non_finite_value_by_name(name, value):
+    _, g = load_preset("ref15_like")
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        replace(g, **{name: value})
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_coincident_levels_are_refused_by_name(check):
+    # a deeper double well at the symmetric point: the 0-1 tunnel splitting
+    # falls below the resolution floor and the two lowest levels coincide
+    import warnings
+
+    p, g = load_preset("ref15_like")
+    deep = replace(p, Ic=8e-6, Phi_x=0.5 * PHI0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResolutionError,
+                           match="levels 0 and 1 coincide") as info:
+            solve(deep, g, check_convergence=check)
+    assert "resolution floor" in str(info.value)
 
 
 def test_level_structure_invariants():
@@ -184,18 +220,9 @@ def _check_inputs():
         yield f"{name} 101", p, FluxGrid(g.center, g.half_width, 101)
 
 
-def _fine_reference(p, g, n_levels=3):
-    """Doubled-grid tridiagonal, its resolution floor, the index-mode
-    eigenvalues on it, and the check's window half-width at rtol 1e-6."""
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    coarse = _solve_grid(p, g, n_levels)[0]
-    diag, off, _ = _tridiagonal(p, g.doubled())
-    floor = np.finfo(float).eps * np.max(np.abs(diag))
-    index = eigvalsh_tridiagonal(diag, off, select="i",
-                                 select_range=(0, n_levels - 1))
-    half = max(1e-6 * (coarse[-1] - coarse[0]), _WINDOW_FLOORS * floor)
-    return coarse, diag, off, floor, index, half
+def _half_width(rho, floor, rtol):
+    """The certificate's window half-width h around predictions rho."""
+    return max(16.0 * floor, rtol * np.min(rho[1:] - rho[0]) / 8.0)
 
 
 @pytest.fixture
@@ -222,12 +249,12 @@ def search_modes(monkeypatch):
 def _index_mode_decision(p, g, n_levels, rtol):
     """Whether the check should raise, judged on the full index-mode solve
     of the doubled grid with eigenvectors (the check's original reference),
-    and that solve's eigenvalues."""
-    coarse = _solve_grid(p, g, n_levels)[0]
+    the coarse eigenpairs, and that solve's eigenvalues."""
+    coarse, vecs = _solve_grid(p, g, n_levels)[:2]
     ref_fine = _solve_grid(p, g.doubled(), n_levels)[0]
     ref_tr = ref_fine[1:] - ref_fine[0]
     ref_shift = np.max(np.abs(coarse[1:] - coarse[0] - ref_tr) / ref_tr)
-    return ref_shift > rtol, coarse, ref_fine
+    return ref_shift > rtol, coarse, vecs, ref_fine
 
 
 def _assert_decides(p, g, n_levels, rtol, raises):
@@ -238,96 +265,96 @@ def _assert_decides(p, g, n_levels, rtol, raises):
         solve(p, g, n_levels, check_rtol=rtol)
 
 
+def _assert_sound(p, g, n_levels, rtol, modes, label=""):
+    """Run the check and hold it to the index-mode solve; return whether the
+    Sturm counts alone certified a pass.
+
+    The transitions agree with the index-mode ones to 1e-7 relative.  A
+    certified pass makes n_levels + 1 counts and nothing else, keeps every
+    level within the certified bound of the index-mode value, and happens
+    only where the index mode passes.  Otherwise one index search, last,
+    returns the index-mode values exactly.  Either way `solve` decides as
+    the index mode does."""
+    raises, coarse, vecs, ref_fine = _index_mode_decision(p, g, n_levels,
+                                                          rtol)
+    modes.clear()
+    fine, floor = _doubled_grid_energies(p, g, coarse, vecs, rtol)
+    np.testing.assert_allclose(fine[1:] - fine[0], ref_fine[1:] - ref_fine[0],
+                               rtol=1e-7, err_msg=label)
+    certified = "index" not in modes
+    if certified:
+        assert modes == ["count"] * (n_levels + 1), label
+        assert not raises, label
+        bound = (_half_width(fine, floor, rtol)
+                 + (2.0 * _STURM_SLOP + 1.0) * floor)
+        assert np.max(np.abs(fine - ref_fine)) <= bound, label
+    else:
+        assert modes[-1] == "index", label
+        assert set(modes[:-1]) <= {"count"}, label
+        np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
+    _assert_decides(p, g, n_levels, rtol, raises)
+    return certified
+
+
 def test_doubled_grid_check_decides_like_the_index_mode_solve(search_modes):
-    rtol = 1e-6
-    for label, p, g in _check_inputs():
-        raises, coarse, ref_fine = _index_mode_decision(p, g, 3, rtol)
-        ref_tr = ref_fine[1:] - ref_fine[0]
-        search_modes.clear()
-        fine, _ = _doubled_grid_energies(p, g, coarse, rtol)
-        np.testing.assert_allclose(fine[1:] - fine[0], ref_tr, rtol=1e-7,
-                                   err_msg=label)
-        # a count, then the windows, and at most one index search, last
-        assert search_modes[0] in ("count", "index"), label
-        assert "index" not in search_modes[:-1], label
-        if label == "ref15_like preset":
-            # no index search when converged
-            assert search_modes == ["count"] + ["window"] * 3
-        if label.endswith("101"):
-            assert search_modes[-1] == "index", label  # the fallback ran
-        if search_modes[-1] == "index":
-            np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
-        _assert_decides(p, g, 3, rtol, raises)
-
-
-def test_each_window_holds_one_value_near_the_index_mode_value():
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    for label, p, g in _check_inputs():
-        coarse, diag, off, floor, index, half = _fine_reference(p, g)
-        found = [eigvalsh_tridiagonal(diag, off, select="v",
-                                      select_range=(c - half, c + half))
-                 for c in coarse]
-        if label.endswith("101"):
-            # far from convergence every fine level leaves its window
-            assert [f.size for f in found] == [0, 0, 0], label
-            assert _window_levels(diag, off, coarse, half) is None, label
-            continue
-        assert [f.size for f in found] == [1, 1, 1], label
-        levels = _window_levels(diag, off, coarse, half)
-        assert np.array_equal(levels, np.concatenate(found)), label
-        assert np.max(np.abs(levels - index)) <= 2.0 * floor, label
-
-
-def test_a_window_miss_falls_back_to_the_index_mode_search(monkeypatch,
-                                                            search_modes):
-    import squidqed.squid as squid
-
-    real = squid._window_levels
-    monkeypatch.setattr(squid, "_window_levels",
-                        lambda diag, off, centers, half:
-                        real(diag, off, centers, 0.0))
-    rtol = 1e-6
-    for label, p, g in _check_inputs():
-        if label.endswith(("preset", "0.5098", "101")):
-            raises, coarse, ref_fine = _index_mode_decision(p, g, 3, rtol)
-            search_modes.clear()
-            fine, _ = _doubled_grid_energies(p, g, coarse, rtol)
-            assert search_modes[-1] == "index", label
-            np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
-            _assert_decides(p, g, 3, rtol, raises)
+    certified = {label for label, p, g in _check_inputs()
+                 if _assert_sound(p, g, 3, 1e-6, search_modes, label)}
+    # converged grids away from the symmetric point pass on counts alone;
+    # the far-from-converged grids never do
+    for name in ("ref15_like", "harmonic"):
+        assert f"{name} preset" in certified
+        assert f"{name} 101" not in certified
+        for bias in (0.5002, 0.4998, 0.5098, 0.4902):
+            assert f"{name} {bias}" in certified
 
 
 @pytest.mark.parametrize("name", ["ref15_like", "harmonic"])
 @pytest.mark.parametrize("n_levels", [2, 5, 8])
 @pytest.mark.parametrize("points", [None, 2001])
-def test_level_counts_decide_like_the_index_mode_solve(name, n_levels,
-                                                       points):
+def test_level_counts_decide_like_the_index_mode_solve(search_modes, name,
+                                                       n_levels, points):
     p, g = load_preset(name)
     if points is not None:  # too coarse: the check raises
         g = FluxGrid(g.center, g.half_width, points)
+    certified = _assert_sound(p, g, n_levels, 1e-6, search_modes)
+    assert certified or points is not None
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_predictions_moved_by_three_half_widths_fall_back(monkeypatch,
+                                                          search_modes, sign):
+    # every window then misses its level, so the counts refuse to certify
+    # and the index mode decides as it would alone; run on the inputs whose
+    # unmoved predictions certify
+    import squidqed.squid as squid
+
     rtol = 1e-6
-    raises, coarse, ref_fine = _index_mode_decision(p, g, n_levels, rtol)
-    fine, _ = _doubled_grid_energies(p, g, coarse, rtol)
-    ref_tr = ref_fine[1:] - ref_fine[0]
-    np.testing.assert_allclose(fine[1:] - fine[0], ref_tr, rtol=1e-7)
-    _assert_decides(p, g, n_levels, rtol, raises)
+    real = squid._rayleigh_levels
 
+    def moved(diag, off, vecs):
+        rho = real(diag, off, vecs)
+        floor = np.finfo(float).eps * np.max(np.abs(diag))
+        return rho + sign * 3.0 * _half_width(rho, floor, rtol)
 
-def test_overlapping_windows_are_never_certified():
-    # two windows around level 1 each hold it alone, and the count up to the
-    # top edge finds two values (levels 0 and 1); only disjointness stops
-    # level 1 from being returned twice
-    p, g = load_preset("ref15_like")
-    _, diag, off, _, index, half = _fine_reference(p, g)
-    centers = index[1] + np.array([-0.5, 0.5]) * half
-    assert _window_levels(diag, off, centers, half) is None
+    monkeypatch.setattr(squid, "_rayleigh_levels", moved)
+    for label, p, g in _check_inputs():
+        if not label.endswith(("preset", "0.5002", "0.4998", "0.5098",
+                               "0.4902")):
+            continue
+        raises, coarse, vecs, ref_fine = _index_mode_decision(p, g, 3, rtol)
+        search_modes.clear()
+        fine, _ = _doubled_grid_energies(p, g, coarse, vecs, rtol)
+        assert search_modes[0] == "count", label  # the counts refused
+        assert search_modes[-1] == "index", label
+        np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
+        _assert_decides(p, g, 3, rtol, raises)
 
 
 def test_converged_check_makes_one_lapack_call_per_level_and_one_count(
         monkeypatch):
     # every LAPACK routine the tridiagonal eigensolvers fetch is counted,
-    # so an index-mode or wide value search creeping back would show
+    # so an index-mode search or a bisecting value search creeping back
+    # would show
     import scipy.linalg._decomp as decomp
 
     calls = []
@@ -343,19 +370,18 @@ def test_converged_check_makes_one_lapack_call_per_level_and_one_count(
 
     p, g = load_preset("ref15_like")
     for n_levels in (2, 3, 5):
-        coarse, _, _, _, _, half = _fine_reference(p, g, n_levels)
+        coarse, vecs = _solve_grid(p, g, n_levels)[:2]
         monkeypatch.setattr(decomp, "get_lapack_funcs", fetch)
         calls.clear()
-        _doubled_grid_energies(p, g, coarse, 1e-6)
+        _doubled_grid_energies(p, g, coarse, vecs, 1e-6)
         monkeypatch.undo()
-        assert len(calls) <= n_levels + 1, calls
         # stebz(d, e, select, vl, vu, ..., tol): select 1 searches by value
-        # (2 by index); only the count may search more than one window,
-        # 2 * half wide up to the rounding of its edges
+        # (2 by index); a tolerance as wide as the range stops it after the
+        # Sturm counts at the two ends
+        assert len(calls) == n_levels + 1, calls
         for name, select, vl, vu, tol in calls:
             assert name.endswith("stebz") and select == 1, calls
-            assert tol > 0 or vu - vl < 2.01 * half, calls
-        assert sum(tol > 0 for *_, tol in calls) == 1, calls
+            assert tol >= vu - vl > 0, calls
 
 
 @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-6])
