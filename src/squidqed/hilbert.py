@@ -11,6 +11,7 @@ dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,21 +44,40 @@ class HermiticityError(ValueError):
     """An operator required to be Hermitian is not."""
 
 
-def _check_dims(dims: tuple[int, ...], size: int) -> None:
+def _whole_numbers(values, message: str) -> tuple[int, ...]:
+    """``values`` (a tuple, a sequence, an array or one number) as a tuple
+    of ints; a value that is not a whole number is refused with
+    ``message``, naming it.  A tuple is read as it is, without an array."""
+    if not isinstance(values, tuple):
+        values = tuple(np.atleast_1d(values))
+    ints = []
+    for x in values:
+        try:
+            n = int(x)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != x:
+            raise ValueError(f"{message}, got {x}")
+        ints.append(n)
+    return tuple(ints)
+
+
+def _check_dims(dims, size: int) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints >= 2 whose product is ``size``."""
+    dims = _whole_numbers(dims, "subsystem dimensions must be integers >= 2")
     if len(dims) == 0:
         raise ValueError("dims must contain at least one subsystem")
     for d in dims:
-        if int(d) != d or d < 2:
+        if d < 2:
             raise ValueError(f"subsystem dimensions must be integers >= 2, got {d}")
-    prod = 1
-    for d in dims:
-        prod *= int(d)
+    prod = math.prod(dims)
     if prod != size:
         raise ValueError(f"product of dims {dims} is {prod}, expected {size}")
     if prod > MAX_TOTAL_DIM:
         raise CapacityError(
             f"total dimension {prod} exceeds the dense-storage cap {MAX_TOTAL_DIM}"
         )
+    return dims
 
 
 @dataclass(frozen=True)
@@ -74,8 +94,7 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in np.atleast_1d(self.dims))
-        _check_dims(dims, amps.size)
+        dims = _check_dims(self.dims, amps.size)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -105,8 +124,7 @@ class Operator:
         mat = np.array(self.entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator entries must be square, got shape {mat.shape}")
-        dims = tuple(int(d) for d in np.atleast_1d(self.dims))
-        _check_dims(dims, mat.shape[0])
+        dims = _check_dims(self.dims, mat.shape[0])
         if self.hermitian_flag:
             dev = float(np.max(np.abs(mat - mat.conj().T)))
             if dev >= HERMITICITY_TOL:
@@ -125,8 +143,8 @@ class Operator:
 def basis_state(dims, index, amplitude: complex = 1.0) -> StateVector:
     """Product basis state amplitude * |i1, i2, ...> for one index per
     subsystem (the amplitude gives the declared phases of truth tables)."""
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
-    idx = tuple(int(i) for i in np.atleast_1d(index))
+    dims = _whole_numbers(dims, "subsystem dimensions must be integers >= 2")
+    idx = _whole_numbers(index, "basis indices must be integers")
     if len(idx) != len(dims):
         raise ValueError(f"{len(dims)} subsystems but {len(idx)} indices")
     flat = 0
@@ -134,7 +152,7 @@ def basis_state(dims, index, amplitude: complex = 1.0) -> StateVector:
         if not 0 <= i < d:
             raise ValueError(f"index {i} out of range for dimension {d}")
         flat = flat * d + i
-    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    amps = np.zeros(math.prod(dims), dtype=complex)
     amps[flat] += amplitude  # adding to +0 keeps a zero real part positive
     return StateVector(amps, dims)
 
@@ -186,7 +204,7 @@ def partial_trace(state: StateVector, keep) -> Operator:
             raise ValueError(f"keep index {k} invalid for {n_sub} subsystems")
     traced = [i for i in range(n_sub) if i not in keep]
     kept_dims = tuple(dims[k] for k in keep)
-    d_keep = int(np.prod(kept_dims))
+    d_keep = math.prod(kept_dims)
 
     # reorder so kept axes come first, then contract the traced axes
     tensor = np.transpose(state.amplitudes.reshape(dims), keep + traced)

@@ -316,6 +316,10 @@ class ExecutionParams:
             if not (0 < self.g02 < math.inf and 0 < self.detuning < math.inf):
                 raise ValueError("explicit cavity needs finite, positive g02 "
                                  "and detuning")
+            if (isinstance(self.fock_cutoff, bool)
+                    or not isinstance(self.fock_cutoff, (int, np.integer))):
+                raise ValueError(f"fock_cutoff must be an int, got "
+                                 f"{self.fock_cutoff!r}")
             if self.fock_cutoff < 2:
                 raise ValueError("fock_cutoff must be at least 2")
             gamma = gamma_eff(self.g02, self.detuning)
@@ -373,7 +377,7 @@ def _step_unitary(step, backend: str, params: ExecutionParams,
     frozen value, and a batch of runs asks for the same few segments over
     and over, so each distinct segment is built once."""
     if isinstance(step, AraStep):
-        u = np.eye(int(np.prod(dims)), dtype=complex)
+        u = np.eye(math.prod(dims), dtype=complex)
         for act in step.actions:
             if backend == "analytic":
                 r = _on_loop(rotation_map(act.levels, act.theta).entries,
@@ -442,7 +446,7 @@ def _run_block(schedule: GateSchedule, inputs: np.ndarray, backend: str,
     runs[:, 0] = block
     for run in runs:
         for k, u in enumerate(units):
-            run[k + 1] = u @ run[k]
+            np.matmul(u, run[k], out=run[k + 1])
     return runs
 
 

@@ -88,8 +88,8 @@ FOCK_VIOLATION_TOL = 1e-6
 TRUTH_TABLE_ATOL = 1e-9
 
 #: Time points evaluated together when photon statistics are sampled; it
-#: keeps the (block x dimension) temporaries small.
-_SAMPLE_BLOCK = 64
+#: bounds the (columns x block x dimension) temporaries of each product.
+_SAMPLE_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +379,12 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
     condition |detuning| / omega_c as ``condition_ratio`` with
     ``condition_ok``.  A zero detuning, a transition that is not positive
     (ratio >= 1 below the cavity), or a carrier, probe time or
-    carrier-period count that is not finite, raises ValueError.
+    carrier-period count that is not finite, or a ``fock_cutoff`` that is
+    not an int, raises ValueError.
     """
+    if (isinstance(fock_cutoff, bool)
+            or not isinstance(fock_cutoff, (int, np.integer))):
+        raise ValueError(f"fock_cutoff must be an int, got {fock_cutoff!r}")
     g = _PRESET_PATTERN * g02
     if g[0, 2] == 0.0:
         raise ValueError("zero 0<->2 coupling g[0, 2]: the exchange period "
@@ -466,24 +470,23 @@ def _sampled_photon_peaks(phases: np.ndarray, v: np.ndarray,
     block vecs (a 1-D vector is one column).  The states end in the cavity
     factor, cavity index fast.  The table comes from the caller: memoized
     per segment by `_segment_phases` for cavity runs, built per point by
-    `rwa_error_point`.  Each block of _SAMPLE_BLOCK rows is applied to
-    every column, one matrix product per column: rows e^{-i w t}
-    (v^dag vec) times v^T.  Every column runs the same operations as a
-    call with that column alone, so the peaks are bit-identical to the
-    maxima of k such calls."""
+    `rwa_error_point`.  Each block of _SAMPLE_BLOCK rows meets all k
+    columns in one batched product, rows e^{-i w t} (v^dag vec) times v^T,
+    that numpy runs as one product per column; top-level populations are
+    summed from a (k, levels, rows) gather, in a one-column call's order.
+    So the peaks are bit-identical to the maxima of k one-column calls."""
     cols = np.ascontiguousarray(vecs.T if vecs.ndim == 2 else vecs[None])
     num_diag = np.tile(np.arange(nfock, dtype=float), cols.shape[1] // nfock)
-    top_mask = num_diag == nfock - 1
+    top = np.arange(nfock - 1, cols.shape[1], nfock)
     v_dag = v.conj().T
-    coeffs = [v_dag @ col for col in cols]
+    coeffs = np.stack([v_dag @ col for col in cols])[:, None]
     peak_n, peak_top = 0.0, 0.0
     for start in range(0, len(phases), _SAMPLE_BLOCK):
         block = phases[start:start + _SAMPLE_BLOCK]
-        for c in coeffs:
-            prob = np.abs((block * c) @ v.T) ** 2
-            peak_n = max(peak_n, float((num_diag * prob).sum(axis=1).max()))
-            peak_top = max(peak_top,
-                           float(prob[:, top_mask].sum(axis=1).max()))
+        prob = np.abs((block * coeffs) @ v.T) ** 2
+        peak_n = max(peak_n, float((num_diag * prob).sum(axis=-1).max()))
+        peak_top = max(peak_top, float(
+            np.take(prob.swapaxes(1, 2), top, axis=1).sum(axis=1).max()))
     return peak_n, peak_top
 
 

@@ -30,6 +30,39 @@ def test_state_vector_validation():
         sv.amplitudes[0] = 0.5  # read-only
 
 
+@pytest.mark.parametrize("dims", [(3.7, 3), [3, 3.7], np.array([3.7, 3]),
+                                  (float("nan"), 3), (float("inf"), 3),
+                                  ("3", 3)])
+def test_non_integral_dimensions_are_refused_by_name(dims):
+    with pytest.raises(ValueError, match="integers >= 2, got"):
+        StateVector(np.ones(9) / 3, dims)
+    with pytest.raises(ValueError, match="integers >= 2, got"):
+        Operator(np.eye(9), dims)
+    with pytest.raises(ValueError, match="integers >= 2, got"):
+        basis_state(dims, (0, 0))
+
+
+def test_whole_float_and_numpy_int_dimensions_are_accepted():
+    for dims in ((3.0, 3), (np.int64(3), np.int32(3)), [3, 3],
+                 np.array([3, 3]), np.array([3.0, 3.0])):
+        assert StateVector(np.ones(9) / 3, dims).dims == (3, 3)
+        assert Operator(np.eye(9), dims).dims == (3, 3)
+        assert basis_state(dims, (1, 0)).dims == (3, 3)
+    assert StateVector(np.ones(3) / np.sqrt(3), 3).dims == (3,)
+    assert all(type(d) is int for d in
+               StateVector(np.ones(9) / 3, (3.0, np.int64(3))).dims)
+
+
+def test_basis_state_refuses_a_non_integral_index_by_name():
+    for index in ((1.9, 0), (0, 0.5), (float("nan"), 0)):
+        with pytest.raises(ValueError, match="basis indices must be "
+                                             "integers, got"):
+            basis_state((3, 3), index)
+    for index in ((1.0, 0), (np.int64(1), np.int32(0)), np.array([1, 0])):
+        np.testing.assert_array_equal(basis_state((3, 3), index).amplitudes,
+                                      np.eye(9)[3])
+
+
 def test_capacity_cap():
     with pytest.raises(CapacityError):
         StateVector(np.zeros(8192, dtype=complex), (2,) * 13)

@@ -172,6 +172,22 @@ def test_execution_params_refuse_rates_that_are_not_finite_and_positive(bad):
             ExecutionParams(explicit_cavity=True, **{field: bad})
 
 
+@pytest.mark.parametrize("bad", [4.0, 4.5, True, "4", None])
+def test_execution_params_refuse_a_fock_cutoff_that_is_not_an_int(bad):
+    with pytest.raises(ValueError, match="fock_cutoff must be an int, got"):
+        ExecutionParams(g02=0.05, detuning=1.0, explicit_cavity=True,
+                        fock_cutoff=bad)
+
+
+def test_execution_params_take_a_numpy_int_fock_cutoff():
+    for cutoff in (np.int64(4), np.int32(4)):
+        params = ExecutionParams(g02=0.05, detuning=1.0,
+                                 explicit_cavity=True, fock_cutoff=cutoff)
+        res = execute(schedule_cps(), basis_state((3, 3), (1, 1)),
+                      "hamiltonian", params)
+        assert res.final_state.dims == (3, 3, 4)
+
+
 def test_pulse_duration_is_theta_over_twice_the_rabi_rate():
     act = PulseAction("a", (1, 2), Fraction(3))
     assert act.duration(7.0) == 3 * np.pi / 14.0

@@ -187,6 +187,22 @@ def test_rwa_point_refuses_values_that_overflow():
         rwa_error_point(0.5, 1e-300)
 
 
+@pytest.mark.parametrize("bad", [4.0, True, "4"])
+def test_scan_points_refuse_a_fock_cutoff_that_is_not_an_int(bad):
+    with pytest.raises(ValueError, match="fock_cutoff must be an int, got"):
+        rwa_error_point(0.05, fock_cutoff=bad)
+    with pytest.raises(ValueError, match="fock_cutoff must be an int, got"):
+        dispersive_error_point(0.05, fock_cutoff=bad)
+
+
+def test_scan_points_take_a_numpy_int_fock_cutoff():
+    ratio = verify.DEFAULT_RWA_RATIOS[0]
+    assert rwa_error_point(ratio, fock_cutoff=np.int64(4)) == \
+        rwa_error_point(ratio, fock_cutoff=4)
+    assert dispersive_error_point(0.05, fock_cutoff=np.int64(4)) == \
+        dispersive_error_point(0.05, fock_cutoff=4)
+
+
 def test_rwa_point_runs_on_both_sides_of_the_cavity(monkeypatch):
     """The signed detuning omega_20 - omega_c puts the 0<->2 transition
     above or below the carrier |detuning| / ratio; a zero detuning and a
@@ -382,6 +398,45 @@ def test_block_photon_sampling_is_bitwise_k_single_column_calls():
                 got = _sampled_photon_peaks(phases, v, block[:, :k], nfock)
                 assert got == tuple(map(max, zip(*single))), (dim, k,
                                                               n_samples)
+
+
+def _per_column_sampler(phases, v, vecs, nfock):
+    """The sampler as it stood before its columns were batched: 64-row
+    blocks, one product per column, the oracle the batched one must match
+    bit for bit."""
+    cols = np.ascontiguousarray(vecs.T if vecs.ndim == 2 else vecs[None])
+    num_diag = np.tile(np.arange(nfock, dtype=float), cols.shape[1] // nfock)
+    top_mask = num_diag == nfock - 1
+    v_dag = v.conj().T
+    coeffs = [v_dag @ col for col in cols]
+    peak_n, peak_top = 0.0, 0.0
+    for start in range(0, len(phases), 64):
+        block = phases[start:start + 64]
+        for c in coeffs:
+            prob = np.abs((block * c) @ v.T) ** 2
+            peak_n = max(peak_n, float((num_diag * prob).sum(axis=1).max()))
+            peak_top = max(peak_top,
+                           float(prob[:, top_mask].sum(axis=1).max()))
+    return peak_n, peak_top
+
+
+def test_batched_photon_sampling_is_bitwise_the_per_column_sampler():
+    # the sample counts put a block edge of either sampler at every side
+    # of 64 and 128 rows, including one-row blocks
+    rng = np.random.default_rng(59)
+    for dim, nfock in ((12, 4), (36, 4), (72, 8)):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        w, v = np.linalg.eigh(m + m.conj().T)
+        block = rng.normal(size=(dim, 5)) + 1j * rng.normal(size=(dim, 5))
+        block /= np.linalg.norm(block, axis=0)
+        for n_samples in (1, 100, 127, 128, 129, 512):
+            phases = _phase_table(w, 3.7, n_samples)
+            inputs = [block[:, :k] for k in range(1, 6)] + [block[:, 2]]
+            for vecs in inputs:
+                got = _sampled_photon_peaks(phases, v, vecs, nfock)
+                ref = _per_column_sampler(phases, v, vecs, nfock)
+                assert got[0] == ref[0] and got[1] == ref[1], (
+                    dim, n_samples, vecs.shape)
 
 
 #: Columns of the default `dispersive_error_scan()`, stored at full repr
