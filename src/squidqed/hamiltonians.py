@@ -57,6 +57,15 @@ VALID_TARGETS = ((0, 1), (0, 2), (1, 2))
 CONDITION_RATIO_MAX = 0.1
 
 
+def _check_fock_cutoff(fock_cutoff) -> None:
+    """Refuse, by name, a Fock-space truncation that is not an int >= 2."""
+    if (isinstance(fock_cutoff, bool)
+            or not isinstance(fock_cutoff, (int, np.integer))):
+        raise ValueError(f"fock_cutoff must be an int, got {fock_cutoff!r}")
+    if fock_cutoff < 2:
+        raise ValueError("fock_cutoff must be at least 2")
+
+
 @dataclass(frozen=True)
 class CavityMode:
     """Single cavity mode: angular frequency omega_c (rad/s), Fock-space
@@ -67,10 +76,10 @@ class CavityMode:
     effective_flux_amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.omega_c <= 0:
-            raise ValueError("omega_c must be positive")
-        if self.fock_cutoff < 2:
-            raise ValueError("fock_cutoff must be at least 2")
+        if not 0 < self.omega_c < np.inf:
+            raise ValueError(
+                f"omega_c must be finite and positive, got {self.omega_c}")
+        _check_fock_cutoff(self.fock_cutoff)
 
 
 @dataclass(frozen=True)
@@ -116,12 +125,10 @@ class DriveSpec:
         if pair not in VALID_TARGETS:
             raise ValueError(f"target_levels must be one of {VALID_TARGETS}")
         object.__setattr__(self, "target_levels", pair)
-        if self.rabi <= 0:
-            raise ValueError("rabi must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.omega_uw <= 0:
-            raise ValueError("omega_uw must be positive")
+        for name in ("rabi", "duration", "omega_uw"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
 
     def is_resonant(self, ls: LevelStructure, rtol: float = 1e-9) -> bool:
         """Whether the drive frequency matches the target transition."""
@@ -324,6 +331,12 @@ def h_drive_full_factory(d: DriveSpec, ls: LevelStructure):
     return h
 
 
+def _resonant_drive(levels, rabi: float) -> Operator:
+    """rabi (|i><j| + |j><i|) on one loop: the reduced drive and every pulse."""
+    m = _unit(*levels)
+    return Operator(rabi * (m + m.T), (3,), hermitian_flag=True)
+
+
 def h_drive_rwa(d: DriveSpec, ls: LevelStructure) -> Operator:
     """Resonant reduced drive: rabi * (|i><j| + |j><i|), time-independent.
 
@@ -334,9 +347,7 @@ def h_drive_rwa(d: DriveSpec, ls: LevelStructure) -> Operator:
         raise ValueError(
             f"drive at {d.omega_uw:.6e} rad/s is not resonant with the "
             f"{d.target_levels} transition at {w:.6e} rad/s")
-    i, j = d.target_levels
-    return Operator(d.rabi * (_unit(i, j) + _unit(j, i)), (3,),
-                    hermitian_flag=True)
+    return _resonant_drive(d.target_levels, d.rabi)
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def partial_trace(state: StateVector, keep) -> Operator:
     """Reduced density matrix of a pure state over the kept subsystems;
     ``keep`` lists subsystem indices to retain, in order."""
     dims = state.dims
-    keep = [int(k) for k in np.atleast_1d(keep)]
+    keep = list(_whole_numbers(keep, "keep indices must be integers"))
     n_sub = len(dims)
     if len(keep) == 0 or len(set(keep)) != len(keep):
         raise ValueError("keep must be a nonempty list of distinct indices")

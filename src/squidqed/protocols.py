@@ -7,8 +7,8 @@ cavity) are bound only at execution time.  Conventions:
 
 * A resonant rotation by angle theta on levels (i, j) maps the pair by
   cos(theta/2) on the diagonal and -i sin(theta/2) off it; a pi pulse sends
-  |j> to -i|i>.  Rotations are idealized as instantaneous next to the
-  dispersive timescale.
+  |j> to -i|i>.  Rotations are instantaneous next to the dispersive
+  timescale, and each acts on its own loop alone, never on the cavity.
 * Dispersive step durations are rational multiples of pi/gamma, stored
   exactly as fractions.
 * Two-loop product states live on dims (3, 3) ordered (loop_a, loop_b);
@@ -24,8 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonians import (_X02, _X20, _on_loop, _unit, gamma_eff,
-                           h_eff_vacuum, loop_cavity_hamiltonian)
+from .hamiltonians import (_X02, _X20, _check_fock_cutoff, _on_loop,
+                           _resonant_drive, gamma_eff, h_eff_vacuum,
+                           loop_cavity_hamiltonian)
 from .hilbert import Operator, StateVector, matexp_unitary
 from .dynamics import EvolutionResult
 
@@ -91,8 +92,8 @@ class AraStep:
     """A group of simultaneous resonant rotations, at most one per loop.
 
     Actions on different loops commute, so the step unitary is the product
-    of the individual rotations.  The interaction is off while pulses run;
-    on the explicit-cavity backend the cavity is untouched by construction.
+    of the individual rotations, each placed on its own loop.  So the
+    interaction is off while pulses run, and the cavity is untouched.
     """
 
     actions: tuple[PulseAction, ...]
@@ -316,12 +317,7 @@ class ExecutionParams:
             if not (0 < self.g02 < math.inf and 0 < self.detuning < math.inf):
                 raise ValueError("explicit cavity needs finite, positive g02 "
                                  "and detuning")
-            if (isinstance(self.fock_cutoff, bool)
-                    or not isinstance(self.fock_cutoff, (int, np.integer))):
-                raise ValueError(f"fock_cutoff must be an int, got "
-                                 f"{self.fock_cutoff!r}")
-            if self.fock_cutoff < 2:
-                raise ValueError("fock_cutoff must be at least 2")
+            _check_fock_cutoff(self.fock_cutoff)
             gamma = gamma_eff(self.g02, self.detuning)
             if not 0 < gamma < math.inf:
                 raise ValueError(f"explicit cavity rate g02^2/detuning = "
@@ -331,10 +327,9 @@ class ExecutionParams:
             raise ValueError("gamma and rabi must be finite and positive")
 
 
-def _pulse_generator(action: PulseAction, dims, rabi: float) -> np.ndarray:
-    i, j = action.levels
-    return _on_loop(rabi * (_unit(i, j) + _unit(j, i)),
-                    _TARGETS.index(action.target), dims)
+def _run_dims(params: ExecutionParams) -> tuple:
+    """Dims of a run: the two loops, then the cavity under explicit_cavity."""
+    return (3, 3, params.fock_cutoff) if params.explicit_cavity else (3, 3)
 
 
 @lru_cache(maxsize=16)
@@ -371,43 +366,40 @@ def _cavity_dispersive_unitary(params: ExecutionParams, t: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _step_unitary(step, backend: str, params: ExecutionParams,
-                  dims) -> np.ndarray:
-    """Read-only propagator of one constant segment.  Every argument is a
-    frozen value, and a batch of runs asks for the same few segments over
-    and over, so each distinct segment is built once."""
+def _step_unitary(step, backend: str, params: ExecutionParams) -> np.ndarray:
+    """Read-only propagator of one constant segment on the run's dims, each
+    rotation built on its own loop.  Every argument is a frozen value, and a
+    batch of runs asks for the same few segments, so each is built once."""
+    dims = _run_dims(params)
     if isinstance(step, AraStep):
         u = np.eye(math.prod(dims), dtype=complex)
         for act in step.actions:
             if backend == "analytic":
-                r = _on_loop(rotation_map(act.levels, act.theta).entries,
-                             _TARGETS.index(act.target), dims)
+                r = rotation_map(act.levels, act.theta)
             else:
-                h = Operator(_pulse_generator(act, dims, params.rabi), dims,
-                             hermitian_flag=True)
-                r = matexp_unitary(h, act.duration(params.rabi)).entries
-            u = r @ u
+                r = matexp_unitary(_resonant_drive(act.levels, params.rabi),
+                                   act.duration(params.rabi))
+            u = _on_loop(r.entries, _TARGETS.index(act.target), dims) @ u
     else:
-        gam = params.gamma
-        t = step.duration(gam)
+        t = step.duration(params.gamma)
         if params.explicit_cavity:
             u = _cavity_dispersive_unitary(params, t)
         elif backend == "analytic":
-            u = dispersive_map(gam, t).entries
+            u = dispersive_map(params.gamma, t).entries
         else:
-            u = matexp_unitary(h_eff_vacuum(gam), t).entries
+            u = matexp_unitary(h_eff_vacuum(params.gamma), t).entries
     u.setflags(write=False)
     return u
 
 
 @lru_cache(maxsize=64)
 def _schedule_unitaries(schedule: GateSchedule, backend: str,
-                        params: ExecutionParams, dims) -> tuple:
+                        params: ExecutionParams) -> tuple:
     """The read-only propagators of a schedule's steps, in order, each built
     by `_step_unitary`.  A schedule hashes by identity while a step hashes
     its fractions, so a run resolves all of its steps with one cheap
     lookup here."""
-    return tuple(_step_unitary(step, backend, params, dims)
+    return tuple(_step_unitary(step, backend, params)
                  for step in schedule.steps)
 
 
@@ -433,14 +425,13 @@ def _run_block(schedule: GateSchedule, inputs: np.ndarray, backend: str,
     if backend == "analytic" and params.explicit_cavity:
         raise ValueError("backend 'analytic' has no cavity: explicit_cavity "
                          "needs backend 'hamiltonian'")
-    dims, block = (3, 3), np.asarray(inputs, dtype=complex)
+    block = np.asarray(inputs, dtype=complex)
     if block.ndim != 2 or block.shape[1] != 9:
         raise ValueError(f"inputs of shape {block.shape} are not a block "
                          f"of two-loop rows")
-    if backend == "hamiltonian" and params.explicit_cavity:
-        dims = (3, 3, params.fock_cutoff)
+    if params.explicit_cavity:
         block = _with_cavity_vacuum(block, params.fock_cutoff)
-    units = _schedule_unitaries(schedule, backend, params, dims)
+    units = _schedule_unitaries(schedule, backend, params)
     runs = np.empty((len(block), len(units) + 1, block.shape[1]),
                     dtype=complex)
     runs[:, 0] = block
@@ -472,7 +463,7 @@ def execute(schedule: GateSchedule, psi0: StateVector,
                          f"for backend {backend!r}")
     params = params or ExecutionParams()
     run = _run_block(schedule, psi0.amplitudes[None], backend, params)[0]
-    dims = (3, 3, params.fock_cutoff) if params.explicit_cavity else (3, 3)
+    dims = _run_dims(params)
     return EvolutionResult(
         final_state=StateVector(run[-1], dims),
         propagator=None,

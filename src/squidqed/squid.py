@@ -130,6 +130,9 @@ class FluxGrid:
                     f"{name} must be finite, got {getattr(self, name)}")
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
+        if (isinstance(self.points, bool)
+                or not isinstance(self.points, Integral)):
+            raise ValueError(f"points must be an int, got {self.points!r}")
         if self.points < 64 or self.points % 2 == 0:
             raise ValueError(f"points must be odd and >= 64, got {self.points}")
 

@@ -32,7 +32,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .constants import TWO_PI
-from .hamiltonians import CONDITION_RATIO_MAX, loop_cavity_hamiltonian
+from .hamiltonians import (CONDITION_RATIO_MAX, _check_fock_cutoff,
+                           loop_cavity_hamiltonian)
 from .hilbert import Operator, StateVector, basis_state
 from .protocols import (AraStep, ExecutionParams, GateSchedule, PulseAction,
                         _cavity_eigensystem, _run_block, schedule_cps,
@@ -344,7 +345,7 @@ def _scan(kind: str, ratio_list, point, meta: dict) -> ScanResult:
     ratios = np.array(sorted(ratio_list, reverse=True), dtype=float)
     if ratios.size == 0:
         raise ValueError("the ratio list must not be empty")
-    if np.any(ratios <= 0) or np.any(ratios >= 1):
+    if not all(0 < r < 1 for r in ratios):
         raise ValueError("ratios must lie strictly between 0 and 1")
     points = [point(ratio) for ratio in ratios]
     cols = {k: np.array([p[k] for p in points]) for k in points[0]}
@@ -377,14 +378,15 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
     Returns ``error``, ``peak`` (photon number), ``violation`` (top Fock
     level populated beyond `FOCK_VIOLATION_TOL`) and the reduction
     condition |detuning| / omega_c as ``condition_ratio`` with
-    ``condition_ok``.  A zero detuning, a transition that is not positive
-    (ratio >= 1 below the cavity), or a carrier, probe time or
-    carrier-period count that is not finite, or a ``fock_cutoff`` that is
-    not an int, raises ValueError.
+    ``condition_ok``.  A ratio that is not finite and positive, a zero
+    detuning, a transition that is not positive (ratio >= 1 below the
+    cavity), a carrier, probe time or carrier-period count that is not
+    finite, or a ``fock_cutoff`` that is not an int >= 2, raises
+    ValueError.
     """
-    if (isinstance(fock_cutoff, bool)
-            or not isinstance(fock_cutoff, (int, np.integer))):
-        raise ValueError(f"fock_cutoff must be an int, got {fock_cutoff!r}")
+    if not 0 < ratio < math.inf:
+        raise ValueError(f"ratio must be finite and positive, got {ratio}")
+    _check_fock_cutoff(fock_cutoff)
     g = _PRESET_PATTERN * g02
     if g[0, 2] == 0.0:
         raise ValueError("zero 0<->2 coupling g[0, 2]: the exchange period "

@@ -62,6 +62,18 @@ def test_cavity_mode_validation():
         CavityMode(omega_c=-1.0)
     with pytest.raises(ValueError):
         CavityMode(omega_c=1.0, fock_cutoff=1)
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="omega_c must be finite and "
+                                             "positive"):
+            CavityMode(omega_c=bad)
+    for bad in (4.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="fock_cutoff must be an int"):
+            CavityMode(1.0, fock_cutoff=bad)
+    for bad in (1, 0, np.int64(1)):
+        with pytest.raises(ValueError, match="fock_cutoff must be at least 2"):
+            CavityMode(1.0, fock_cutoff=bad)
+    for cutoff in (2, np.int64(2), np.int32(4)):
+        assert CavityMode(1.0, fock_cutoff=cutoff).fock_cutoff == cutoff
 
 
 def test_coupling_set_validation():
@@ -108,6 +120,24 @@ def test_drive_spec_validation():
     off = DriveSpec(target_levels=(0, 2), rabi=1.0, omega_uw=1.001 * W20,
                     duration=1.0)
     assert not off.is_resonant(three_level())
+    values = {"rabi": 1.0, "omega_uw": 1.0, "duration": 1.0}
+    for name in values:
+        for bad in (float("nan"), float("inf"), -float("inf"), 0.0):
+            with pytest.raises(ValueError, match=f"{name} must be finite and "
+                                                 f"positive"):
+                DriveSpec((0, 2), **{**values, name: bad})
+
+
+def test_resonant_drive_entries_are_exact():
+    ls = three_level()
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        for rabi in (1.0, 0.37, 2 * np.pi * 1e9, 6e9):
+            d = DriveSpec(pair, rabi, transition_frequency(ls, pair), 1e-9)
+            hr = h_drive_rwa(d, ls)
+            expect = np.zeros((3, 3), dtype=complex)
+            expect[pair] = expect[pair[::-1]] = rabi
+            assert hr.dims == (3,) and hr.hermitian_flag
+            assert np.array_equal(hr.entries, expect)
 
 
 def test_drive_from_structure(solved):

@@ -159,6 +159,22 @@ def test_partial_trace_bell_state_is_mixed():
     np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
+@pytest.mark.parametrize("keep", [[0.6], [1.5, 0], (0, 0.5), ["a"]])
+def test_partial_trace_refuses_a_non_integral_keep_by_name(keep):
+    psi = basis_state((3, 3), (1, 2))
+    with pytest.raises(ValueError, match="keep indices must be integers"):
+        partial_trace(psi, keep)
+
+
+def test_partial_trace_takes_whole_float_and_numpy_int_indices():
+    psi = basis_state((3, 4), (1, 2))
+    want = partial_trace(psi, [1]).entries
+    for keep in ([np.int64(1)], np.array([1]), (1.0,), 1):
+        rho = partial_trace(psi, keep)
+        assert rho.dims == (4,)
+        assert np.array_equal(rho.entries, want)
+
+
 def test_partial_trace_trace_one_and_hermitian():
     rng = np.random.default_rng(9)
     for _ in range(10):

@@ -1,14 +1,15 @@
 """Pulse schedules: closed-form step maps, gate truth behavior, backend
 agreement."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from squidqed import protocols
-from squidqed.hamiltonians import h_eff_vacuum
-from squidqed.hilbert import StateVector, basis_state, matexp_unitary
+from squidqed.hamiltonians import _on_loop, _unit, h_eff_vacuum
+from squidqed.hilbert import Operator, StateVector, basis_state, matexp_unitary
 from squidqed.protocols import (AraStep, DispersiveStep, ExecutionParams,
                                 GateSchedule, PulseAction, SCHEDULE_BUILDERS,
                                 dispersive_map, execute, rotation_map,
@@ -18,6 +19,7 @@ from squidqed.protocols import (AraStep, DispersiveStep, ExecutionParams,
                                 _cavity_eigensystem, _run_block,
                                 _schedule_unitaries, _step_unitary,
                                 _with_cavity_vacuum)
+from squidqed.verify import corrupt_first_pulse
 
 COMP = (0, 1, 3, 4)  # |00>, |01>, |10>, |11> on the 9-dim two-loop space
 
@@ -264,9 +266,9 @@ BACKENDS = (("analytic", ExecutionParams(), (3, 3)),
 def test_cached_step_propagators_are_read_only():
     for backend, params, dims in BACKENDS:
         for step in schedule_swap().steps:
-            u = _step_unitary(step, backend, params, dims)
+            u = _step_unitary(step, backend, params)
             assert not u.flags.writeable
-            assert _step_unitary(step, backend, params, dims) is u
+            assert _step_unitary(step, backend, params) is u
             with pytest.raises(ValueError):
                 u[0, 0] = 0.0
     w, v = _cavity_eigensystem(0.05, 1.0, 4)
@@ -316,9 +318,61 @@ def test_warm_execute_resolves_its_schedule_with_one_lookup(monkeypatch):
             np.testing.assert_array_equal(again.final_state.amplitudes,
                                           first.final_state.amplitudes)
             # the lookup hands out the one cached propagator of each step
-            units = _schedule_unitaries(sched, backend, params, dims)
-            assert all(u is _step_unitary(step, backend, params, dims)
+            units = _schedule_unitaries(sched, backend, params)
+            assert all(u is _step_unitary(step, backend, params)
                        for u, step in zip(units, sched.steps))
+
+
+def _full_dims_pulse(step, params, dims):
+    """Reference pulse propagator: each rotation's generator is placed on
+    the whole of ``dims`` and exponentiated there."""
+    u = np.eye(math.prod(dims), dtype=complex)
+    for act in step.actions:
+        i, j = act.levels
+        gen = _on_loop(params.rabi * (_unit(i, j) + _unit(j, i)),
+                       ("a", "b").index(act.target), dims)
+        h = Operator(gen, dims, hermitian_flag=True)
+        u = matexp_unitary(h, act.duration(params.rabi)).entries @ u
+    return u
+
+
+@pytest.mark.parametrize("rabi", [1.0, 100.0, 6e9])
+@pytest.mark.parametrize("fock_cutoff", [None, 4, 8])
+def test_pulses_built_on_their_loop_are_bitwise_the_full_dims_exponential(
+        rabi, fock_cutoff):
+    if fock_cutoff is None:
+        params, dims = ExecutionParams(rabi=rabi), (3, 3)
+    else:
+        params = ExecutionParams(rabi=rabi, g02=0.05, detuning=1.0,
+                                 fock_cutoff=fock_cutoff,
+                                 explicit_cavity=True)
+        dims = (3, 3, fock_cutoff)
+    schedules = [build() for build in SCHEDULE_BUILDERS.values()]
+    schedules.append(corrupt_first_pulse(schedule_cps()))
+    pulses = [step for sched in schedules for step in sched.steps
+              if isinstance(step, AraStep)]
+    assert len(pulses) == 11
+    for step in pulses:
+        u = _step_unitary(step, "hamiltonian", params)
+        assert u.shape == (math.prod(dims),) * 2
+        assert np.array_equal(u, _full_dims_pulse(step, params, dims)), step
+
+
+def test_every_pulse_exponentiates_a_three_level_generator(monkeypatch):
+    sizes = []
+
+    def recorded(h, t):
+        sizes.append(h.dims)
+        return matexp_unitary(h, t)
+
+    monkeypatch.setattr(protocols, "matexp_unitary", recorded)
+    _step_unitary.cache_clear()
+    for params in (ExecutionParams(), CAVITY):
+        for build in SCHEDULE_BUILDERS.values():
+            for step in build().steps:
+                if isinstance(step, AraStep):
+                    _step_unitary(step, "hamiltonian", params)
+    assert sizes and set(sizes) == {(3,)}
 
 
 @pytest.mark.parametrize("fock_cutoff", [4, 8])

@@ -44,6 +44,10 @@ def test_flux_grid():
         FluxGrid(0.0, 1e-15, 100)  # even
     with pytest.raises(ValueError):
         FluxGrid(0.0, 1e-15, 63)  # too few
+    for bad in (65.0, 101.0, True, "65"):
+        with pytest.raises(ValueError, match="points must be an int, got"):
+            FluxGrid(0.0, 1e-15, bad)
+    assert FluxGrid(0.0, 1e-15, np.int64(65)).values().size == 65
     g = FluxGrid(0.5 * PHI0, 0.2 * PHI0, 101)
     vals = g.values()
     assert vals.size == 101

@@ -195,6 +195,34 @@ def test_scan_points_refuse_a_fock_cutoff_that_is_not_an_int(bad):
         dispersive_error_point(0.05, fock_cutoff=bad)
 
 
+@pytest.mark.parametrize("bad", [1, 0, -3, np.int64(1)])
+def test_scan_points_refuse_a_fock_cutoff_below_two(bad):
+    with pytest.raises(ValueError, match="fock_cutoff must be at least 2"):
+        rwa_error_point(0.05, fock_cutoff=bad)
+    with pytest.raises(ValueError, match="fock_cutoff must be at least 2"):
+        dispersive_error_point(0.05, fock_cutoff=bad)
+
+
+def test_scan_points_take_a_fock_cutoff_of_two():
+    ratio = verify.DEFAULT_RWA_RATIOS[0]
+    for point in (rwa_error_point(ratio, fock_cutoff=2),
+                  dispersive_error_point(0.05, fock_cutoff=2)):
+        assert 0.0 <= point["error"] < 1.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.01, float("nan"), float("inf")])
+def test_rwa_point_refuses_a_ratio_that_is_not_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="ratio must be finite and positive"):
+        rwa_error_point(bad)
+
+
+@pytest.mark.parametrize("scan", [rwa_error_scan, dispersive_error_scan])
+def test_scans_refuse_a_nan_ratio_by_their_range(scan):
+    for ratios in ([float("nan")], [0.05, float("nan")]):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            scan(ratios)
+
+
 def test_scan_points_take_a_numpy_int_fock_cutoff():
     ratio = verify.DEFAULT_RWA_RATIOS[0]
     assert rwa_error_point(ratio, fock_cutoff=np.int64(4)) == \
