@@ -57,6 +57,14 @@ VALID_TARGETS = ((0, 1), (0, 2), (1, 2))
 CONDITION_RATIO_MAX = 0.1
 
 
+def _check_inductance(L) -> None:
+    """Refuse, by name, a loop inductance that is not finite and positive:
+    every coupling and drive amplitude divides by it."""
+    if not 0 < L < np.inf:
+        raise ValueError(
+            f"loop inductance L must be finite and positive, got {L}")
+
+
 def _check_fock_cutoff(fock_cutoff) -> None:
     """Refuse, by name, a Fock-space truncation that is not an int >= 2."""
     if (isinstance(fock_cutoff, bool)
@@ -69,7 +77,8 @@ def _check_fock_cutoff(fock_cutoff) -> None:
 @dataclass(frozen=True)
 class CavityMode:
     """Single cavity mode: angular frequency omega_c (rad/s), Fock-space
-    truncation, and the scalar effective flux amplitude (Wb) of the mode."""
+    truncation, and the scalar effective flux amplitude (Wb) of the mode,
+    which must be finite."""
 
     omega_c: float
     fock_cutoff: int = 4
@@ -80,6 +89,9 @@ class CavityMode:
             raise ValueError(
                 f"omega_c must be finite and positive, got {self.omega_c}")
         _check_fock_cutoff(self.fock_cutoff)
+        if not np.isfinite(self.effective_flux_amplitude):
+            raise ValueError(f"effective_flux_amplitude must be finite, got "
+                             f"{self.effective_flux_amplitude}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +99,7 @@ class CouplingSet:
     """Cavity coupling constants g[i, j] (rad/s, symmetric 3x3).
 
     Only magnitudes enter protocol timings; signs are preserved from the
-    flux-element gauge.
+    flux-element gauge.  Every entry must be finite.
     """
 
     g: np.ndarray
@@ -96,6 +108,9 @@ class CouplingSet:
         g = np.array(self.g, dtype=float)
         if g.shape != (3, 3):
             raise ValueError(f"coupling matrix must be 3x3, got {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError(f"coupling matrix entries must be finite, got "
+                             f"{g.tolist()}")
         if not np.array_equal(g, g.T):
             raise ValueError("coupling matrix must be exactly symmetric")
         g.setflags(write=False)
@@ -110,7 +125,8 @@ class DriveSpec:
     convention — eigenfunction sign gauges are unobservable in the rotation
     maps); diag_rabi holds the signed diagonal amplitudes (Omega_ii,
     Omega_jj) for the two target levels, which only matter for the
-    full (non-resonant-reduced) drive Hamiltonian.
+    full (non-resonant-reduced) drive Hamiltonian.  The flux amplitude
+    must be finite; it is checked before the rates derived from it.
     """
 
     target_levels: tuple[int, int]
@@ -125,6 +141,9 @@ class DriveSpec:
         if pair not in VALID_TARGETS:
             raise ValueError(f"target_levels must be one of {VALID_TARGETS}")
         object.__setattr__(self, "target_levels", pair)
+        if not np.isfinite(self.effective_flux_amplitude):
+            raise ValueError(f"effective_flux_amplitude must be finite, got "
+                             f"{self.effective_flux_amplitude}")
         for name in ("rabi", "duration", "omega_uw"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, "
@@ -162,10 +181,12 @@ def couplings_from_structure(ls: LevelStructure, m: CavityMode, L: float,
     the diagonal (<i|Phi|i> - Phi_x).  All mode geometry lives in the scalar
     effective flux amplitude, so these numbers are only as physical as that
     calibration; consumers may equally set g directly.  A zero amplitude
-    (the mode's default) is refused.
+    (the mode's default), or an L that is not finite and positive, is
+    refused.
     """
     if ls.n_levels < 3:
         raise ValueError("need at least 3 levels for the coupling matrix")
+    _check_inductance(L)
     if m.effective_flux_amplitude == 0.0:
         raise ValueError("effective_flux_amplitude is 0, so every g is 0")
     lambda_c = -1.0 / L
@@ -180,7 +201,9 @@ def drive_from_structure(ls: LevelStructure, target, L: float, Phi_x: float,
                          omega_uw: float | None = None) -> DriveSpec:
     """DriveSpec from flux matrix elements: Omega_ij = lambda_uw <i|Phi|j>
     Phi_uw / hbar, with the bias subtracted on the diagonals.  Defaults to
-    exact resonance with the target transition."""
+    exact resonance with the target transition.  An L that is not finite
+    and positive is refused."""
+    _check_inductance(L)
     i, j = sorted(int(k) for k in target)
     lam = -1.0 / L
     scale = lam * flux_amplitude / HBAR

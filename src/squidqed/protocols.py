@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -138,7 +138,10 @@ class GateSchedule:
     subspace, dims (2, 2); ``target_state`` (when set) is the declared
     output on dims (3, 3) for a state-preparation schedule started from
     |0, 0>.  A schedule compares and hashes by identity, so `execute` can
-    look up all of its step propagators with one cheap key.
+    look up all of its step propagators with one cheap key.  Its fields
+    cannot be set and its arrays cannot be written, so the shipped
+    schedules are shared: each builder returns one instance per process,
+    and every run of it reuses the same cached propagators.
     """
 
     name: str
@@ -221,10 +224,11 @@ def _entangled_target() -> StateVector:
     return StateVector(amps, (3, 3))
 
 
+@cache
 def schedule_cps() -> GateSchedule:
     """Controlled phase: pi rotation (1,2) on loop a, dispersive pi/gamma,
     3*pi rotation (1,2) on loop a.  Acts as diag(1, 1, 1, -1) on the
-    computational subspace."""
+    computational subspace.  One shared instance per process."""
     return GateSchedule(
         name="cps",
         steps=(
@@ -236,8 +240,10 @@ def schedule_cps() -> GateSchedule:
     )
 
 
+@cache
 def schedule_swap() -> GateSchedule:
-    """State swap between the loops in five steps."""
+    """State swap between the loops in five steps.  One shared instance
+    per process."""
     return GateSchedule(
         name="swap",
         steps=(
@@ -253,9 +259,11 @@ def schedule_swap() -> GateSchedule:
     )
 
 
+@cache
 def schedule_transfer() -> GateSchedule:
     """One-way state transfer a -> b; requires loop b to start in |0>.
-    alpha|0>_a + beta|1>_a arrives on loop b with no residual phase."""
+    alpha|0>_a + beta|1>_a arrives on loop b with no residual phase.  One
+    shared instance per process."""
     return GateSchedule(
         name="transfer",
         steps=(
@@ -266,9 +274,11 @@ def schedule_transfer() -> GateSchedule:
     )
 
 
+@cache
 def schedule_entanglement() -> GateSchedule:
     """Maximally entangling preparation from |0, 0>: target state
-    (i|0,1> - |1,0>)/sqrt(2) up to a global phase."""
+    (i|0,1> - |1,0>)/sqrt(2) up to a global phase.  One shared instance
+    per process."""
     return GateSchedule(
         name="entanglement",
         steps=(
@@ -398,7 +408,8 @@ def _schedule_unitaries(schedule: GateSchedule, backend: str,
     """The read-only propagators of a schedule's steps, in order, each built
     by `_step_unitary`.  A schedule hashes by identity while a step hashes
     its fractions, so a run resolves all of its steps with one cheap
-    lookup here."""
+    lookup here; the shipped builders hand out one instance each, so
+    their warm runs never miss."""
     return tuple(_step_unitary(step, backend, params)
                  for step in schedule.steps)
 

@@ -9,6 +9,10 @@ makes the dispersive wait a whole number of detuning periods, where the
 leading leakage term vanishes, so its error column reads one favourable
 sampling phase, not the envelope over the segment.
 
+The shipped truth tables are shared like the shipped schedules they
+hold: each `truth_table_*` builder returns one immutable instance per
+process, whose declared columns are stacked once, at construction.
+
 Truth tables, the computational propagator, photon excursions and each
 dispersive scan point run their inputs as one block through
 `protocols._run_block` (one block per backend), and read every check from
@@ -25,9 +29,9 @@ own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -182,10 +186,15 @@ class TruthRow:
 
 @dataclass(frozen=True)
 class TruthTable:
-    """Declared per-step images of a schedule on selected inputs."""
+    """Declared per-step images of a schedule on selected inputs.
+
+    ``columns`` holds the declared images as one read-only
+    (rows, steps, 9) array, stacked once at construction; it is derived
+    from ``rows`` and takes no part in comparison."""
 
     schedule: GateSchedule
     rows: tuple[TruthRow, ...]
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.schedule.steps)
@@ -194,6 +203,10 @@ class TruthTable:
                 raise ValueError(
                     f"row {row.label!r} declares {len(row.expected)} "
                     f"columns for a {n}-step schedule")
+        columns = np.array([[e.amplitudes for e in row.expected]
+                            for row in self.rows])
+        columns.setflags(write=False)
+        object.__setattr__(self, "columns", columns)
 
 
 @dataclass(frozen=True)
@@ -208,8 +221,10 @@ class TruthCheck:
         return self.ok
 
 
+@cache
 def truth_table_cps() -> TruthTable:
-    """Controlled-phase table with intermediate columns."""
+    """Controlled-phase table with intermediate columns.  One shared
+    instance per process."""
     ket = partial(basis_state, (3, 3))
     rows = (
         TruthRow("|00>", ket((0, 0)), (ket((0, 0)),) * 3),
@@ -222,7 +237,10 @@ def truth_table_cps() -> TruthTable:
     return TruthTable(schedule_cps(), rows)
 
 
+@cache
 def truth_table_swap() -> TruthTable:
+    """Swap table with intermediate columns.  One shared instance per
+    process."""
     ket = partial(basis_state, (3, 3))
     rows = (
         TruthRow("|00>", ket((0, 0)), (ket((0, 0)),) * 5),
@@ -239,8 +257,10 @@ def truth_table_swap() -> TruthTable:
     return TruthTable(schedule_swap(), rows)
 
 
+@cache
 def truth_table_transfer() -> TruthTable:
-    """Transfer table; only inputs with loop b in |0> are declared."""
+    """Transfer table; only inputs with loop b in |0> are declared.  One
+    shared instance per process."""
     ket = partial(basis_state, (3, 3))
     rows = (
         TruthRow("|00>", ket((0, 0)), (ket((0, 0)),) * 3),
@@ -263,10 +283,8 @@ def check_truth_table(table: TruthTable, backend: str = "analytic",
 def _compare_truth_table(table: TruthTable, loops: np.ndarray) -> TruthCheck:
     """Compare the two-loop amplitudes of runs of the table's inputs, a
     (rows, steps + 1, 9) array in the order of ``table.rows``, with the
-    declared columns as `check_truth_table` does."""
-    expected = np.array([[e.amplitudes for e in row.expected]
-                         for row in table.rows])
-    dev = np.max(np.abs(loops[:, 1:] - expected), axis=-1)
+    declared ``table.columns`` as `check_truth_table` does."""
+    dev = np.max(np.abs(loops[:, 1:] - table.columns), axis=-1)
     failures = tuple(f"{table.schedule.name} row {table.rows[r].label} "
                      f"step {k + 1}: deviation {dev[r, k]:.3e}"
                      for r, k in zip(*np.nonzero(~(dev <= TRUTH_TABLE_ATOL))))

@@ -542,12 +542,17 @@ def test_cavity_gate_fails_on_the_opposite_dispersive_sign(tmp_path,
 
     monkeypatch.setattr(protocols, "_cavity_dispersive_unitary",
                         opposite_sign)
-    protocols._step_unitary.cache_clear()
+    # the shipped schedule is shared, so its propagators may already sit in
+    # the per-schedule cache as well as the per-step one: empty both
+    memos = (protocols._schedule_unitaries, protocols._step_unitary)
+    for memo in memos:
+        memo.cache_clear()
     try:
         assert run_cli(tmp_path, "gate", {"schedule": "entangle"},
                        extra=["--backend", "cavity"]) == 1
     finally:
-        protocols._step_unitary.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
     summary = grab(tmp_path, "gate_summary.txt")
     assert "physics_checks FAIL" in summary
     # the bound is 1 - 4 (g02/detuning)^2 at g02/detuning = 0.05

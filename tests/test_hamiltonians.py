@@ -156,6 +156,60 @@ def test_drive_from_structure(solved):
         drive_from_structure(dark, (1, 2), p.L, p.Phi_x, amp, duration=1e-9)
 
 
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("amplitude", NON_FINITE)
+def test_cavity_mode_refuses_a_non_finite_flux_amplitude(amplitude):
+    with pytest.raises(ValueError, match="effective_flux_amplitude must be "
+                                         "finite"):
+        CavityMode(2 * np.pi * 80.1e9, effective_flux_amplitude=amplitude)
+
+
+@pytest.mark.parametrize("amplitude", NON_FINITE)
+def test_drive_spec_refuses_a_non_finite_flux_amplitude(amplitude):
+    with pytest.raises(ValueError, match="effective_flux_amplitude must be "
+                                         "finite"):
+        DriveSpec((1, 2), rabi=1.0, omega_uw=1.0, duration=1.0,
+                  effective_flux_amplitude=amplitude)
+
+
+@pytest.mark.parametrize("amplitude", NON_FINITE)
+def test_drive_from_structure_names_a_non_finite_flux_amplitude(solved,
+                                                                amplitude):
+    # named by the amplitude, not by the rabi rate it makes non-finite
+    p, ls = solved
+    with pytest.raises(ValueError, match="effective_flux_amplitude must be "
+                                         "finite"):
+        drive_from_structure(ls, (1, 2), p.L, p.Phi_x, amplitude,
+                             duration=1e-9)
+
+
+@pytest.mark.parametrize("entry", NON_FINITE)
+def test_coupling_set_refuses_non_finite_entries_before_symmetry(entry):
+    g = np.zeros((3, 3))
+    g[0, 2] = g[2, 0] = entry  # a NaN pair is not equal to itself
+    with pytest.raises(ValueError, match="coupling matrix entries must be "
+                                         "finite"):
+        CouplingSet(g=g)
+
+
+@pytest.mark.parametrize("L", [0.0, -6.5e-11, float("nan"), float("inf")])
+@pytest.mark.parametrize("builder", ["couplings", "drive"])
+def test_structure_builders_refuse_an_inductance_that_is_not_positive(
+        solved, builder, L):
+    p, ls = solved
+    m = CavityMode(omega_c=2 * np.pi * 80.1e9, fock_cutoff=4,
+                   effective_flux_amplitude=1.0e-16)
+    with pytest.raises(ValueError, match="loop inductance L must be finite "
+                                         "and positive"):
+        if builder == "couplings":
+            couplings_from_structure(ls, m, L, p.Phi_x)
+        else:
+            drive_from_structure(ls, (1, 2), L, p.Phi_x, 1.0e-18,
+                                 duration=1e-9)
+
+
 def test_interaction_full_term_structure():
     ls = three_level()
     m = CavityMode(omega_c=W20 + 2 * np.pi * 1.1e9, fock_cutoff=4)

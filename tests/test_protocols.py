@@ -1,6 +1,7 @@
 """Pulse schedules: closed-form step maps, gate truth behavior, backend
 agreement."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -100,6 +101,48 @@ def test_builder_structure():
     assert cps.ideal_unitary is not None
     assert schedule_transfer().ideal_unitary is None
     assert schedule_entanglement().target_state is not None
+
+
+def test_shipped_builders_return_one_shared_schedule():
+    for name, build in SCHEDULE_BUILDERS.items():
+        sched = build()
+        assert build() is sched, name
+    assert SCHEDULE_BUILDERS["cps"]() is schedule_cps()
+
+
+def test_shared_schedules_cannot_be_changed():
+    for name, build in SCHEDULE_BUILDERS.items():
+        sched = build()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.name = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.steps = ()
+        assert isinstance(sched.steps, tuple)
+        for step in sched.steps:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                if isinstance(step, AraStep):
+                    step.actions[0].theta_over_pi = Fraction(2)
+                else:
+                    step.duration_over_pi_gamma = Fraction(2)
+        arrays = []
+        if sched.ideal_unitary is not None:
+            arrays.append(sched.ideal_unitary.entries)
+        if sched.target_state is not None:
+            arrays.append(sched.target_state.amplitudes)
+        for arr in arrays:
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+def test_corrupting_a_shared_schedule_leaves_it_unchanged():
+    for name, build in SCHEDULE_BUILDERS.items():
+        sched = build()
+        steps = repr(sched.steps)
+        bent = corrupt_first_pulse(sched)
+        assert repr(bent.steps) != steps
+        assert build() is sched
+        assert sched.name == name and repr(sched.steps) == steps
 
 
 def test_cps_and_swap_are_involutions():

@@ -1,6 +1,7 @@
 """Verification layer: fidelity/concurrence metrics, truth tables with a
 negative control, and the two reduction-error scans."""
 
+import dataclasses
 import sys
 from fractions import Fraction
 from functools import partial
@@ -17,7 +18,7 @@ from squidqed.hamiltonians import (CavityMode, CouplingSet,
 from squidqed.hilbert import StateVector
 from squidqed.protocols import (ExecutionParams, GateSchedule,
                                 schedule_cps, schedule_entanglement,
-                                schedule_swap)
+                                schedule_swap, schedule_transfer)
 from squidqed.squid import LevelStructure, load_preset, solve
 from squidqed.verify import (ScanResult, TruthTable, check_truth_table,
                              computational_propagator, concurrence,
@@ -89,6 +90,65 @@ def test_truth_tables_pass_on_exact_backends():
     assert len(truth_table_swap().rows) == 4
 
 
+SHIPPED_TABLES = {"cps": (truth_table_cps, schedule_cps),
+                  "swap": (truth_table_swap, schedule_swap),
+                  "transfer": (truth_table_transfer, schedule_transfer)}
+
+
+def test_shipped_truth_tables_are_shared_and_hold_the_shared_schedules():
+    for name, (build, schedule) in SHIPPED_TABLES.items():
+        table = build()
+        assert build() is table, name
+        assert table.schedule is schedule(), name
+
+
+def test_truth_table_columns_are_stacked_once_and_read_only():
+    for name, (build, _) in SHIPPED_TABLES.items():
+        table = build()
+        cols = table.columns
+        assert cols.shape == (len(table.rows), len(table.schedule.steps), 9)
+        assert np.array_equal(cols, np.array([[e.amplitudes
+                                               for e in row.expected]
+                                              for row in table.rows]))
+        assert not cols.flags.writeable
+        with pytest.raises(ValueError):
+            cols[0, 0, 0] = 1.0
+        for row in table.rows:
+            assert not row.input_state.amplitudes.flags.writeable
+        for field_name in ("schedule", "rows", "columns"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, field_name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.rows[0].label = "other"
+        # the derived columns take no part in comparison
+        assert TruthTable(table.schedule, table.rows) == table
+        assert "columns" not in repr(table)
+
+
+def test_warm_repeat_pass_misses_no_schedule_propagators():
+    psi = StateVector(np.eye(9)[4], (3, 3))
+    cavity = ExecutionParams(explicit_cavity=True)
+
+    def one_pass():
+        for build in protocols.SCHEDULE_BUILDERS.values():
+            for backend in ("analytic", "hamiltonian"):
+                protocols.execute(build(), psi, backend)
+        for build, _ in SHIPPED_TABLES.values():
+            for backend in ("analytic", "hamiltonian"):
+                assert check_truth_table(build(), backend).ok
+        computational_propagator(schedule_cps(), "hamiltonian", cavity)
+        photon_excursion(schedule_cps(), cavity, psi)
+        dispersive_error_scan()
+
+    one_pass()  # fills the caches
+    before = protocols._schedule_unitaries.cache_info()
+    one_pass()
+    after = protocols._schedule_unitaries.cache_info()
+    assert after.misses == before.misses
+    assert after.currsize == before.currsize
+    assert after.hits > before.hits
+
+
 def test_corrupted_schedule_fails_truth_table():
     table = truth_table_cps()
     bent = TruthTable(schedule=corrupt_first_pulse(table.schedule),
@@ -97,6 +157,9 @@ def test_corrupted_schedule_fails_truth_table():
     assert not chk.ok
     assert chk.max_deviation > 0.01
     assert any("row" in f for f in chk.failures)
+    # the shared table and its schedule are untouched by the corruption
+    assert truth_table_cps() is table and table.schedule is schedule_cps()
+    assert check_truth_table(table).ok
 
 
 def test_corrupt_first_pulse_needs_a_pulse():
