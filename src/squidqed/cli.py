@@ -7,11 +7,13 @@ or scan kind never reads, and ``--backend`` outside ``gate`` are rejected)
 and writing delimited text files into the output directory.  Data files are
 deterministic: identical config gives byte-identical bytes, every column
 header names its units, and the only header line carries the producing
-command and a hash of the effective config.  Run metadata that may vary
-(wall time, failed scan points, failed reduction conditions, a
-``gamma_radps`` the cavity backend ignored) goes to a separate run.log.
+command and a hash of the effective config (CPython's built-in SHA-256, so
+no run loads OpenSSL's libcrypto).  Run metadata that may vary (wall time,
+failed scan points, failed reduction conditions, a ``gamma_radps`` the
+cavity backend ignored) goes to a separate run.log.
 Scans run in the calling process; ``--workers`` is accepted for
-compatibility only.
+compatibility only.  Only ``spectrum`` imports the loop solver, and through
+it ``scipy.linalg``; the other commands never load either.
 
 ``gate`` runs the computational inputs of a schedule as one block (for
 ``transfer``, those with loop b in |0>), and its states file and every
@@ -28,7 +30,6 @@ derived quantity is not finite and positive.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -37,13 +38,21 @@ import time
 
 import numpy as np
 
+# CPython's built-in SHA-256, the one hashlib itself falls back to: hashlib
+# would load OpenSSL's libcrypto into every run only to hash the header
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 from .constants import HBAR, TWO_PI
 from .feasibility import FeasibilityInput, assess, gate_time_estimate
 from .hamiltonians import CONDITION_RATIO_MAX
 from .hilbert import StateVector, fidelity_up_to_global_phase
 from .protocols import ExecutionParams, SCHEDULE_BUILDERS, _run_block
-from .squid import (PRESET_KEYS, ResolutionError, lambda_check, load_preset,
-                    params_from_keys, solve)
 from .verify import (_BASIS, _BASIS_ROWS, _COMP, DEFAULT_DISPERSIVE_RATIOS,
                      DEFAULT_RWA_RATIOS, _compare_truth_table,
                      _loop_amplitudes, _run_photon_peaks, concurrence,
@@ -201,7 +210,7 @@ def _config_hash(command: str, backend: str | None, cfg: dict) -> str:
     canonical = json.dumps({"command": command, "backend": backend,
                             "config": cfg}, sort_keys=True,
                            separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+    return _sha256(canonical.encode()).hexdigest()[:12]
 
 
 def _header(command: str, backend: str | None, cfg: dict) -> str:
@@ -237,6 +246,10 @@ def _backend_params(args, cfg: dict) -> tuple[str, ExecutionParams]:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args, raw_cfg: dict) -> int:
+    # the loop solver and scipy.linalg load only for this command
+    from .squid import (PRESET_KEYS, ResolutionError, lambda_check,
+                        load_preset, params_from_keys, solve)
+
     cfg = _validate(raw_cfg, _SPECTRUM_SCHEMA, "spectrum")
     inline_keys = set(PRESET_KEYS)
     given_inline = inline_keys & set(cfg)

@@ -18,18 +18,24 @@ Time-dependent builders are factories ``h_xxx_factory(...)`` returning a
 closure ``t -> Operator`` that carries an ``omega_max`` attribute (the
 fastest phase present) for the integrator's step-size check, plus any
 reduction-condition metadata.
+
+`LevelStructure` appears in annotations only, so it is imported for type
+checkers alone: building Hamiltonians never loads the loop solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import HBAR, MU0
 from .hilbert import Operator
-from .squid import LevelStructure
+
+if TYPE_CHECKING:
+    from .squid import LevelStructure
 
 __all__ = [
     "CavityMode",
@@ -126,7 +132,8 @@ class DriveSpec:
     maps); diag_rabi holds the signed diagonal amplitudes (Omega_ii,
     Omega_jj) for the two target levels, which only matter for the
     full (non-resonant-reduced) drive Hamiltonian.  The flux amplitude
-    must be finite; it is checked before the rates derived from it.
+    and the diagonal amplitudes must be finite; the flux amplitude is
+    checked before the rates derived from it.
     """
 
     target_levels: tuple[int, int]
@@ -148,6 +155,9 @@ class DriveSpec:
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {getattr(self, name)}")
+        if not np.all(np.isfinite(self.diag_rabi)):
+            raise ValueError(f"diag_rabi must be finite, got "
+                             f"{self.diag_rabi}")
 
     def is_resonant(self, ls: LevelStructure, rtol: float = 1e-9) -> bool:
         """Whether the drive frequency matches the target transition."""

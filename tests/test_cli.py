@@ -273,15 +273,59 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "feasibility.txt").exists()
 
 
+#: Modules that only `spectrum` needs: OpenSSL's libcrypto (loaded by
+#: hashlib), the loop solver and its scipy.linalg.
+SPECTRUM_ONLY = ("_hashlib", "squidqed.squid", "scipy.linalg")
+
+
 def test_cli_import_defers_scipy_linalg_to_the_solver(tmp_path):
     code = ("import sys\n"
             "from squidqed.cli import main\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
+            f"for name in {SPECTRUM_ONLY!r}:\n"
+            "    assert name not in sys.modules, name\n"
             f"assert main(['spectrum', '--out', {str(tmp_path)!r}]) == 0\n"
-            "assert 'scipy.linalg' in sys.modules\n")
+            "for name in ('squidqed.squid', 'scipy.linalg'):\n"
+            "    assert name in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gate_and_feasibility_load_neither_openssl_nor_the_solver(tmp_path):
+    code = ("import sys\n"
+            "from squidqed.cli import main\n"
+            f"assert main(['gate', '--backend', 'cavity', '--out', "
+            f"{str(tmp_path / 'gate')!r}]) == 0\n"
+            f"assert main(['feasibility', '--out', "
+            f"{str(tmp_path / 'feas')!r}]) == 0\n"
+            f"for name in {SPECTRUM_ONLY!r}:\n"
+            "    assert name not in sys.modules, name\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command,backend,cfg", [
+    ("feasibility", None, {}),
+    ("gate", "cavity", {"schedule": "swap", "g02_radps": 0.05,
+                        "fock_cutoff": 8}),
+    ("scan", None, {"scan_kind": "rwa", "grid": [0.3, 0.05, 0.015],
+                    "detuning_radps": 1.5e10}),
+    ("spectrum", None, {"C_farad": 2.6e-14, "L_henry": 6.5e-11,
+                        "Ic_ampere": 6.4e-6, "Phix_over_Phi0": 0.4998,
+                        "grid_points": 16001,
+                        "grid_halfwidth_over_Phi0": 0.35}),
+])
+def test_config_hash_is_hashlib_sha256(command, backend, cfg):
+    import hashlib
+
+    from squidqed.cli import _config_hash
+
+    canonical = json.dumps({"command": command, "backend": backend,
+                            "config": cfg}, sort_keys=True,
+                           separators=(",", ":")).encode()
+    assert _config_hash(command, backend, cfg) == \
+        hashlib.sha256(canonical).hexdigest()[:12]
 
 
 def test_cli_import_loads_no_process_pool():
@@ -360,11 +404,12 @@ def test_rwa_scan_runs_in_process_without_scipy_or_a_pool(tmp_path):
     cfg = tmp_path / "rwa.json"
     cfg.write_text(json.dumps({"scan_kind": "rwa"}))
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    absent = SPECTRUM_ONLY + ("concurrent.futures.process",)
     code = ("import sys\n"
             "from squidqed.cli import main\n"
             f"assert main(['scan', '--config', {str(cfg)!r}, "
             f"'--out', {str(out2)!r}, '--workers', '2']) == 0\n"
-            "for name in ('scipy.linalg', 'concurrent.futures.process'):\n"
+            f"for name in {absent!r}:\n"
             "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
@@ -805,10 +850,11 @@ def test_scan_points_take_only_the_given_keys(tmp_path, monkeypatch, cfg,
 
 def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
     import squidqed.cli as cli
+    import squidqed.squid as squid
     from squidqed.protocols import ExecutionParams
 
     seen = []
-    real_run_block, real_solve = cli._run_block, cli.solve
+    real_run_block, real_solve = cli._run_block, squid.solve
 
     def run_block(sched, inputs, backend, params):
         seen.append(params)
@@ -819,7 +865,8 @@ def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
         return real_solve(params, grid, **kwargs)
 
     monkeypatch.setattr(cli, "_run_block", run_block)
-    monkeypatch.setattr(cli, "solve", solve)
+    # cmd_spectrum imports the solver when it runs
+    monkeypatch.setattr(squid, "solve", solve)
     assert run_cli(tmp_path / "a", "gate", {}) == 0
     assert run_cli(tmp_path / "c", "gate", {}, extra=["--backend",
                                                      "cavity"]) == 0

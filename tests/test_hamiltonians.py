@@ -126,6 +126,12 @@ def test_drive_spec_validation():
             with pytest.raises(ValueError, match=f"{name} must be finite and "
                                                  f"positive"):
                 DriveSpec((0, 2), **{**values, name: bad})
+    # a non-finite diagonal amplitude would make every entry of the full
+    # drive generator NaN
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for diag in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="diag_rabi must be finite"):
+                DriveSpec((1, 2), **values, diag_rabi=diag)
 
 
 def test_resonant_drive_entries_are_exact():
