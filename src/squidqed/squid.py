@@ -11,19 +11,34 @@ term becomes a symmetric tridiagonal stencil, so the spectrum comes from a
 dedicated tridiagonal eigensolver.  Eigenfunctions are chosen real with a
 fixed sign gauge; flux matrix elements <i|Phi|j> use trapezoidal quadrature.
 
+Each grid is solved by prediction and certificate.  The lowest levels are
+found first on a grid 2^m times coarser (m <= 3); their eigenvectors,
+interpolated onto the full grid, give Rayleigh-quotient shifts for one
+inverse iteration there, and one Rayleigh-Ritz step on the resulting
+vectors gives the levels.  Each level's residual interval holds an
+eigenvalue; when the intervals are disjoint and one Sturm count finds no
+other eigenvalue below the top one, each holds its own level.  Any miss
+falls back to the full bisection of the grid, as does any solve whose
+smallest transition is below 2^26 resolution floors (eps * max|diag|, the
+resolution of bisection), so near the symmetric bias every result and
+refusal is the bisection's.
+
 `solve` trusts a spectrum only if its transition energies survive a halving
 of the grid step.  That check reads eigenvalues alone and, on a converged
-grid, makes no bisection: each coarse eigenvector, interpolated onto the
-doubled grid, predicts its fine level by its Rayleigh quotient, and Sturm
-counts certify that a narrow window around each prediction holds exactly
-one eigenvalue and that no other lies below the top window.  The check
-passes on those counts when the bound they give keeps every transition
-within tolerance.  Any miss, or a bound too wide to pass, sends it to the
-index-mode search, which decides and words every refusal.  Bisection
-resolves eigenvalues only to about eps * max|diag|; when the check fails on
-transitions near that floor (the collapsing 0-1 splitting at the symmetric
-bias), the error names that limit instead of advising more points, and
-levels that coincide on the grid are refused by name.
+grid, makes no bisection: each eigenvector, interpolated onto the doubled
+grid, predicts its fine level by its Rayleigh quotient, and Sturm counts
+certify that a narrow window around each prediction holds exactly one
+eigenvalue and that no other lies below the top window.  The check passes
+on those counts when the bound they give keeps every transition within
+tolerance.  Any miss, or a bound too wide to pass, sends it to the doubled
+grid's own solve, which decides and words every refusal.  The check
+certifies the step, not the box: the hard wall one step outside the box
+stays where it is, so at Phi_x = (0.5 +- 9.8e-3) Phi_0 widening the shipped
+box from 0.35 to 0.42 Phi_0 moves omega_20 by 5.4e-6 while the check passes
+on both.  When the check fails on transitions near the resolution floor
+(the collapsing 0-1 splitting at the symmetric bias), the error names that
+limit instead of advising more points, and levels that coincide on the
+grid are refused by name.
 
 Biased near half a flux quantum with loop parameter beta_L = 2 pi L Ic / Phi_0
 slightly above 1, the potential is a tilted double well whose two lowest
@@ -208,32 +223,193 @@ def _tridiagonal(p: SquidParams, g: FluxGrid):
             np.finfo(float).eps * np.max(np.abs(diag)))
 
 
-def _solve_grid(p: SquidParams, g: FluxGrid, n_levels: int):
-    """Eigenpairs of the central-difference Hamiltonian on one grid, with
-    the grid values, the potential and the resolution floor there."""
-    # imported here: scipy.linalg is most of the package's import time, and
-    # only the eigensolver needs it
-    from scipy.linalg import eigh_tridiagonal
-
-    phi = g.values()
-    d = g.step
-    diag, off, v_pot, floor = _tridiagonal(p, g)
-    energies, vecs = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, n_levels - 1))
-    # L2-normalize by trapezoidal quadrature and fix the real sign gauge
-    for k in range(n_levels):
-        col = vecs[:, k]
-        col /= np.sqrt(np.trapezoid(col * col, dx=d))
-        if col[np.argmax(np.abs(col))] < 0:
-            col *= -1.0
-    return energies, vecs, phi, v_pot, floor
-
-
 #: Error of one Sturm count, in resolution floors: the count LAPACK makes
 #: at x is exact for a matrix whose entries differ from the stored ones by a
 #: few ulps of max|diag|, so it can only miss or add eigenvalues this close
 #: to x.
 _STURM_SLOP = 4.0
+
+#: Rounding error of a computed residual norm, in resolution floors: each
+#: entry (V_i - theta) x_i - kin (x_{i+1} - 2 x_i + x_{i-1}) sums a few
+#: terms, each at most max|diag| times the nearby |x|, with a few roundings
+#: each.
+_RESIDUAL_SLOP = 16.0
+
+#: Smallest transition, in resolution floors, that the predicted solve
+#: takes on; closer levels go to the full bisection, so that every result
+#: and refusal near the symmetric bias is the bisection's.
+_PREDICT_FLOORS = 2.0 ** 26
+
+
+def _count(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:
+    """Eigenvalues of the tridiagonal (diag, off) in (lo, hi]: a ``stebz``
+    call whose tolerance equals its range, so two Sturm counts and no
+    bisection."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    return eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
+                                tol=hi - lo).size
+
+
+def _count_below(diag: np.ndarray, off: np.ndarray, floor: float,
+                 hi: float) -> int:
+    """Eigenvalues of the tridiagonal (diag, off) up to hi, counted from
+    below its Gershgorin bound."""
+    lo = diag.min() - 2.0 * abs(off[0]) - _STURM_SLOP * floor
+    return _count(diag, off, lo, hi)
+
+
+def _prolong(v: np.ndarray) -> np.ndarray:
+    """Grid values ``v`` interpolated onto the grid of half the step: the
+    even points keep v, and each midpoint takes the cubic 4-point value
+    (-v[i-1] + 9 v[i] + 9 v[i+1] - v[i+2]) / 16, with zeros beyond the
+    ends."""
+    pad = np.zeros(v.size + 2)
+    pad[1:-1] = v
+    x = np.empty(2 * v.size - 1)
+    x[::2] = v
+    x[1::2] = (9.0 * (pad[1:-2] + pad[2:-1]) - pad[:-3] - pad[3:]) / 16.0
+    return x
+
+
+def _rayleigh_quotient(pot: np.ndarray, kin: float, x: np.ndarray) -> float:
+    """Rayleigh quotient of ``x`` on the tridiagonal with diagonal
+    pot + 2 kin and off-diagonal -kin, the kinetic part summed as squared
+    differences, which do not cancel."""
+    dx = np.diff(x)
+    return (pot @ (x * x) + kin * (dx @ dx + x[0] ** 2 + x[-1] ** 2)
+            ) / (x @ x)
+
+
+def _rayleigh_levels(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray):
+    """Rayleigh quotients on the doubled-grid tridiagonal (diag, off) of the
+    coarse eigenvectors ``vecs`` (columns), prolonged onto that grid."""
+    kin = -off[0]
+    pot = diag - 2.0 * kin
+    return np.array([_rayleigh_quotient(pot, kin, _prolong(v))
+                     for v in vecs.T])
+
+
+def _coarse_grid(g: FluxGrid):
+    """The grid 2^m times coarser over the same span, for the largest
+    m <= 3 that leaves a valid grid, and m; None if m = 1 leaves none."""
+    span = g.points - 1
+    for m in (3, 2, 1):
+        if span % 2 ** (m + 1) == 0 and span // 2 ** m + 1 >= 64:
+            return FluxGrid(g.center, g.half_width, span // 2 ** m + 1), m
+    return None
+
+
+def _predicted_pairs(p: SquidParams, g: FluxGrid, diag: np.ndarray,
+                     off: np.ndarray, floor: float, n_levels: int):
+    """Lowest ``n_levels`` eigenpairs of the tridiagonal (diag, off) on grid
+    ``g``, predicted from a coarser grid and certified, or None.
+
+    The eigenvectors on :func:`_coarse_grid`, prolonged onto ``g``, give
+    Rayleigh-quotient shifts for one ``stein`` inverse iteration there, and
+    one Rayleigh-Ritz step on those vectors gives values theta_k and
+    vectors x_k with residual norms r_k = |T x_k - theta_k x_k| / |x_k|.
+    Each interval theta_k +- (r_k + :data:`_RESIDUAL_SLOP` floors) holds an
+    eigenvalue (Weinstein's bound); when the intervals are disjoint and one
+    Sturm count finds exactly ``n_levels`` eigenvalues below the top one,
+    the k-th holds exactly the k-th lowest.  None when the coarse grid
+    cannot be made, the smallest coarse transition is below
+    :data:`_PREDICT_FLOORS` floors, ``stein`` fails or the certificate
+    does not hold.
+    """
+    from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+
+    coarse = _coarse_grid(g)
+    if coarse is None:
+        return None
+    grid, m = coarse
+    c_diag, c_off = _tridiagonal(p, grid)[:2]
+    c_energies, c_vecs = eigh_tridiagonal(
+        c_diag, c_off, select="i", select_range=(0, n_levels - 1))
+    if not np.all(c_energies[1:] - c_energies[0] >= _PREDICT_FLOORS * floor):
+        return None
+
+    kin = -off[0]
+    pot = diag - 2.0 * kin
+    shifts = np.empty(n_levels)
+    for k in range(n_levels):
+        x = c_vecs[:, k]
+        for _ in range(m):
+            x = _prolong(x)
+        shifts[k] = _rayleigh_quotient(pot, kin, x)
+    if np.any(np.diff(shifts) <= 0):
+        return None
+    stein, = get_lapack_funcs(("stein",), (diag, off))
+    split = np.zeros(diag.size, dtype=np.int32)
+    split[0] = diag.size  # one unsplit block
+    basis, info = stein(diag, off, shifts,
+                        np.ones(diag.size, dtype=np.int32), split)
+    if info != 0:
+        return None
+
+    # Rayleigh-Ritz, the kinetic part again as products of differences
+    dif = np.diff(basis, axis=0, prepend=0.0, append=0.0)
+    ritz = basis.T @ (pot[:, None] * basis) + kin * (dif.T @ dif)
+    del dif
+    # LAPACK's plain symmetric solver: scipy.linalg.eigh's drivers touch
+    # more of the library, ~0.15 MB more peak RSS for a 3 x 3 matrix
+    syev, = get_lapack_funcs(("syev",), (ritz,))
+    theta, y, info = syev(ritz)
+    if info != 0:
+        return None
+    vecs = basis @ y
+    half = np.empty(n_levels)
+    for k in range(n_levels):
+        x = vecs[:, k]
+        dx = np.diff(x, prepend=0.0, append=0.0)
+        res = (pot - theta[k]) * x - kin * np.diff(dx)
+        half[k] = np.sqrt((res @ res) / (x @ x)) + _RESIDUAL_SLOP * floor
+    if (np.all(theta[1:] - half[1:] > theta[:-1] + half[:-1])
+            and _count_below(diag, off, floor, theta[-1] + half[-1]
+                             + _STURM_SLOP * floor) == n_levels):
+        return theta, vecs
+    return None
+
+
+#: Relative margin within which eigenvector entries count as equally large
+#: for the sign gauge: the two lobes of an odd level of a symmetric
+#: potential differ only by rounding (by up to ~4e-11 on the harmonic
+#: preset).
+_GAUGE_TIE = 1e-9
+
+
+def _normalize(vecs: np.ndarray, step: float) -> None:
+    """L2-normalize the columns of ``vecs`` in place by trapezoidal
+    quadrature and fix the real sign gauge: the entry of largest magnitude
+    is positive, and of entries within :data:`_GAUGE_TIE` of it the last
+    decides, so the odd levels of a symmetric potential do not take their
+    sign from rounding."""
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        col /= np.sqrt(np.trapezoid(col * col, dx=step))
+        mag = np.abs(col)
+        if col[np.flatnonzero(mag >= (1.0 - _GAUGE_TIE) * mag.max())[-1]] < 0:
+            col *= -1.0
+
+
+def _solve_grid(p: SquidParams, g: FluxGrid, n_levels: int):
+    """Eigenpairs of the central-difference Hamiltonian on one grid, with
+    the grid values, the potential and the resolution floor there: the
+    certified prediction of :func:`_predicted_pairs` where it holds, else
+    the full index-mode bisection."""
+    # imported here: scipy.linalg is most of the package's import time, and
+    # only the eigensolver needs it
+    from scipy.linalg import eigh_tridiagonal
+
+    phi = g.values()
+    diag, off, v_pot, floor = _tridiagonal(p, g)
+    pairs = _predicted_pairs(p, g, diag, off, floor, n_levels)
+    if pairs is None:
+        pairs = eigh_tridiagonal(diag, off, select="i",
+                                 select_range=(0, n_levels - 1))
+    energies, vecs = pairs
+    _normalize(vecs, g.step)
+    return energies, vecs, phi, v_pot, floor
 
 
 def _transition_shift(coarse: np.ndarray, fine: np.ndarray):
@@ -243,27 +419,6 @@ def _transition_shift(coarse: np.ndarray, fine: np.ndarray):
     fine_tr = fine[1:] - fine[0]
     shift = np.max(np.abs(coarse_tr - fine_tr) / np.abs(fine_tr))
     return float(shift), float(np.min(np.abs(fine_tr)))
-
-
-def _rayleigh_levels(diag: np.ndarray, off: np.ndarray, vecs: np.ndarray):
-    """Rayleigh quotients on the doubled-grid tridiagonal (diag, off) of the
-    coarse eigenvectors ``vecs`` (columns) interpolated onto that grid: the
-    even points keep the coarse values, and each midpoint takes the cubic
-    4-point value (-v[i-1] + 9 v[i] + 9 v[i+1] - v[i+2]) / 16, with zeros
-    beyond the ends."""
-    kin = -off[0]
-    pot = diag - 2.0 * kin
-    pad = np.zeros(vecs.shape[0] + 2)
-    x = np.empty(2 * vecs.shape[0] - 1)
-    levels = np.empty(vecs.shape[1])
-    for k in range(levels.size):
-        pad[1:-1] = x[::2] = vecs[:, k]
-        x[1::2] = (9.0 * (pad[1:-2] + pad[2:-1]) - pad[:-3] - pad[3:]) / 16.0
-        # the kinetic part as squared differences, which do not cancel
-        dx = np.diff(x)
-        levels[k] = (pot @ (x * x) + kin * (dx @ dx + x[0] ** 2 + x[-1] ** 2)
-                     ) / (x @ x)
-    return levels
 
 
 def _doubled_grid_energies(p: SquidParams, g: FluxGrid, coarse: np.ndarray,
@@ -277,36 +432,26 @@ def _doubled_grid_energies(p: SquidParams, g: FluxGrid, coarse: np.ndarray,
     a count from below the Gershgorin bound up to the top edge finds
     ``coarse.size`` values; counts being monotone in x, the k-th lowest
     eigenvalue then lies within h + :data:`_STURM_SLOP` floors of rho_k, and
-    the index-mode value within one floor and one slop more.  h is 16 floors
-    or, if wider, ``check_rtol`` / 8 of the smallest predicted transition.
-    Each count is a ``stebz`` call whose tolerance equals its range: two
-    Sturm counts and no bisection.  Unless that bound keeps every index-mode
-    transition within ``check_rtol`` of the coarse one, the index-mode
-    search, which gives the same values as a full solve on that grid,
+    a solve's value within one floor and one slop more.  h is 16 floors or,
+    if wider, ``check_rtol`` / 8 of the smallest predicted transition.
+    Each count is one :func:`_count`: no bisection.  Unless that bound keeps
+    every transition of the doubled grid's own solve within ``check_rtol``
+    of the coarse one, that solve (:func:`_solve_grid` on the doubled grid)
     decides instead, so the check passes and raises where it alone would.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
     diag, off, _, floor = _tridiagonal(p, g.doubled())
     rho = _rayleigh_levels(diag, off, vecs)
     gap = rho[1:] - rho[0]
     half = max(16.0 * floor, check_rtol * gap.min() / 8.0)
-    # bound on |index-mode transition - gap|
+    # bound on |transition of the doubled grid's solve - gap|
     err = 2.0 * (half + (2.0 * _STURM_SLOP + 1.0) * floor)
-
-    def count(lo, hi):
-        return eigvalsh_tridiagonal(diag, off, select="v",
-                                    select_range=(lo, hi), tol=hi - lo).size
-
-    lo = diag.min() - 2.0 * abs(off[0]) - _STURM_SLOP * floor
     if (np.all(np.diff(rho) > 2.0 * half) and gap[0] > err
             and np.max((np.abs(coarse[1:] - coarse[0] - gap) + err)
                        / (gap - err)) < check_rtol
-            and count(lo, rho[-1] + half) == rho.size
-            and all(count(r - half, r + half) == 1 for r in rho)):
+            and _count_below(diag, off, floor, rho[-1] + half) == rho.size
+            and all(_count(diag, off, r - half, r + half) == 1 for r in rho)):
         return rho, floor
-    return eigvalsh_tridiagonal(diag, off, select="i",
-                                select_range=(0, coarse.size - 1)), floor
+    return _solve_grid(p, g.doubled(), coarse.size)[0], floor
 
 
 def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
@@ -320,16 +465,22 @@ def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
     doubled grid to ``check_rtol`` relative; violations raise
     :class:`ResolutionError` with a diagnostic.
 
-    The check reads eigenvalues only and, on a converged grid, makes no
-    bisection: the coarse eigenvectors predict the doubled-grid levels, and
-    Sturm counts certify that the predictions pass (see
-    :func:`_doubled_grid_energies`); otherwise the index-mode search
+    The levels are predicted from a grid up to 8 times coarser and
+    certified by residual intervals and one Sturm count (see
+    :func:`_predicted_pairs`); an uncertified prediction, or a smallest
+    transition below 2^26 resolution floors, takes the full bisection of
+    the grid instead.  The check reads eigenvalues only and, on a converged
+    grid, makes no bisection: the eigenvectors predict the doubled-grid
+    levels, and Sturm counts certify that the predictions pass (see
+    :func:`_doubled_grid_energies`); otherwise the doubled grid's own solve
     decides and words any refusal.  It never changes the returned
-    structure.  Bisection resolves eigenvalues to about eps * max|diag|;
-    when that floor exceeds ``check_rtol`` times the smallest transition
-    (near the symmetric bias, where the 0-1 splitting collapses), the error
-    names that limit instead of advising more points.  ``n_levels`` must be
-    an int in 1..8 and ``check_rtol`` finite and positive.
+    structure, and it certifies the grid step, not the box (widen
+    ``half_width`` to see the box error).  Bisection resolves eigenvalues
+    to about eps * max|diag|; when that floor exceeds ``check_rtol`` times
+    the smallest transition (near the symmetric bias, where the 0-1
+    splitting collapses), the error names that limit instead of advising
+    more points.  ``n_levels`` must be an int in 1..8 and ``check_rtol``
+    finite and positive.
     """
     if (isinstance(n_levels, bool) or not isinstance(n_levels, Integral)
             or not 1 <= n_levels <= 8):

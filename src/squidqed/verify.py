@@ -349,11 +349,11 @@ def halving_ratios(scan: ScanResult) -> np.ndarray:
 #: precision from an unchecked solve of ref15_like so a scan needs no
 #: eigensolver; tests/test_verify.py re-derives both and prints new literals.
 _PRESET_PATTERN = np.array(
-    [[-5.8432580619258205, 0.001263590786081636, 1.0],
-     [0.001263590786081636, 5.82537488190978, -0.012330120331091425],
-     [1.0, -0.012330120331091425, -5.270983114047934]])
+    [[-5.843258061766828, 0.0012635907872052179, 1.0],
+     [0.0012635907872052179, 5.825374881788098, -0.012330120323555786],
+     [1.0, -0.012330120323555786, -5.270983114026953]])
 _PRESET_PATTERN.setflags(write=False)
-_PRESET_LEVEL_RATIO = 0.08897007948531035
+_PRESET_LEVEL_RATIO = 0.08897007970613162
 
 
 def _scan(kind: str, ratio_list, point, meta: dict) -> ScanResult:

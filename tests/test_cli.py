@@ -1,6 +1,7 @@
 """Command-line interface: file outputs, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -541,10 +542,10 @@ def test_gate_outputs_are_byte_stable(tmp_path):
 _RWA_SCAN_DIGESTS = {
     "default": (
         {"scan_kind": "rwa"},
-        "609193e51b18f06e8568c818a5e2921f1706ec784bf2532bfdfe2143c81ac2b1"),
+        "963b32fecbd8289085af0dd66fb95f098b1e01f1be5baed09c3464062dd10f4f"),
     "coarse grid, fock 6": (
         {"scan_kind": "rwa", "grid": [0.3, 0.05, 0.015], "fock_cutoff": 6},
-        "d5c59d53f01a38cdfe58700e05ad51f698995a8cd5f5d3817b3a71cae0d65f3e"),
+        "48b25801c283155490ec8f334b9bed57866cfc95b3d01c02cd5aad1c9184e111"),
 }
 
 
@@ -696,14 +697,14 @@ def test_feasibility_refuses_a_budget_that_overflows(tmp_path, capsys, cfg,
 _DATA_DIGESTS = {
     "spectrum ref15_like": (
         "spectrum", {"preset": "ref15_like"},
-        ("bbcd40573b678a3c937b27cb055b7f85480a0f0e2fe996bd4fad642ad198bd8f",
-         "c3525d0e9aff77663415d0fc2b1a8ddf6b348d74bbed8036ec63541c5d4987d5",
-         "f7bf0483764050ccbc9e754038cc6f59cf8c227faff0363ce96ba88ad1a05cf7")),
+        ("2ad39b529e0899605fa6c8c3cf5c6acba1c345908c44b3f6cb1ca4d1ec7a8079",
+         "3f019c8565de5ca36f84a095b427e6d726d75f66745f16eb9b42b49f64e91044",
+         "df87cdc22a5d99ef10a914170b20af0131bcca7cf8d8d9f5631698f56287fe1a")),
     "spectrum harmonic": (
         "spectrum", {"preset": "harmonic"},
-        ("2b1038df825c6fbf899325d86cc8d9f0b195af688ccb8e2e05dfa6e8af9d7a69",
-         "f54724c7f6807545736051015f09039e08244e19633c80f216fc2a6fcb2620f0",
-         "4452e907ef80669e151e4da2f43f70d5ee9cd4fdb3523657f6e39216bc28c38d")),
+        ("be6abf84bfa711cb08544977f534d2af9baf78d15da1da299495689817892544",
+         "e08d0e020f0ba55c3be02a338c9fb5e233140db9a738378d5d54ec49ef345079",
+         "efbbafd48264269c4b3e153bc090c46e8b0c2e5d47c5a998c73e41d03cf088e1")),
     "feasibility default": (
         "feasibility", {},
         ("2fcd49acf3f401e133a368c075d5864edb32324aa1e7f072d4cb4c182ab9412c",)),
@@ -874,3 +875,28 @@ def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
     # the CLI's own default is the Rabi rate, which the library leaves at 1
     assert seen == [ExecutionParams(rabi=100.0),
                     ExecutionParams(rabi=100.0, explicit_cavity=True), {}]
+
+
+@pytest.mark.parametrize("command, cfg, extra, code", [
+    ("feasibility", {}, [], 0),
+    ("gate", {"schedule": "cps"}, ["--backend", "cavity"], 0),
+    ("spectrum", {"preset": "harmonic"}, [], 0),
+    ("scan", {"scan_kind": "rwa", "grid": [0.02],
+              "detuning_radps": 1e308}, [], 1),
+])
+def test_a_rerun_into_the_same_directory_replaces_each_file(
+        tmp_path, command, cfg, extra, code):
+    # same exit code and bytes; each data file is a new file, not the old
+    # one truncated (a hard link to it keeps the first run's file)
+    out = tmp_path / "out"
+    assert run_cli(out, command, cfg, extra=extra) == code
+    first = {p.name: p.read_bytes() for p in out.iterdir()
+             if p.name not in ("config.json", "run.log")}
+    assert first
+    for name in first:
+        os.link(out / name, tmp_path / name)
+    assert run_cli(out, command, cfg, extra=extra) == code
+    assert {name: (out / name).read_bytes() for name in first} == first
+    for name in first:
+        assert os.stat(out / name).st_nlink == 1, name
+        assert (tmp_path / name).read_bytes() == first[name]

@@ -11,7 +11,8 @@ from squidqed.squid import (FluxGrid, LevelStructure, ResolutionError,
                             harmonic_scale_element, lambda_check, load_preset,
                             preset_path, solve)
 from squidqed.squid import (_STURM_SLOP, _doubled_grid_energies,
-                            _solve_grid)
+                            _normalize, _predicted_pairs, _solve_grid,
+                            _tridiagonal)
 
 
 def make_structure(omega_10, omega_20, e02, e12, params):
@@ -233,11 +234,16 @@ def _half_width(rho, floor, rtol):
 def search_modes(monkeypatch):
     """Record every eigenvalue-only tridiagonal search as "count" (a value
     range searched with a tolerance as wide as the range), "window" (a value
-    range at full resolution) or "index"."""
+    range at full resolution) or "index", and every full solve of one grid
+    (`squid._solve_grid`, where the check falls back) as "solve", in place
+    of the searches that solve makes itself."""
     import scipy.linalg
+
+    import squidqed.squid as squid
 
     modes = []
     real = scipy.linalg.eigvalsh_tridiagonal
+    real_solve = squid._solve_grid
 
     def spy(*args, **kwargs):
         if kwargs["select"] == "i":
@@ -246,14 +252,21 @@ def search_modes(monkeypatch):
             modes.append("count" if kwargs.get("tol") else "window")
         return real(*args, **kwargs)
 
+    def solve_spy(*args):
+        start = len(modes)
+        out = real_solve(*args)
+        modes[start:] = ["solve"]
+        return out
+
     monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    monkeypatch.setattr(squid, "_solve_grid", solve_spy)
     return modes
 
 
 def _index_mode_decision(p, g, n_levels, rtol):
-    """Whether the check should raise, judged on the full index-mode solve
-    of the doubled grid with eigenvectors (the check's original reference),
-    the coarse eigenpairs, and that solve's eigenvalues."""
+    """Whether the check should raise, judged on the doubled grid's own full
+    solve with eigenvectors (the check's original reference), the coarse
+    eigenpairs, and that solve's eigenvalues."""
     coarse, vecs = _solve_grid(p, g, n_levels)[:2]
     ref_fine = _solve_grid(p, g.doubled(), n_levels)[0]
     ref_tr = ref_fine[1:] - ref_fine[0]
@@ -270,22 +283,21 @@ def _assert_decides(p, g, n_levels, rtol, raises):
 
 
 def _assert_sound(p, g, n_levels, rtol, modes, label=""):
-    """Run the check and hold it to the index-mode solve; return whether the
-    Sturm counts alone certified a pass.
+    """Run the check and hold it to the doubled grid's own solve; return
+    whether the Sturm counts alone certified a pass.
 
-    The transitions agree with the index-mode ones to 1e-7 relative.  A
-    certified pass makes n_levels + 1 counts and nothing else, keeps every
-    level within the certified bound of the index-mode value, and happens
-    only where the index mode passes.  Otherwise one index search, last,
-    returns the index-mode values exactly.  Either way `solve` decides as
-    the index mode does."""
+    The transitions agree with that solve's to 1e-7 relative.  A certified
+    pass makes n_levels + 1 counts and nothing else, keeps every level
+    within the certified bound of that solve's value, and happens only
+    where that solve passes.  Otherwise that one solve, last, returns its
+    values exactly.  Either way `solve` decides as that solve does."""
     raises, coarse, vecs, ref_fine = _index_mode_decision(p, g, n_levels,
                                                           rtol)
     modes.clear()
     fine, floor = _doubled_grid_energies(p, g, coarse, vecs, rtol)
     np.testing.assert_allclose(fine[1:] - fine[0], ref_fine[1:] - ref_fine[0],
                                rtol=1e-7, err_msg=label)
-    certified = "index" not in modes
+    certified = "solve" not in modes
     if certified:
         assert modes == ["count"] * (n_levels + 1), label
         assert not raises, label
@@ -293,7 +305,7 @@ def _assert_sound(p, g, n_levels, rtol, modes, label=""):
                  + (2.0 * _STURM_SLOP + 1.0) * floor)
         assert np.max(np.abs(fine - ref_fine)) <= bound, label
     else:
-        assert modes[-1] == "index", label
+        assert modes[-1] == "solve", label
         assert set(modes[:-1]) <= {"count"}, label
         np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
     _assert_decides(p, g, n_levels, rtol, raises)
@@ -328,8 +340,8 @@ def test_level_counts_decide_like_the_index_mode_solve(search_modes, name,
 def test_predictions_moved_by_three_half_widths_fall_back(monkeypatch,
                                                           search_modes, sign):
     # every window then misses its level, so the counts refuse to certify
-    # and the index mode decides as it would alone; run on the inputs whose
-    # unmoved predictions certify
+    # and the doubled grid's own solve decides as it would alone; run on the
+    # inputs whose unmoved predictions certify
     import squidqed.squid as squid
 
     rtol = 1e-6
@@ -349,7 +361,7 @@ def test_predictions_moved_by_three_half_widths_fall_back(monkeypatch,
         search_modes.clear()
         fine, _ = _doubled_grid_energies(p, g, coarse, vecs, rtol)
         assert search_modes[0] == "count", label  # the counts refused
-        assert search_modes[-1] == "index", label
+        assert search_modes[-1] == "solve", label
         np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
         _assert_decides(p, g, 3, rtol, raises)
 
@@ -416,3 +428,171 @@ def test_convergence_check_never_changes_the_result():
         assert np.array_equal(checked.flux_elements, unchecked.flux_elements)
         for attr in ("omega_10", "omega_20", "omega_21"):
             assert getattr(checked, attr) == getattr(unchecked, attr)
+
+
+def _bisected(p, g, n_levels):
+    """The full index-mode solve of one grid (bisection, then inverse
+    iteration on the whole grid), normalized as `_solve_grid` normalizes:
+    the reference the predicted solve falls back to bit for bit."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, off = _tridiagonal(p, g)[:2]
+    energies, vecs = eigh_tridiagonal(diag, off, select="i",
+                                      select_range=(0, n_levels - 1))
+    _normalize(vecs, g.step)
+    return energies, vecs
+
+
+def _assert_bisected(p, g, n_levels, label=""):
+    energies, vecs = _solve_grid(p, g, n_levels)[:2]
+    want_energies, want_vecs = _bisected(p, g, n_levels)
+    np.testing.assert_array_equal(energies, want_energies, err_msg=label)
+    np.testing.assert_array_equal(vecs, want_vecs, err_msg=label)
+
+
+def _extended_rayleigh_quotients(p, g, vecs):
+    """Rayleigh quotients of the columns of ``vecs`` on the grid's
+    tridiagonal, in extended precision, with the kinetic part as a sum of
+    squared differences (zero beyond the ends)."""
+    wide = np.longdouble
+    diag, off = _tridiagonal(p, g)[:2]
+    kin = wide(-off[0])
+    pot = diag.astype(wide) - 2 * kin
+    out = []
+    for x in vecs.T.astype(wide):
+        dx = np.diff(x, prepend=wide(0), append=wide(0))
+        out.append((pot @ (x * x) + kin * (dx @ dx)) / (x @ x))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("u", [2e-4, 1e-3, 5e-3, 9.8e-3])
+@pytest.mark.parametrize("name", ["ref15_like", "harmonic"])
+def test_predicted_solve_is_certified_and_accurate(name, u):
+    # off the symmetric point the prediction certifies; its transitions are
+    # those of its own vectors in extended precision, its levels lie within
+    # two floors of the full bisection, and mirrored biases agree on
+    # |<0|Phi|2>| (a solve that keeps inverse iteration's vectors from a
+    # loosely bisected shift misses this by 4.6e-6 at u = 4.685e-3)
+    p, g = load_preset(name)
+    pairs = []
+    for bias in (0.5 + u, 0.5 - u):
+        q = replace(p, Phi_x=bias * PHI0)
+        diag, off, _, floor = _tridiagonal(q, g)
+        assert _predicted_pairs(q, g, diag, off, floor, 3) is not None, bias
+        energies, vecs = _solve_grid(q, g, 3)[:2]
+        exact = _extended_rayleigh_quotients(q, g, vecs)
+        np.testing.assert_allclose(energies[1:] - energies[0],
+                                   (exact[1:] - exact[0]).astype(float),
+                                   rtol=1e-11, atol=0, err_msg=str(bias))
+        bisected = _bisected(q, g, 3)[0]
+        assert np.max(np.abs(energies - bisected)) <= 2.0 * floor, bias
+        pairs.append(solve(q, g))
+    a, b = (abs(ls.flux_elements[0, 2]) for ls in pairs)
+    assert abs(a - b) <= 1e-8 * harmonic_scale_element(p)
+
+
+@pytest.mark.parametrize("label, bias, ic", [
+    ("half", 0.5, None), ("u = 1e-6", 0.5 - 1e-6, None),
+    ("u = -1e-6", 0.5 + 1e-6, None), ("u = 1e-5", 0.5 - 1e-5, None),
+    ("u = -1e-5", 0.5 + 1e-5, None), ("deep well", 0.5, 8e-6)])
+def test_near_the_floor_the_solve_is_the_full_bisection(label, bias, ic):
+    # a smallest transition below 2^26 resolution floors goes to the full
+    # bisection, on the shipped grid and on the doubled grid the check
+    # falls back to, so every decision near the symmetric point stands
+    p, g = load_preset("ref15_like")
+    p = replace(p, Phi_x=bias * PHI0, Ic=p.Ic if ic is None else ic)
+    for grid in (g, g.doubled()):
+        for n_levels in (2, 3):
+            _assert_bisected(p, grid, n_levels, label)
+
+
+def test_a_corrupted_prolongation_falls_back_to_the_full_bisection(
+        monkeypatch):
+    # midpoints shifted by 1/200 of the grid give shifts too far off for
+    # inverse iteration, so the full bisection decides
+    import squidqed.squid as squid
+
+    real = squid._prolong
+    monkeypatch.setattr(squid, "_prolong",
+                        lambda v: np.roll(real(v), (2 * v.size - 1) // 200))
+    for name in ("ref15_like", "harmonic"):
+        p, g = load_preset(name)
+        diag, off, _, floor = _tridiagonal(p, g)
+        assert _predicted_pairs(p, g, diag, off, floor, 3) is None, name
+        _assert_bisected(p, g, 3, name)
+
+
+def test_shifts_at_the_wrong_levels_fail_the_certificate(monkeypatch):
+    # shifts at levels 1..n converge cleanly, to the wrong levels; the
+    # intervals are disjoint, but the Sturm count below the top one finds
+    # n + 1 eigenvalues, so the certificate refuses
+    import itertools
+
+    import squidqed.squid as squid
+
+    counts = []
+    real_count = squid._count
+
+    def count(*args):
+        counts.append(real_count(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(squid, "_count", count)
+    for name in ("ref15_like", "harmonic"):
+        p, g = load_preset(name)
+        levels = itertools.cycle(_bisected(p, g, 4)[0][1:])
+        monkeypatch.setattr(squid, "_rayleigh_quotient",
+                            lambda pot, kin, x: next(levels))
+        counts.clear()
+        diag, off, _, floor = _tridiagonal(p, g)
+        assert _predicted_pairs(p, g, diag, off, floor, 3) is None, name
+        assert counts == [4], name
+        _assert_bisected(p, g, 3, name)
+
+
+def test_a_predicted_solve_makes_one_fine_inverse_iteration_and_one_count(
+        monkeypatch):
+    # every LAPACK routine fetched through scipy is counted: on the full
+    # grid only one inverse iteration (stein) and one two-ended Sturm count
+    # (stebz by value with a tolerance as wide as its range) may run, so a
+    # bisection of the full grid creeping back would show
+    import scipy.linalg
+    import scipy.linalg._decomp as decomp
+
+    calls = []
+    real = decomp.get_lapack_funcs
+
+    class Counted:
+        # keeps the routine's attributes, which scipy's workspace queries read
+        def __init__(self, func):
+            self.func = func
+
+        def __getattr__(self, name):
+            return getattr(self.func, name)
+
+        def __call__(self, *a, **k):
+            calls.append((self.func.__name__, np.shape(a[0]) if a else (), a))
+            return self.func(*a, **k)
+
+    def fetch(names, arrays=(), *args, **kwargs):
+        return tuple(Counted(f) for f in real(names, arrays, *args, **kwargs))
+
+    p, g = load_preset("ref15_like")
+    coarse = ((g.points - 1) // 8 + 1,)
+    for n_levels in (2, 3, 5):
+        monkeypatch.setattr(decomp, "get_lapack_funcs", fetch)
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", fetch)
+        calls.clear()
+        _solve_grid(p, g, n_levels)
+        monkeypatch.undo()
+        # the Rayleigh-Ritz step's dense n x n solve is the only other work
+        long = [(name[-5:], shape, a) for name, shape, a in calls
+                if shape not in ((), (n_levels, n_levels))]
+        assert [(name, shape) for name, shape, _ in long] == [
+            ("stebz", coarse), ("stein", coarse), ("stein", (g.points,)),
+            ("stebz", (g.points,))], calls
+        # stebz(d, e, select, vl, vu, il, iu, tol, order): select 2 is by
+        # index, 1 by value
+        assert long[0][2][2] == 2
+        select, vl, vu, tol = (long[3][2][i] for i in (2, 3, 4, 7))
+        assert select == 1 and tol >= vu - vl > 0
