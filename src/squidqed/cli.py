@@ -33,7 +33,6 @@ import argparse
 import json
 import math
 import os
-import stat
 import sys
 import time
 
@@ -220,16 +219,8 @@ def _header(command: str, backend: str | None, cfg: dict) -> str:
 
 def _write(out_dir: str, name: str, text: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    # a rerun replaces the last run's file instead of truncating it: on
-    # ext4 closing a truncated file forces a flush (~26 ms per file), while
-    # a new file's blocks are written back later
-    try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
-            os.unlink(path)
-    except FileNotFoundError:
-        pass
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+              newline="\n") as fh:
         fh.write(text)
 
 

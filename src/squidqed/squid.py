@@ -30,15 +30,15 @@ grid, predicts its fine level by its Rayleigh quotient, and Sturm counts
 certify that a narrow window around each prediction holds exactly one
 eigenvalue and that no other lies below the top window.  The check passes
 on those counts when the bound they give keeps every transition within
-tolerance.  Any miss, or a bound too wide to pass, sends it to the doubled
-grid's own solve, which decides and words every refusal.  The check
-certifies the step, not the box: the hard wall one step outside the box
-stays where it is, so at Phi_x = (0.5 +- 9.8e-3) Phi_0 widening the shipped
-box from 0.35 to 0.42 Phi_0 moves omega_20 by 5.4e-6 while the check passes
-on both.  When the check fails on transitions near the resolution floor
-(the collapsing 0-1 splitting at the symmetric bias), the error names that
-limit instead of advising more points, and levels that coincide on the
-grid are refused by name.
+tolerance.  Any miss, or a bound too wide to pass, sends it to the full
+bisection of the doubled grid, values only, which decides and words every
+refusal.  The check certifies the step, not the box: the hard wall one step
+outside the box stays where it is, so at Phi_x = (0.5 +- 9.8e-3) Phi_0
+widening the shipped box from 0.35 to 0.42 Phi_0 moves omega_20 by 5.4e-6
+while the check passes on both.  When the check fails on transitions near
+the resolution floor (the collapsing 0-1 splitting at the symmetric bias),
+the error names that limit instead of advising more points, and levels that
+coincide on the grid are refused by name.
 
 Biased near half a flux quantum with loop parameter beta_L = 2 pi L Ic / Phi_0
 slightly above 1, the potential is a tilted double well whose two lowest
@@ -432,18 +432,23 @@ def _doubled_grid_energies(p: SquidParams, g: FluxGrid, coarse: np.ndarray,
     a count from below the Gershgorin bound up to the top edge finds
     ``coarse.size`` values; counts being monotone in x, the k-th lowest
     eigenvalue then lies within h + :data:`_STURM_SLOP` floors of rho_k, and
-    a solve's value within one floor and one slop more.  h is 16 floors or,
-    if wider, ``check_rtol`` / 8 of the smallest predicted transition.
+    the index-mode value within one floor and one slop more.  h is 16 floors
+    or, if wider, ``check_rtol`` / 8 of the smallest predicted transition.
     Each count is one :func:`_count`: no bisection.  Unless that bound keeps
-    every transition of the doubled grid's own solve within ``check_rtol``
-    of the coarse one, that solve (:func:`_solve_grid` on the doubled grid)
+    every index-mode transition within ``check_rtol`` of the coarse one, the
+    index-mode search (the full bisection of the doubled grid, values only)
     decides instead, so the check passes and raises where it alone would.
+    That search gives the values the doubled grid's own :func:`_solve_grid`
+    returns wherever that solve falls back, near the resolution floor among
+    them, without computing the eigenvectors.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     diag, off, _, floor = _tridiagonal(p, g.doubled())
     rho = _rayleigh_levels(diag, off, vecs)
     gap = rho[1:] - rho[0]
     half = max(16.0 * floor, check_rtol * gap.min() / 8.0)
-    # bound on |transition of the doubled grid's solve - gap|
+    # bound on |index-mode transition - gap|
     err = 2.0 * (half + (2.0 * _STURM_SLOP + 1.0) * floor)
     if (np.all(np.diff(rho) > 2.0 * half) and gap[0] > err
             and np.max((np.abs(coarse[1:] - coarse[0] - gap) + err)
@@ -451,7 +456,8 @@ def _doubled_grid_energies(p: SquidParams, g: FluxGrid, coarse: np.ndarray,
             and _count_below(diag, off, floor, rho[-1] + half) == rho.size
             and all(_count(diag, off, r - half, r + half) == 1 for r in rho)):
         return rho, floor
-    return _solve_grid(p, g.doubled(), coarse.size)[0], floor
+    return eigvalsh_tridiagonal(diag, off, select="i",
+                                select_range=(0, coarse.size - 1)), floor
 
 
 def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
@@ -472,14 +478,14 @@ def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
     the grid instead.  The check reads eigenvalues only and, on a converged
     grid, makes no bisection: the eigenvectors predict the doubled-grid
     levels, and Sturm counts certify that the predictions pass (see
-    :func:`_doubled_grid_energies`); otherwise the doubled grid's own solve
-    decides and words any refusal.  It never changes the returned
-    structure, and it certifies the grid step, not the box (widen
-    ``half_width`` to see the box error).  Bisection resolves eigenvalues
-    to about eps * max|diag|; when that floor exceeds ``check_rtol`` times
-    the smallest transition (near the symmetric bias, where the 0-1
-    splitting collapses), the error names that limit instead of advising
-    more points.  ``n_levels`` must be an int in 1..8 and ``check_rtol``
+    :func:`_doubled_grid_energies`); otherwise the full bisection of the
+    doubled grid, values only, decides and words any refusal.  It never
+    changes the returned structure, and it certifies the grid step, not
+    the box (widen ``half_width`` to see the box error).  Bisection
+    resolves eigenvalues to about eps * max|diag|; when that floor exceeds
+    ``check_rtol`` times the smallest transition (near the symmetric bias,
+    where the 0-1 splitting collapses), the error names that limit instead
+    of advising more points.  ``n_levels`` must be an int in 1..8 and ``check_rtol``
     finite and positive.
     """
     if (isinstance(n_levels, bool) or not isinstance(n_levels, Integral)

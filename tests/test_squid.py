@@ -234,16 +234,11 @@ def _half_width(rho, floor, rtol):
 def search_modes(monkeypatch):
     """Record every eigenvalue-only tridiagonal search as "count" (a value
     range searched with a tolerance as wide as the range), "window" (a value
-    range at full resolution) or "index", and every full solve of one grid
-    (`squid._solve_grid`, where the check falls back) as "solve", in place
-    of the searches that solve makes itself."""
+    range at full resolution) or "index"."""
     import scipy.linalg
-
-    import squidqed.squid as squid
 
     modes = []
     real = scipy.linalg.eigvalsh_tridiagonal
-    real_solve = squid._solve_grid
 
     def spy(*args, **kwargs):
         if kwargs["select"] == "i":
@@ -252,23 +247,29 @@ def search_modes(monkeypatch):
             modes.append("count" if kwargs.get("tol") else "window")
         return real(*args, **kwargs)
 
-    def solve_spy(*args):
-        start = len(modes)
-        out = real_solve(*args)
-        modes[start:] = ["solve"]
-        return out
-
     monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
-    monkeypatch.setattr(squid, "_solve_grid", solve_spy)
     return modes
 
 
+def _bisected(p, g, n_levels):
+    """The full index-mode solve of one grid (bisection, then inverse
+    iteration on the whole grid), normalized as `_solve_grid` normalizes:
+    the reference the predicted solve falls back to bit for bit."""
+    from scipy.linalg import eigh_tridiagonal
+
+    diag, off = _tridiagonal(p, g)[:2]
+    energies, vecs = eigh_tridiagonal(diag, off, select="i",
+                                      select_range=(0, n_levels - 1))
+    _normalize(vecs, g.step)
+    return energies, vecs
+
+
 def _index_mode_decision(p, g, n_levels, rtol):
-    """Whether the check should raise, judged on the doubled grid's own full
-    solve with eigenvectors (the check's original reference), the coarse
-    eigenpairs, and that solve's eigenvalues."""
+    """Whether the check should raise, judged on the full index-mode solve
+    of the doubled grid with eigenvectors (the check's original reference),
+    the coarse eigenpairs, and that solve's eigenvalues."""
     coarse, vecs = _solve_grid(p, g, n_levels)[:2]
-    ref_fine = _solve_grid(p, g.doubled(), n_levels)[0]
+    ref_fine = _bisected(p, g.doubled(), n_levels)[0]
     ref_tr = ref_fine[1:] - ref_fine[0]
     ref_shift = np.max(np.abs(coarse[1:] - coarse[0] - ref_tr) / ref_tr)
     return ref_shift > rtol, coarse, vecs, ref_fine
@@ -283,21 +284,22 @@ def _assert_decides(p, g, n_levels, rtol, raises):
 
 
 def _assert_sound(p, g, n_levels, rtol, modes, label=""):
-    """Run the check and hold it to the doubled grid's own solve; return
-    whether the Sturm counts alone certified a pass.
+    """Run the check and hold it to the index-mode solve; return whether the
+    Sturm counts alone certified a pass.
 
-    The transitions agree with that solve's to 1e-7 relative.  A certified
-    pass makes n_levels + 1 counts and nothing else, keeps every level
-    within the certified bound of that solve's value, and happens only
-    where that solve passes.  Otherwise that one solve, last, returns its
-    values exactly.  Either way `solve` decides as that solve does."""
+    The transitions agree with the index-mode ones to 1e-7 relative.  A
+    certified pass makes n_levels + 1 counts and nothing else, keeps every
+    level within the certified bound of the index-mode value, and happens
+    only where the index mode passes.  Otherwise one index search, last,
+    returns the index-mode values exactly.  Either way `solve` decides as
+    the index mode does."""
     raises, coarse, vecs, ref_fine = _index_mode_decision(p, g, n_levels,
                                                           rtol)
     modes.clear()
     fine, floor = _doubled_grid_energies(p, g, coarse, vecs, rtol)
     np.testing.assert_allclose(fine[1:] - fine[0], ref_fine[1:] - ref_fine[0],
                                rtol=1e-7, err_msg=label)
-    certified = "solve" not in modes
+    certified = "index" not in modes
     if certified:
         assert modes == ["count"] * (n_levels + 1), label
         assert not raises, label
@@ -305,7 +307,7 @@ def _assert_sound(p, g, n_levels, rtol, modes, label=""):
                  + (2.0 * _STURM_SLOP + 1.0) * floor)
         assert np.max(np.abs(fine - ref_fine)) <= bound, label
     else:
-        assert modes[-1] == "solve", label
+        assert modes[-1] == "index", label
         assert set(modes[:-1]) <= {"count"}, label
         np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
     _assert_decides(p, g, n_levels, rtol, raises)
@@ -340,8 +342,8 @@ def test_level_counts_decide_like_the_index_mode_solve(search_modes, name,
 def test_predictions_moved_by_three_half_widths_fall_back(monkeypatch,
                                                           search_modes, sign):
     # every window then misses its level, so the counts refuse to certify
-    # and the doubled grid's own solve decides as it would alone; run on the
-    # inputs whose unmoved predictions certify
+    # and the index mode decides as it would alone; run on the inputs whose
+    # unmoved predictions certify
     import squidqed.squid as squid
 
     rtol = 1e-6
@@ -361,16 +363,14 @@ def test_predictions_moved_by_three_half_widths_fall_back(monkeypatch,
         search_modes.clear()
         fine, _ = _doubled_grid_energies(p, g, coarse, vecs, rtol)
         assert search_modes[0] == "count", label  # the counts refused
-        assert search_modes[-1] == "solve", label
+        assert search_modes[-1] == "index", label
         np.testing.assert_array_equal(fine, ref_fine, err_msg=label)
         _assert_decides(p, g, 3, rtol, raises)
 
 
-def test_converged_check_makes_one_lapack_call_per_level_and_one_count(
-        monkeypatch):
-    # every LAPACK routine the tridiagonal eigensolvers fetch is counted,
-    # so an index-mode search or a bisecting value search creeping back
-    # would show
+def _check_lapack_calls(monkeypatch, p, g, n_levels):
+    """Every LAPACK routine the tridiagonal eigensolvers fetch while the
+    check runs, as (name, select, vl, vu, tol) for ``stebz``."""
     import scipy.linalg._decomp as decomp
 
     calls = []
@@ -384,13 +384,21 @@ def test_converged_check_makes_one_lapack_call_per_level_and_one_count(
             return call
         return tuple(counted(f) for f in real(names, arrays, *args, **kwargs))
 
+    coarse, vecs = _solve_grid(p, g, n_levels)[:2]
+    monkeypatch.setattr(decomp, "get_lapack_funcs", fetch)
+    _doubled_grid_energies(p, g, coarse, vecs, 1e-6)
+    monkeypatch.undo()
+    return calls
+
+
+def test_converged_check_makes_one_lapack_call_per_level_and_one_count(
+        monkeypatch):
+    # every LAPACK routine the tridiagonal eigensolvers fetch is counted,
+    # so an index-mode search or a bisecting value search creeping back
+    # would show
     p, g = load_preset("ref15_like")
     for n_levels in (2, 3, 5):
-        coarse, vecs = _solve_grid(p, g, n_levels)[:2]
-        monkeypatch.setattr(decomp, "get_lapack_funcs", fetch)
-        calls.clear()
-        _doubled_grid_energies(p, g, coarse, vecs, 1e-6)
-        monkeypatch.undo()
+        calls = _check_lapack_calls(monkeypatch, p, g, n_levels)
         # stebz(d, e, select, vl, vu, ..., tol): select 1 searches by value
         # (2 by index); a tolerance as wide as the range stops it after the
         # Sturm counts at the two ends
@@ -398,6 +406,18 @@ def test_converged_check_makes_one_lapack_call_per_level_and_one_count(
         for name, select, vl, vu, tol in calls:
             assert name.endswith("stebz") and select == 1, calls
             assert tol >= vu - vl > 0, calls
+
+
+@pytest.mark.parametrize("bias", [0.5, 0.5 - 1e-5, 0.5 + 1e-6])
+def test_a_check_the_counts_refuse_searches_values_only(monkeypatch, bias):
+    # near the symmetric point the counts cannot certify, and the search
+    # that decides is one bisection by index that computes no eigenvectors
+    p, g = load_preset("ref15_like")
+    calls = _check_lapack_calls(monkeypatch, replace(p, Phi_x=bias * PHI0),
+                                g, 3)
+    assert [name[-5:] for name, *_ in calls] == ["stebz"] * len(calls), calls
+    assert calls[-1][1] == 2, calls  # select 2: by index
+    assert all(select == 1 for _, select, *_ in calls[:-1]), calls
 
 
 @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), 0.0, -1e-6])
@@ -428,19 +448,6 @@ def test_convergence_check_never_changes_the_result():
         assert np.array_equal(checked.flux_elements, unchecked.flux_elements)
         for attr in ("omega_10", "omega_20", "omega_21"):
             assert getattr(checked, attr) == getattr(unchecked, attr)
-
-
-def _bisected(p, g, n_levels):
-    """The full index-mode solve of one grid (bisection, then inverse
-    iteration on the whole grid), normalized as `_solve_grid` normalizes:
-    the reference the predicted solve falls back to bit for bit."""
-    from scipy.linalg import eigh_tridiagonal
-
-    diag, off = _tridiagonal(p, g)[:2]
-    energies, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(0, n_levels - 1))
-    _normalize(vecs, g.step)
-    return energies, vecs
 
 
 def _assert_bisected(p, g, n_levels, label=""):
@@ -497,8 +504,8 @@ def test_predicted_solve_is_certified_and_accurate(name, u):
     ("u = -1e-5", 0.5 + 1e-5, None), ("deep well", 0.5, 8e-6)])
 def test_near_the_floor_the_solve_is_the_full_bisection(label, bias, ic):
     # a smallest transition below 2^26 resolution floors goes to the full
-    # bisection, on the shipped grid and on the doubled grid the check
-    # falls back to, so every decision near the symmetric point stands
+    # bisection, on the shipped grid and on the doubled one, so every result
+    # near the symmetric point stands
     p, g = load_preset("ref15_like")
     p = replace(p, Phi_x=bias * PHI0, Ic=p.Ic if ic is None else ic)
     for grid in (g, g.doubled()):
