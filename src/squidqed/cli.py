@@ -12,8 +12,21 @@ no run loads OpenSSL's libcrypto).  Run metadata that may vary (wall time,
 failed scan points, failed reduction conditions, a ``gamma_radps`` the
 cavity backend ignored) goes to a separate run.log.
 Scans run in the calling process; ``--workers`` is accepted for
-compatibility only.  Only ``spectrum`` imports the loop solver, and through
-it ``scipy.linalg``; the other commands never load either.
+compatibility only.
+
+Importing this module loads only the standard library and ``constants``;
+each subcommand imports what it computes when it runs:
+
+- ``spectrum``: the loop solver ``squid``, and through it numpy and
+  ``scipy.linalg``;
+- ``gate``: ``protocols``, ``verify``, ``hilbert``, ``hamiltonians`` and
+  ``feasibility`` (and through them numpy and ``dynamics``);
+- ``scan``: ``verify`` and ``hamiltonians`` (and through them numpy,
+  ``protocols``, ``hilbert`` and ``dynamics``);
+- ``feasibility``: ``feasibility`` alone, with no numpy; ``protocols`` too
+  when the gate time is derived from rates.
+
+No command but ``spectrum`` loads the solver or ``scipy.linalg``.
 
 ``gate`` runs the computational inputs of a schedule as one block (for
 ``transfer``, those with loop b in |0>), and its states file and every
@@ -35,8 +48,7 @@ import math
 import os
 import sys
 import time
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 # CPython's built-in SHA-256, the one hashlib itself falls back to: hashlib
 # would load OpenSSL's libcrypto into every run only to hash the header
@@ -49,15 +61,9 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .constants import HBAR, TWO_PI
-from .feasibility import FeasibilityInput, assess, gate_time_estimate
-from .hamiltonians import CONDITION_RATIO_MAX
-from .hilbert import StateVector, fidelity_up_to_global_phase
-from .protocols import ExecutionParams, SCHEDULE_BUILDERS, _run_block
-from .verify import (_BASIS, _BASIS_ROWS, _COMP, DEFAULT_DISPERSIVE_RATIOS,
-                     DEFAULT_RWA_RATIOS, _compare_truth_table,
-                     _loop_amplitudes, _run_photon_peaks, concurrence,
-                     dispersive_error_point, gate_fidelity, rwa_error_point,
-                     truth_table_cps, truth_table_swap, truth_table_transfer)
+
+if TYPE_CHECKING:
+    from .protocols import ExecutionParams
 
 __all__ = ["main"]
 
@@ -67,9 +73,6 @@ _PLANCK = TWO_PI * HBAR
 #: "entangle") mapped onto the shipped schedule builders.
 _GATE_NAMES = {"entangle": "entanglement", "cps": "cps", "swap": "swap",
                "transfer": "transfer"}
-
-_TRUTH_TABLES = {"cps": truth_table_cps, "swap": truth_table_swap,
-                 "transfer": truth_table_transfer}
 
 
 class ConfigError(Exception):
@@ -230,6 +233,8 @@ def _fmt(x: float) -> str:
 
 def _backend_params(args, cfg: dict) -> tuple[str, ExecutionParams]:
     """Map the CLI backend name onto (protocols backend, params)."""
+    from .protocols import ExecutionParams
+
     rabi = cfg.get("rabi_radps", 100.0)
     if args.backend != "cavity":
         _refuse_unread(cfg, _CAVITY_KEYS, f"gate --backend {args.backend}")
@@ -312,6 +317,19 @@ def cmd_spectrum(args, raw_cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gate(args, raw_cfg: dict) -> int:
+    import numpy as np
+
+    from .feasibility import gate_time_estimate
+    from .hamiltonians import CONDITION_RATIO_MAX
+    from .hilbert import StateVector, fidelity_up_to_global_phase
+    from .protocols import SCHEDULE_BUILDERS, _run_block
+    from .verify import (_BASIS, _BASIS_ROWS, _COMP, _compare_truth_table,
+                         _loop_amplitudes, _run_photon_peaks, concurrence,
+                         gate_fidelity, truth_table_cps, truth_table_swap,
+                         truth_table_transfer)
+
+    truth_tables = {"cps": truth_table_cps, "swap": truth_table_swap,
+                    "transfer": truth_table_transfer}
     cfg = _validate(raw_cfg, _GATE_SCHEMA, "gate")
     name = cfg.get("schedule", "cps")
     schedule = SCHEDULE_BUILDERS[_GATE_NAMES[name]]()
@@ -350,8 +368,8 @@ def cmd_gate(args, raw_cfg: dict) -> int:
                f"schedule {name}\n",
                f"backend {args.backend}\n"]
 
-    if name in _TRUTH_TABLES and exact_backend:
-        chk = _compare_truth_table(_TRUTH_TABLES[name](), loops)
+    if name in truth_tables and exact_backend:
+        chk = _compare_truth_table(truth_tables[name](), loops)
         summary.append(f"truth_table {'pass' if chk.ok else 'FAIL'}\n")
         summary.append(f"truth_table_max_deviation_dimensionless "
                        f"{_fmt(chk.max_deviation)}\n")
@@ -409,6 +427,8 @@ def cmd_gate(args, raw_cfg: dict) -> int:
 
 def _scan_point(point, ratio: float, kwargs: dict) -> dict:
     """One scan point, run in the calling process."""
+    import numpy as np
+
     try:
         return {"parameter": ratio, **point(ratio, **kwargs)}
     except (ValueError, np.linalg.LinAlgError) as exc:
@@ -418,6 +438,10 @@ def _scan_point(point, ratio: float, kwargs: dict) -> dict:
 
 
 def cmd_scan(args, raw_cfg: dict) -> int:
+    from .hamiltonians import CONDITION_RATIO_MAX
+    from .verify import (DEFAULT_DISPERSIVE_RATIOS, DEFAULT_RWA_RATIOS,
+                         dispersive_error_point, rwa_error_point)
+
     cfg = _validate(raw_cfg, _SCAN_SCHEMA, "scan")
     kind = cfg.get("scan_kind", "dispersive")
     if kind == "dispersive":
@@ -478,6 +502,8 @@ def cmd_scan(args, raw_cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_feasibility(args, raw_cfg: dict) -> int:
+    from .feasibility import FeasibilityInput, assess, gate_time_estimate
+
     cfg = _validate(raw_cfg, _FEASIBILITY_SCHEMA, "feasibility")
     t_r = cfg.get("t_r_s", 1.0e-6)
     t_op = cfg.get("t_op_s")
@@ -488,7 +514,9 @@ def cmd_feasibility(args, raw_cfg: dict) -> int:
         t_op_source = "explicit"
     elif "gamma_radps" in cfg or "rabi_radps" in cfg:
         # gate time omitted but rates given: estimate from the
-        # controlled-phase schedule
+        # controlled-phase schedule, which only this branch builds
+        from .protocols import SCHEDULE_BUILDERS
+
         gamma = cfg.get("gamma_radps", math.pi / 1.0e-8)
         rabi = cfg.get("rabi_radps", TWO_PI * 1.0e9)
         t_op = gate_time_estimate(gamma, SCHEDULE_BUILDERS["cps"](), rabi)

@@ -6,15 +6,22 @@ to cavity loss, the resulting effective decay time T_c / P, and the minimum
 quality factor q_min = 2 pi nu t_op the cavity must beat.  "Much greater
 than" is operationalized as a configurable margin factor on q_min; the raw
 number is always reported.
+
+The budget is plain float arithmetic and imports no numpy; only
+`gate_time_estimate`, which walks a gate schedule, imports ``protocols``
+(and with it numpy), when it is called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .constants import TWO_PI
-from .protocols import DispersiveStep, GateSchedule
+
+if TYPE_CHECKING:
+    from .protocols import GateSchedule
 
 __all__ = [
     "FeasibilityInput",
@@ -114,6 +121,8 @@ def gate_time_estimate(gamma: float, schedule: GateSchedule,
     pi/gamma; a pulse group contributes the duration of its longest
     rotation, theta / (2 rabi), since simultaneous rotations overlap.
     """
+    from .protocols import DispersiveStep
+
     if not (0 < gamma < math.inf and 0 < rabi < math.inf):
         raise ValueError("gamma and rabi must be finite, positive rates")
     total = 0.0

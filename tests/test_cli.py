@@ -187,13 +187,13 @@ def test_scan_rwa(tmp_path):
 
 def test_scan_point_reports_physics_errors_and_raises_bugs(tmp_path,
                                                           monkeypatch):
-    import squidqed.cli as cli
+    import squidqed.verify as verify
 
     def refuse(*args, **kwargs):
         raise ValueError("refused on purpose")
 
     cfg = {"scan_kind": "rwa", "grid": [0.02, 0.01]}
-    monkeypatch.setattr(cli, "rwa_error_point", refuse)
+    monkeypatch.setattr(verify, "rwa_error_point", refuse)
     assert run_cli(tmp_path, "scan", cfg, extra=["--workers", "1"]) == 1
     lines = grab(tmp_path, "scan.csv").strip().splitlines()
     assert ("# point 2.000000000000e-02 failed: "
@@ -202,7 +202,7 @@ def test_scan_point_reports_physics_errors_and_raises_bugs(tmp_path,
     def broken(*args, **kwargs):
         raise TypeError("a programming error")
 
-    monkeypatch.setattr(cli, "rwa_error_point", broken)
+    monkeypatch.setattr(verify, "rwa_error_point", broken)
     with pytest.raises(TypeError, match="programming error"):
         run_cli(tmp_path / "bug", "scan", cfg, extra=["--workers", "1"])
 
@@ -291,6 +291,62 @@ def test_cli_import_defers_scipy_linalg_to_the_solver(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def loaded_after(*runs):
+    """Names in ``sys.modules`` of a fresh interpreter that imports the CLI
+    and makes each `main` call in ``runs``, each of which must exit 0."""
+    code = ("import json, sys\n"
+            "from squidqed.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def package_modules(names):
+    return {n for n in names if n.startswith("squidqed.")}
+
+
+#: The gate and scan stack, which `spectrum` never runs.
+GATE_STACK = ("squidqed.protocols", "squidqed.verify",
+              "squidqed.hamiltonians", "squidqed.hilbert",
+              "squidqed.dynamics", "squidqed.feasibility")
+
+
+def test_cli_import_loads_no_numpy_and_no_library_module():
+    loaded = loaded_after()
+    assert "numpy" not in loaded
+    assert package_modules(loaded) == {"squidqed.cli", "squidqed.constants"}
+
+
+def test_feasibility_loads_protocols_only_to_derive_the_gate_time(tmp_path):
+    loaded = loaded_after(["feasibility", "--out", str(tmp_path / "f")])
+    assert "numpy" not in loaded
+    assert package_modules(loaded) == {"squidqed.cli", "squidqed.constants",
+                                       "squidqed.feasibility"}
+    cfg = tmp_path / "rates.json"
+    cfg.write_text(json.dumps({"gamma_radps": 3.0e8}))
+    loaded = loaded_after(["feasibility", "--config", str(cfg),
+                           "--out", str(tmp_path / "r")])
+    assert "squidqed.protocols" in loaded
+    assert "squidqed.verify" not in loaded
+
+
+def test_spectrum_loads_the_solver_and_no_gate_stack(tmp_path):
+    loaded = loaded_after(["spectrum", "--out", str(tmp_path)])
+    assert {"squidqed.squid", "numpy", "scipy.linalg"} <= loaded
+    assert not loaded & set(GATE_STACK)
+
+
+def test_scan_and_gate_load_neither_the_solver_nor_scipy_linalg(tmp_path):
+    loaded = loaded_after(["scan", "--out", str(tmp_path / "scan")],
+                          ["gate", "--out", str(tmp_path / "gate")])
+    assert {"squidqed.verify", "squidqed.protocols"} <= loaded
+    assert not loaded & {"squidqed.squid", "scipy.linalg"}
+
+
 def test_gate_and_feasibility_load_neither_openssl_nor_the_solver(tmp_path):
     code = ("import sys\n"
             "from squidqed.cli import main\n"
@@ -338,9 +394,9 @@ def test_cli_import_loads_no_process_pool():
 
 
 def test_scan_failures_are_written_to_run_log(tmp_path, monkeypatch):
-    import squidqed.cli as cli
+    import squidqed.verify as verify
 
-    real = cli.rwa_error_point
+    real = verify.rwa_error_point
 
     def refuse_the_finest(ratio, *args, **kwargs):
         if ratio < 0.015:
@@ -348,7 +404,7 @@ def test_scan_failures_are_written_to_run_log(tmp_path, monkeypatch):
         return real(ratio, *args, **kwargs)
 
     cfg = {"scan_kind": "rwa", "grid": [0.02, 0.01]}
-    monkeypatch.setattr(cli, "rwa_error_point", refuse_the_finest)
+    monkeypatch.setattr(verify, "rwa_error_point", refuse_the_finest)
     assert run_cli(tmp_path, "scan", cfg, extra=["--workers", "1"]) == 0
     log = grab(tmp_path, "run.log").splitlines()
     assert log[0].startswith("command=scan")
@@ -442,17 +498,18 @@ _BACKENDS = ("analytic", "dispersive", "cavity")
 @pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("schedule", _SCHEDULES)
 def test_gate_runs_each_input_once(tmp_path, monkeypatch, schedule, backend):
-    import squidqed.cli as cli
+    import squidqed.protocols as protocols
     import squidqed.verify as verify
 
     blocks = []
-    real = cli._run_block
+    real = protocols._run_block
 
     def counted(sched, inputs, *args):
         blocks.append(len(inputs))
         return real(sched, inputs, *args)
 
-    for module in (cli, verify):
+    # cmd_gate takes _run_block from protocols when it runs
+    for module in (protocols, verify):
         monkeypatch.setattr(module, "_run_block", counted)
     assert run_cli(tmp_path, "gate", {"schedule": schedule},
                    extra=["--backend", backend]) == 0
@@ -834,27 +891,28 @@ def test_rwa_points_that_overflow_are_recorded_failures(tmp_path, cfg,
 ])
 def test_scan_points_take_only_the_given_keys(tmp_path, monkeypatch, cfg,
                                               kind, want):
-    import squidqed.cli as cli
+    import squidqed.verify as verify
 
     name = f"{kind}_error_point"
-    calls, real = [], getattr(cli, name)
+    calls, real = [], getattr(verify, name)
 
     def recorded(ratio, **kwargs):
         calls.append(kwargs)
         return real(ratio, **kwargs)
 
-    monkeypatch.setattr(cli, name, recorded)
+    # cmd_scan takes the point functions from verify when it runs
+    monkeypatch.setattr(verify, name, recorded)
     assert run_cli(tmp_path, "scan", dict(cfg, grid=[0.05])) == 0
     assert calls == [want]
 
 
 def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
-    import squidqed.cli as cli
+    import squidqed.protocols as protocols
     import squidqed.squid as squid
     from squidqed.protocols import ExecutionParams
 
     seen = []
-    real_run_block, real_solve = cli._run_block, squid.solve
+    real_run_block, real_solve = protocols._run_block, squid.solve
 
     def run_block(sched, inputs, backend, params):
         seen.append(params)
@@ -864,8 +922,8 @@ def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
         seen.append(kwargs)
         return real_solve(params, grid, **kwargs)
 
-    monkeypatch.setattr(cli, "_run_block", run_block)
-    # cmd_spectrum imports the solver when it runs
+    # cmd_gate and cmd_spectrum import the library when they run
+    monkeypatch.setattr(protocols, "_run_block", run_block)
     monkeypatch.setattr(squid, "solve", solve)
     assert run_cli(tmp_path / "a", "gate", {}) == 0
     assert run_cli(tmp_path / "c", "gate", {}, extra=["--backend",

@@ -498,6 +498,24 @@ def test_predicted_solve_is_certified_and_accurate(name, u):
     assert abs(a - b) <= 1e-8 * harmonic_scale_element(p)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_flux_elements_hold_at_the_level_2_3_avoided_crossing(sign):
+    # at u = 4.686e-3 .. 4.698e-3 levels 2 and 3 close to ~6.3e6 floors;
+    # the certificate bounds levels, not eigenvectors, so only the coarse
+    # grid's step keeps the predicted elements within 3.4e-9 of the largest
+    # element of a 4-level bisection (16x coarser certifies too, 5.1e-8 off)
+    p, g = load_preset("ref15_like")
+    phi = g.values()
+    for u in np.arange(4.686e-3, 4.6981e-3, 2e-6):
+        q = replace(p, Phi_x=(0.5 + sign * u) * PHI0)
+        vecs = _bisected(q, g, 4)[1][:, :3]
+        want = np.array([[np.trapezoid(vecs[:, i] * phi * vecs[:, j],
+                                       dx=g.step) for j in range(3)]
+                         for i in range(3)])
+        got = solve(q, g).flux_elements
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want)), u
+
+
 @pytest.mark.parametrize("label, bias, ic", [
     ("half", 0.5, None), ("u = 1e-6", 0.5 - 1e-6, None),
     ("u = -1e-6", 0.5 + 1e-6, None), ("u = 1e-5", 0.5 - 1e-5, None),
