@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .constants import HBAR, MU0
-from .hilbert import Operator
+from .hilbert import Operator, _check_dims
 
 if TYPE_CHECKING:
     from .squid import LevelStructure
@@ -71,13 +71,15 @@ def _check_inductance(L) -> None:
             f"loop inductance L must be finite and positive, got {L}")
 
 
-def _check_fock_cutoff(fock_cutoff) -> None:
-    """Refuse, by name, a Fock-space truncation that is not an int >= 2."""
+def _check_fock_cutoff(fock_cutoff, n_loops: int) -> None:
+    """Refuse, by name, a Fock-space truncation that is not an int >= 2, or
+    that puts ``n_loops`` loops and the cavity above the dense-storage cap."""
     if (isinstance(fock_cutoff, bool)
             or not isinstance(fock_cutoff, (int, np.integer))):
         raise ValueError(f"fock_cutoff must be an int, got {fock_cutoff!r}")
     if fock_cutoff < 2:
         raise ValueError("fock_cutoff must be at least 2")
+    _check_dims((3,) * n_loops + (fock_cutoff,), 3 ** n_loops * fock_cutoff)
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class CavityMode:
         if not 0 < self.omega_c < np.inf:
             raise ValueError(
                 f"omega_c must be finite and positive, got {self.omega_c}")
-        _check_fock_cutoff(self.fock_cutoff)
+        _check_fock_cutoff(self.fock_cutoff, 1)
         if not np.isfinite(self.effective_flux_amplitude):
             raise ValueError(f"effective_flux_amplitude must be finite, got "
                              f"{self.effective_flux_amplitude}")

@@ -327,7 +327,7 @@ class ExecutionParams:
             if not (0 < self.g02 < math.inf and 0 < self.detuning < math.inf):
                 raise ValueError("explicit cavity needs finite, positive g02 "
                                  "and detuning")
-            _check_fock_cutoff(self.fock_cutoff)
+            _check_fock_cutoff(self.fock_cutoff, 2)
             gamma = gamma_eff(self.g02, self.detuning)
             if not 0 < gamma < math.inf:
                 raise ValueError(f"explicit cavity rate g02^2/detuning = "
@@ -375,11 +375,9 @@ def _cavity_dispersive_unitary(params: ExecutionParams, t: float) -> np.ndarray:
     return np.kron(np.ones(9), frame)[:, None] * core
 
 
-@lru_cache(maxsize=64)
 def _step_unitary(step, backend: str, params: ExecutionParams) -> np.ndarray:
     """Read-only propagator of one constant segment on the run's dims, each
-    rotation built on its own loop.  Every argument is a frozen value, and a
-    batch of runs asks for the same few segments, so each is built once."""
+    rotation built on its own loop; memoized only by `_schedule_unitaries`."""
     dims = _run_dims(params)
     if isinstance(step, AraStep):
         u = np.eye(math.prod(dims), dtype=complex)
@@ -406,8 +404,8 @@ def _step_unitary(step, backend: str, params: ExecutionParams) -> np.ndarray:
 def _schedule_unitaries(schedule: GateSchedule, backend: str,
                         params: ExecutionParams) -> tuple:
     """The read-only propagators of a schedule's steps, in order, each built
-    by `_step_unitary`.  A schedule hashes by identity while a step hashes
-    its fractions, so a run resolves all of its steps with one cheap
+    by `_step_unitary`: the one memo of step propagators.  A schedule
+    hashes by identity, so a run resolves all of its steps with one cheap
     lookup here; the shipped builders hand out one instance each, so
     their warm runs never miss."""
     return tuple(_step_unitary(step, backend, params)

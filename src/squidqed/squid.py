@@ -53,7 +53,7 @@ harmonic case used by convergence tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
 
@@ -170,17 +170,19 @@ class LevelStructure:
 
     energies are in joules, ascending; flux_elements[i, j] = <i|Phi|j> in Wb,
     exactly symmetric (real eigenfunctions, enforced by mirroring the upper
-    triangle).  Transition angular frequencies are derived from the energies.
-    The solving parameters and grid ride along as provenance.
+    triangle).  The transition angular frequencies omega_ji = (E_j - E_i) /
+    hbar are computed from the energies at construction, 0.0 where level j
+    is not retained; they cannot be passed.  The solving parameters and grid
+    ride along as provenance, passed by keyword.
     """
 
     energies: np.ndarray
     flux_elements: np.ndarray
-    omega_10: float
-    omega_20: float
-    omega_21: float
-    params: SquidParams | None = None
-    grid: FluxGrid | None = None
+    omega_10: float = field(init=False)
+    omega_20: float = field(init=False)
+    omega_21: float = field(init=False)
+    params: SquidParams | None = field(default=None, kw_only=True)
+    grid: FluxGrid | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         en = np.array(self.energies, dtype=float)
@@ -191,14 +193,13 @@ class LevelStructure:
             raise ValueError("flux_elements must be square, one row per level")
         if not np.array_equal(el, el.T):
             raise ValueError("flux_elements must be exactly symmetric")
-        if en.size >= 3:
-            target = self.omega_21 + self.omega_10
-            if abs(self.omega_20 - target) > 1e-9 * abs(self.omega_20):
-                raise ValueError("omega_20 must equal omega_21 + omega_10")
-        en.setflags(write=False)
-        el.setflags(write=False)
-        object.__setattr__(self, "energies", en)
-        object.__setattr__(self, "flux_elements", el)
+        for name, arr in (("energies", en), ("flux_elements", el)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        for name, i, j in (("omega_10", 0, 1), ("omega_20", 0, 2),
+                           ("omega_21", 1, 2)):
+            object.__setattr__(self, name, float((en[j] - en[i]) / HBAR)
+                               if j < en.size else 0.0)
 
     @property
     def n_levels(self) -> int:
@@ -532,11 +533,7 @@ def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,
             elements[i, j] = np.trapezoid(vecs[:, i] * phi * vecs[:, j], dx=d)
             elements[j, i] = elements[i, j]
 
-    omega_10 = float((energies[1] - energies[0]) / HBAR) if n_levels >= 2 else 0.0
-    omega_20 = float((energies[2] - energies[0]) / HBAR) if n_levels >= 3 else 0.0
-    omega_21 = float((energies[2] - energies[1]) / HBAR) if n_levels >= 3 else 0.0
-    return LevelStructure(energies, elements, omega_10, omega_20, omega_21,
-                          params=p, grid=g)
+    return LevelStructure(energies, elements, params=p, grid=g)
 
 
 def harmonic_scale_element(p: SquidParams) -> float:

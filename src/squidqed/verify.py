@@ -11,7 +11,7 @@ sampling phase, not the envelope over the segment.
 
 The shipped truth tables are shared like the shipped schedules they
 hold: each `truth_table_*` builder returns one immutable instance per
-process, whose declared columns are stacked once, at construction.
+process, whose inputs and columns are stacked once, at construction.
 
 Truth tables, the computational propagator, photon excursions and each
 dispersive scan point run their inputs as one block through
@@ -188,12 +188,13 @@ class TruthRow:
 class TruthTable:
     """Declared per-step images of a schedule on selected inputs.
 
-    ``columns`` holds the declared images as one read-only
-    (rows, steps, 9) array, stacked once at construction; it is derived
-    from ``rows`` and takes no part in comparison."""
+    ``inputs`` (rows, 9) and ``columns`` (rows, steps, 9) stack the
+    declared inputs and their images once, at construction, into read-only
+    arrays; they are derived from ``rows`` and take no part in comparison."""
 
     schedule: GateSchedule
     rows: tuple[TruthRow, ...]
+    inputs: np.ndarray = field(init=False, repr=False, compare=False)
     columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -203,10 +204,12 @@ class TruthTable:
                 raise ValueError(
                     f"row {row.label!r} declares {len(row.expected)} "
                     f"columns for a {n}-step schedule")
+        inputs = np.array([row.input_state.amplitudes for row in self.rows])
         columns = np.array([[e.amplitudes for e in row.expected]
                             for row in self.rows])
-        columns.setflags(write=False)
-        object.__setattr__(self, "columns", columns)
+        for name, stack in (("inputs", inputs), ("columns", columns)):
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
 
 
 @dataclass(frozen=True)
@@ -275,13 +278,12 @@ def check_truth_table(table: TruthTable, backend: str = "analytic",
     """Execute the table's schedule on every declared input and compare all
     intermediate columns phase-exactly (amplitude-by-amplitude, no global
     phase allowance) within `TRUTH_TABLE_ATOL`; a NaN deviation fails."""
-    inputs = np.stack([row.input_state.amplitudes for row in table.rows])
-    runs = _run_block(table.schedule, inputs, backend, params)
+    runs = _run_block(table.schedule, table.inputs, backend, params)
     return _compare_truth_table(table, _loop_amplitudes(runs))
 
 
 def _compare_truth_table(table: TruthTable, loops: np.ndarray) -> TruthCheck:
-    """Compare the two-loop amplitudes of runs of the table's inputs, a
+    """Compare the two-loop amplitudes of runs of ``table.inputs``, a
     (rows, steps + 1, 9) array in the order of ``table.rows``, with the
     declared ``table.columns`` as `check_truth_table` does."""
     dev = np.max(np.abs(loops[:, 1:] - table.columns), axis=-1)
@@ -399,12 +401,12 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
     ``condition_ok``.  A ratio that is not finite and positive, a zero
     detuning, a transition that is not positive (ratio >= 1 below the
     cavity), a carrier, probe time or carrier-period count that is not
-    finite, or a ``fock_cutoff`` that is not an int >= 2, raises
-    ValueError.
+    finite, or a ``fock_cutoff`` that is not an int >= 2 or exceeds the
+    dense-storage cap (`hilbert.CapacityError`), raises ValueError.
     """
     if not 0 < ratio < math.inf:
         raise ValueError(f"ratio must be finite and positive, got {ratio}")
-    _check_fock_cutoff(fock_cutoff)
+    _check_fock_cutoff(fock_cutoff, 1)
     g = _PRESET_PATTERN * g02
     if g[0, 2] == 0.0:
         raise ValueError("zero 0<->2 coupling g[0, 2]: the exchange period "

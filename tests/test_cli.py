@@ -645,16 +645,13 @@ def test_cavity_gate_fails_on_the_opposite_dispersive_sign(tmp_path,
     monkeypatch.setattr(protocols, "_cavity_dispersive_unitary",
                         opposite_sign)
     # the shipped schedule is shared, so its propagators may already sit in
-    # the per-schedule cache as well as the per-step one: empty both
-    memos = (protocols._schedule_unitaries, protocols._step_unitary)
-    for memo in memos:
-        memo.cache_clear()
+    # the per-schedule cache: empty it
+    protocols._schedule_unitaries.cache_clear()
     try:
         assert run_cli(tmp_path, "gate", {"schedule": "entangle"},
                        extra=["--backend", "cavity"]) == 1
     finally:
-        for memo in memos:
-            memo.cache_clear()
+        protocols._schedule_unitaries.cache_clear()
     summary = grab(tmp_path, "gate_summary.txt")
     assert "physics_checks FAIL" in summary
     # the bound is 1 - 4 (g02/detuning)^2 at g02/detuning = 0.05
@@ -953,3 +950,118 @@ def test_a_rerun_into_the_same_directory_writes_the_same_bytes(
     assert run_cli(out, command, cfg, extra=extra) == code
     assert {p.name: p.read_bytes() for p in out.iterdir()
             if p.name not in ("config.json", "run.log")} == first
+
+
+def test_gate_refuses_a_fock_cutoff_above_the_dense_cap_before_writing(
+        tmp_path, capsys, monkeypatch):
+    # the cap is read when the check runs, so a lowered cap stands in for
+    # a config whose (9 fock_cutoff)^2 arrays would take gigabytes
+    import squidqed.hilbert as hilbert
+
+    monkeypatch.setattr(hilbert, "MAX_TOTAL_DIM", 40)
+    assert run_cli(tmp_path, "gate", {"fock_cutoff": 8},
+                   extra=["--backend", "cavity"]) == 2
+    assert ("invalid input: total dimension 72 exceeds the dense-storage cap "
+            "40") in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("kind, fock_cutoff, dim", [("dispersive", 8, 72),
+                                                    ("rwa", 16, 48)])
+def test_scan_points_above_the_dense_cap_fail_one_by_one(
+        tmp_path, monkeypatch, kind, fock_cutoff, dim):
+    import squidqed.hilbert as hilbert
+
+    monkeypatch.setattr(hilbert, "MAX_TOTAL_DIM", 40)
+    assert run_cli(tmp_path, "scan", {"scan_kind": kind,
+                                      "fock_cutoff": fock_cutoff}) == 1
+    reason = f"CapacityError: total dimension {dim} exceeds the " \
+             "dense-storage cap 40"
+    failed = [ln for ln in grab(tmp_path, "scan.csv").splitlines()
+              if ln.startswith("# point ")]
+    assert len(failed) == 3 and all(ln.endswith(f"failed: {reason}")
+                                    for ln in failed), failed
+    assert grab(tmp_path, "run.log").count(f"reason={reason}\n") == 3
+
+
+#: Rows of each shipped truth table that a 0.9 pi first pulse bends.
+_BENT_ROWS = {"cps": ("|10>", "|11>"), "swap": ("|10>", "|11>"),
+              "transfer": ("|10>",)}
+_STEPS = {"cps": 3, "swap": 5, "transfer": 3}
+
+
+def _expected_failures(schedule, backend):
+    """Patterns of the failure lines a corrupted first pulse must give:
+    the truth table and the concurrence on the exact backends, and each
+    fidelity against its bound."""
+    exact = backend != "cavity"
+    limit = "1.000e-09" if exact else "1.000e-02"
+    out = []
+    if exact and schedule in _BENT_ROWS:
+        out += [rf"{schedule} row \{row[:-1]}> step {k}: deviation "
+                r"1\.564e-01" for row in _BENT_ROWS[schedule]
+                for k in range(1, _STEPS[schedule] + 1)]
+    if schedule in ("cps", "swap"):
+        out.append(rf"gate fidelity 0\.98\d+ below 1 - {limit}")
+    if schedule == "entangle":
+        out.append(rf"target state fidelity 0\.97\d+ below 1 - {limit}")
+        if exact:
+            out.append(r"concurrence 0\.97\d+ is not 1")
+    return out
+
+
+@pytest.mark.parametrize("schedule, backend", [
+    (s, b) for s in _SCHEDULES for b in _BACKENDS
+    if (s, b) != ("transfer", "cavity")])
+def test_gate_physics_failures_exit_1_and_still_write(tmp_path, monkeypatch,
+                                                     schedule, backend):
+    # the shipped schedule with its first pulse at 0.9 pi, keeping the
+    # declared ideal unitary or target state; the truth table stays the
+    # shipped one, so every check must fail by name
+    import dataclasses
+    import re
+
+    import squidqed.protocols as protocols
+    from squidqed.verify import corrupt_first_pulse
+
+    key = {"entangle": "entanglement"}.get(schedule, schedule)
+    shipped = protocols.SCHEDULE_BUILDERS[key]()
+    bent = dataclasses.replace(corrupt_first_pulse(shipped),
+                               ideal_unitary=shipped.ideal_unitary,
+                               target_state=shipped.target_state)
+    monkeypatch.setitem(protocols.SCHEDULE_BUILDERS, key, lambda: bent)
+    assert run_cli(tmp_path, "gate", {"schedule": schedule},
+                   extra=["--backend", backend]) == 1
+    summary = grab(tmp_path, "gate_summary.txt").splitlines()
+    assert "physics_checks FAIL" in summary
+    if schedule in _BENT_ROWS and backend != "cavity":
+        assert "truth_table FAIL" in summary
+    failures = [ln[len("failure "):] for ln in summary
+                if ln.startswith("failure ")]
+    expected = _expected_failures(schedule, backend)
+    assert len(failures) == len(expected), failures
+    for line, pattern in zip(failures, expected):
+        assert re.fullmatch(pattern, line), (line, pattern)
+    assert grab(tmp_path, "gate_states.csv").count("\n") > 2
+
+
+@pytest.mark.parametrize("command, config, reason", [
+    ("scan", {"grid": []}, "config key 'grid' must not be empty\n"),
+    ("gate", [1, 2], "config must be a flat JSON object\n"),
+    ("spectrum", {"C_farad": 2.6e-14},
+     "inline loop parameters incomplete; missing ['Ic_ampere', 'L_henry', "
+     "'Phix_over_Phi0', 'grid_halfwidth_over_Phi0', 'grid_points']\n"),
+    # no config: a --config path that cannot be read
+    ("feasibility", None, "cannot read config file: "),
+])
+def test_config_refusals_are_named(tmp_path, capsys, command, config,
+                                   reason):
+    if config is None:
+        code = main([command, "--out", str(tmp_path),
+                     "--config", str(tmp_path / "no_such.json")])
+    else:
+        code = run_cli(tmp_path, command, config)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {reason}")
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [] if config is None else ["config.json"])

@@ -126,8 +126,7 @@ def test_weak_resonant_drive_transfers_population():
     duration = np.pi / (2.0 * rabi)
     from squidqed.squid import LevelStructure
     energies = HBAR * np.array([0.0, TWO_PI * 7.0e9, TWO_PI * 79.0e9])
-    ls = LevelStructure(energies, np.eye(3) * 1e-15 + 1e-16,
-                        TWO_PI * 7.0e9, TWO_PI * 79.0e9, w21)
+    ls = LevelStructure(energies, np.eye(3) * 1e-15 + 1e-16)
     d = DriveSpec(target_levels=(1, 2), rabi=rabi, omega_uw=w21,
                   duration=duration)
     h = h_drive_full_factory(d, ls)

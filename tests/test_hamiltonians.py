@@ -28,7 +28,7 @@ def three_level(e02=2.0e-16, e12=3.0e-16, e01=1.5e-16, diag=1.0e-15):
         [e01, diag, e12],
         [e02, e12, diag],
     ])
-    return LevelStructure(energies, elements, W10, W20, W20 - W10)
+    return LevelStructure(energies, elements)
 
 
 @pytest.fixture(scope="module")
@@ -355,3 +355,15 @@ def test_effective_vacuum_spectrum():
     # superposition and |2,2> at 2*gamma
     np.testing.assert_allclose(
         w, gam * np.array([0, 0, 0, 0, 0, 1, 1, 2, 2]), atol=1e-6)
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: couplings_from_structure(
+        LevelStructure(HBAR * np.array([0.0, W10]), np.eye(2) * 1e-15),
+        CavityMode(omega_c=W20, effective_flux_amplitude=1e-15), 1e-10, 0.0),
+     "need at least 3 levels for the coupling matrix"),
+    (lambda: h_eff_vacuum(float("nan")), "gamma must be finite"),
+], ids=["couplings on two levels", "h_eff_vacuum nan"])
+def test_hamiltonian_refusals_are_named(build, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        build()

@@ -1,5 +1,7 @@
 """State/operator container invariants and linear-algebra helpers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,52 @@ def test_partial_trace_trace_one_and_hermitian():
         assert np.trace(rho.entries).real == pytest.approx(1.0)
         np.testing.assert_allclose(rho.entries, rho.entries.conj().T,
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: StateVector(np.zeros(0), ()),
+     "dims must contain at least one subsystem"),
+    (lambda: basis_state((3, 3), (1, 1)).overlap(basis_state((9,), (4,))),
+     "dimension mismatch: (3, 3) vs (9,)"),
+    (lambda: Operator(np.zeros((2, 3)), (2,)),
+     "operator entries must be square, got shape (2, 3)"),
+    (lambda: basis_state((3, 3), (1,)), "2 subsystems but 1 indices"),
+    (lambda: basis_state((3, 3), (1, 3)),
+     "index 3 out of range for dimension 3"),
+    (lambda: partial_trace(basis_state((2, 3), (0, 1)), []),
+     "keep must be a nonempty list of distinct indices"),
+    (lambda: partial_trace(basis_state((2, 3), (0, 1)), [1, 1]),
+     "keep must be a nonempty list of distinct indices"),
+    (lambda: partial_trace(basis_state((2, 3), (0, 1)), [2]),
+     "keep index 2 invalid for 2 subsystems"),
+], ids=["empty dims", "overlap dims", "non-square operator",
+        "basis index count", "basis index range", "keep empty",
+        "keep repeated", "keep out of range"])
+def test_hilbert_refusals_are_named(build, reason):
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        build()
+
+
+def test_a_space_above_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # every cavity dimension is checked against the cap, which is read at
+    # call time, before any (dim x dim) array exists
+    import squidqed.hilbert as hilbert
+    from squidqed.hamiltonians import CavityMode
+    from squidqed.protocols import ExecutionParams
+    from squidqed.verify import rwa_error_point
+
+    with pytest.raises(CapacityError, match="^total dimension 4104 exceeds"):
+        ExecutionParams(explicit_cavity=True, fock_cutoff=456)
+    assert ExecutionParams(explicit_cavity=True, fock_cutoff=455)
+    with pytest.raises(CapacityError, match="^total dimension 3000000000 "):
+        CavityMode(omega_c=1.0, fock_cutoff=10 ** 9)
+    monkeypatch.setattr(hilbert, "MAX_TOTAL_DIM", 40)
+    for build, dim in ((lambda: CavityMode(omega_c=1.0, fock_cutoff=14), 42),
+                       (lambda: rwa_error_point(0.01, fock_cutoff=14), 42),
+                       (lambda: ExecutionParams(explicit_cavity=True,
+                                                fock_cutoff=5), 45)):
+        with pytest.raises(CapacityError,
+                           match=f"^total dimension {dim} exceeds the "
+                                 "dense-storage cap 40$"):
+            build()
+    assert CavityMode(omega_c=1.0, fock_cutoff=13).fock_cutoff == 13

@@ -3,6 +3,7 @@ agreement."""
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -308,12 +309,16 @@ BACKENDS = (("analytic", ExecutionParams(), (3, 3)),
 
 def test_cached_step_propagators_are_read_only():
     for backend, params, dims in BACKENDS:
-        for step in schedule_swap().steps:
-            u = _step_unitary(step, backend, params)
+        units = _schedule_unitaries(schedule_swap(), backend, params)
+        assert _schedule_unitaries(schedule_swap(), backend, params) is units
+        for u, step in zip(units, schedule_swap().steps):
             assert not u.flags.writeable
-            assert _step_unitary(step, backend, params) is u
             with pytest.raises(ValueError):
                 u[0, 0] = 0.0
+            # built fresh on every call, with the same bits
+            fresh = _step_unitary(step, backend, params)
+            assert fresh is not u and not fresh.flags.writeable
+            assert np.array_equal(fresh, u)
     w, v = _cavity_eigensystem(0.05, 1.0, 4)
     assert not w.flags.writeable and not v.flags.writeable
 
@@ -333,7 +338,6 @@ def test_execute_unchanged_by_cache_clear():
             run()  # fills the caches
             warm = run()
             _schedule_unitaries.cache_clear()
-            _step_unitary.cache_clear()
             _cavity_eigensystem.cache_clear()
             cold = run()
             np.testing.assert_array_equal(warm.final_state.amplitudes,
@@ -360,9 +364,10 @@ def test_warm_execute_resolves_its_schedule_with_one_lookup(monkeypatch):
             assert calls == [], (sched.name, backend, dims)
             np.testing.assert_array_equal(again.final_state.amplitudes,
                                           first.final_state.amplitudes)
-            # the lookup hands out the one cached propagator of each step
+            # the lookup hands out the one cached tuple of propagators
             units = _schedule_unitaries(sched, backend, params)
-            assert all(u is _step_unitary(step, backend, params)
+            assert _schedule_unitaries(sched, backend, params) is units
+            assert all(np.array_equal(u, _step_unitary(step, backend, params))
                        for u, step in zip(units, sched.steps))
 
 
@@ -409,7 +414,6 @@ def test_every_pulse_exponentiates_a_three_level_generator(monkeypatch):
         return matexp_unitary(h, t)
 
     monkeypatch.setattr(protocols, "matexp_unitary", recorded)
-    _step_unitary.cache_clear()
     for params in (ExecutionParams(), CAVITY):
         for build in SCHEDULE_BUILDERS.values():
             for step in build().steps:
@@ -513,3 +517,13 @@ def test_cavity_vacuum_block_follows_the_dispersive_map():
         dev.append(np.max(np.abs(u - dispersive_map(gam, t).entries)))
         assert dev[-1] < 4.0 * ratio ** 2, (ratio, dev[-1])
     assert 3.0 < dev[0] / dev[1] < 5.0, dev
+
+
+@pytest.mark.parametrize("inputs", [np.zeros((2, 3)), np.zeros(9),
+                                    np.zeros((1, 27)), np.zeros((1, 1, 9))],
+                         ids=["2 x 3", "one row, 1-D", "1 x 27", "3-D"])
+def test_run_block_refuses_a_block_that_is_not_k_by_9(inputs):
+    shape = re.escape(str(inputs.shape))
+    with pytest.raises(ValueError, match=f"^inputs of shape {shape} are not "
+                                         "a block of two-loop rows$"):
+        protocols._run_block(schedule_cps(), inputs, "analytic", None)

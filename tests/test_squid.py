@@ -1,5 +1,7 @@
 """Flux-basis eigensolver: harmonic limit, presets, and lambda scoring."""
 
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,8 +26,7 @@ def make_structure(omega_10, omega_20, e02, e12, params):
         [0.3 * scale, params.Phi_x, e12],
         [e02, e12, params.Phi_x],
     ])
-    return LevelStructure(energies, elements, omega_10, omega_20,
-                          omega_20 - omega_10, params=params)
+    return LevelStructure(energies, elements, params=params)
 
 
 def test_params_validation_and_derived():
@@ -175,14 +176,18 @@ def test_level_structure_invariants():
     w10, w20 = 1.0e9, 10.0e9
     with pytest.raises(ValueError, match="ascending"):
         make_structure(-1.0e9, w20, 1e-17, 1e-17, p)
-    with pytest.raises(ValueError, match="omega_20"):
+    # the transitions are derived from the energies and cannot be passed,
+    # neither by position nor by keyword
+    with pytest.raises(TypeError):
         LevelStructure(HBAR * np.array([0.0, w10, w20]), np.zeros((3, 3)),
-                       w10, w20, w20)  # omega_21 inconsistent
+                       w10, w20, w20 - w10)
+    with pytest.raises(TypeError, match="omega_20"):
+        LevelStructure(HBAR * np.array([0.0, w10, w20]), np.zeros((3, 3)),
+                       omega_20=w20)
     with pytest.raises(ValueError, match="symmetric"):
         el = np.zeros((3, 3))
         el[0, 2] = 1e-17
-        LevelStructure(HBAR * np.array([0.0, w10, w20]), el,
-                       w10, w20, w20 - w10)
+        LevelStructure(HBAR * np.array([0.0, w10, w20]), el)
 
 
 def test_lambda_check_failures():
@@ -201,7 +206,7 @@ def test_lambda_check_failures():
     assert "dark 1<->2 transition" in rep.reasons
     # needs provenance
     bare = LevelStructure(HBAR * np.array([0.0, 1.0e9, 10.0e9]),
-                          np.zeros((3, 3)), 1.0e9, 10.0e9, 9.0e9)
+                          np.zeros((3, 3)))
     with pytest.raises(ValueError, match="provenance"):
         lambda_check(bare)
 
@@ -621,3 +626,106 @@ def test_a_predicted_solve_makes_one_fine_inverse_iteration_and_one_count(
         assert long[0][2][2] == 2
         select, vl, vu, tol = (long[3][2][i] for i in (2, 3, 4, 7))
         assert select == 1 and tol >= vu - vl > 0
+
+
+def _transition_cases():
+    """Both presets, and ref15_like across the benchmark sweep's biases
+    Phi_x = (0.5 +- u) Phi_0, u from 2e-4 to 9.8e-3."""
+    cases = [("harmonic", *load_preset("harmonic"))]
+    p, g = load_preset("ref15_like")
+    cases.append(("ref15_like", p, g))
+    for u in (2e-4, 4.69e-3, 9.8e-3):
+        for sign in (1, -1):
+            cases.append((f"u = {sign * u}",
+                          replace(p, Phi_x=(0.5 + sign * u) * PHI0), g))
+    return cases
+
+
+def test_transitions_are_the_energy_differences_bit_for_bit():
+    for label, p, g in _transition_cases():
+        for n_levels in (2, 3):
+            ls = solve(p, g, n_levels, check_convergence=False)
+            e = ls.energies
+            want = {"omega_10": (e[1] - e[0]) / HBAR,
+                    "omega_20": (e[2] - e[0]) / HBAR if n_levels > 2 else 0.0,
+                    "omega_21": (e[2] - e[1]) / HBAR if n_levels > 2 else 0.0}
+            for name, value in want.items():
+                got = getattr(ls, name)
+                assert type(got) is float, (label, name)
+                assert got == float(value), (label, n_levels, name)
+
+
+def _write_preset(directory, name, drop=(), extra=None):
+    data = json.loads(preset_path("harmonic").read_text())
+    for key in drop:
+        del data[key]
+    data.update(extra or {})
+    (directory / f"{name}.json").write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("half_width zero", "half_width must be positive"),
+    ("half_width negative", "half_width must be positive"),
+    ("preset unknown key", "unknown keys in preset extra.json: bias"),
+    ("preset missing key",
+     "preset short.json missing keys: C_farad, grid_points"),
+    ("lambda_check two levels", "lambda_check needs at least 3 levels"),
+    ("non-square elements",
+     "flux_elements must be square, one row per level"),
+])
+def test_squid_refusals_are_named(tmp_path, monkeypatch, case, reason):
+    import squidqed.squid as squid
+
+    _write_preset(tmp_path, "extra", extra={"bias": 0.5})
+    _write_preset(tmp_path, "short", drop=("C_farad", "grid_points"))
+    monkeypatch.setattr(squid, "PRESET_DIR", tmp_path)
+    energies = HBAR * np.array([0.0, 1.0e9, 10.0e9])
+    refusals = {
+        "half_width zero": lambda: FluxGrid(0.5 * PHI0, 0.0, 101),
+        "half_width negative": lambda: FluxGrid(0.5 * PHI0, -0.1 * PHI0,
+                                                101),
+        "preset unknown key": lambda: load_preset("extra"),
+        "preset missing key": lambda: load_preset("short"),
+        "lambda_check two levels": lambda: lambda_check(LevelStructure(
+            energies[:2], np.zeros((2, 2)))),
+        "non-square elements": lambda: LevelStructure(energies,
+                                                      np.zeros((3, 2))),
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        refusals[case]()
+
+
+@pytest.mark.parametrize("routine", ["stein", "syev"])
+def test_a_failing_lapack_routine_falls_back_to_the_full_bisection(
+        monkeypatch, routine):
+    # the routine the predicted solve fetches reports info != 0, so the
+    # prediction is dropped and the full bisection decides, bit for bit
+    import scipy.linalg
+
+    real = scipy.linalg.get_lapack_funcs
+    failed = []
+
+    class Failing:
+        # keeps the routine's attributes, which scipy's workspace queries read
+        def __init__(self, func):
+            self.func = func
+
+        def __getattr__(self, name):
+            return getattr(self.func, name)
+
+        def __call__(self, *a, **k):
+            failed.append(routine)
+            return (*self.func(*a, **k)[:-1], 1)
+
+    def fetch(names, arrays=(), *args, **kwargs):
+        return tuple(Failing(f) if f.__name__.endswith(routine) else f
+                     for f in real(names, arrays, *args, **kwargs))
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", fetch)
+    for name in ("ref15_like", "harmonic"):
+        p, g = load_preset(name)
+        diag, off, _, floor = _tridiagonal(p, g)
+        failed.clear()
+        assert _predicted_pairs(p, g, diag, off, floor, 3) is None, name
+        assert failed == [routine], (name, failed)
+        _assert_bisected(p, g, 3, name)

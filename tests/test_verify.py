@@ -15,12 +15,13 @@ from squidqed.dynamics import evolve_timedep, max_step_for
 from squidqed.hamiltonians import (CavityMode, CouplingSet,
                                    h_int_full_factory, h_int_rwa_factory,
                                    loop_cavity_hamiltonian)
-from squidqed.hilbert import StateVector
+from squidqed.hilbert import StateVector, basis_state
 from squidqed.protocols import (ExecutionParams, GateSchedule,
                                 schedule_cps, schedule_entanglement,
                                 schedule_swap, schedule_transfer)
 from squidqed.squid import LevelStructure, load_preset, solve
-from squidqed.verify import (ScanResult, TruthTable, check_truth_table,
+from squidqed.verify import (ScanResult, TruthRow, TruthTable,
+                             check_truth_table,
                              computational_propagator, concurrence,
                              corrupt_first_pulse, dispersive_error_point,
                              dispersive_error_scan, gate_fidelity,
@@ -95,6 +96,32 @@ SHIPPED_TABLES = {"cps": (truth_table_cps, schedule_cps),
                   "transfer": (truth_table_transfer, schedule_transfer)}
 
 
+def test_truth_table_inputs_are_stacked_once_and_run_as_declared(
+        monkeypatch):
+    blocks = []
+    real = verify._run_block
+    monkeypatch.setattr(verify, "_run_block", lambda sched, inputs, *args:
+                        blocks.append(inputs) or real(sched, inputs, *args))
+    for name, (build, _) in SHIPPED_TABLES.items():
+        table = build()
+        inputs = table.inputs
+        assert np.array_equal(inputs, np.stack(
+            [row.input_state.amplitudes for row in table.rows])), name
+        assert not inputs.flags.writeable
+        with pytest.raises(ValueError):
+            inputs[0, 0] = 0.0
+        assert "inputs" not in repr(table)
+        blocks.clear()
+        assert check_truth_table(table).ok
+        assert len(blocks) == 1 and blocks[0] is inputs, name
+    # cps and swap declare the four computational inputs in basis order,
+    # transfer the two with loop b in |0>
+    for build in (truth_table_cps, truth_table_swap):
+        assert np.array_equal(build().inputs, verify._BASIS_ROWS)
+    assert np.array_equal(truth_table_transfer().inputs,
+                          verify._BASIS_ROWS[[0, 2]])
+
+
 def test_shipped_truth_tables_are_shared_and_hold_the_shared_schedules():
     for name, (build, schedule) in SHIPPED_TABLES.items():
         table = build()
@@ -115,7 +142,7 @@ def test_truth_table_columns_are_stacked_once_and_read_only():
             cols[0, 0, 0] = 1.0
         for row in table.rows:
             assert not row.input_state.amplitudes.flags.writeable
-        for field_name in ("schedule", "rows", "columns"):
+        for field_name in ("schedule", "rows", "inputs", "columns"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(table, field_name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -125,7 +152,7 @@ def test_truth_table_columns_are_stacked_once_and_read_only():
         assert "columns" not in repr(table)
 
 
-def test_warm_repeat_pass_misses_no_schedule_propagators():
+def test_warm_repeat_pass_misses_no_schedule_propagators(monkeypatch):
     psi = StateVector(np.eye(9)[4], (3, 3))
     cavity = ExecutionParams(explicit_cavity=True)
 
@@ -141,9 +168,15 @@ def test_warm_repeat_pass_misses_no_schedule_propagators():
         dispersive_error_scan()
 
     one_pass()  # fills the caches
+    # the per-schedule memo is the only one: a warm pass builds no step
+    built = []
+    real = protocols._step_unitary
+    monkeypatch.setattr(protocols, "_step_unitary",
+                        lambda *args: built.append(args) or real(*args))
     before = protocols._schedule_unitaries.cache_info()
     one_pass()
     after = protocols._schedule_unitaries.cache_info()
+    assert built == []
     assert after.misses == before.misses
     assert after.currsize == before.currsize
     assert after.hits > before.hits
@@ -388,12 +421,11 @@ def test_exact_frame_propagation_matches_time_stepping():
     pattern, level_ratio = _PRESET_PATTERN, _PRESET_LEVEL_RATIO
     detuning = TWO_PI * 1.0e8
     omega_c = detuning / 0.02
-    omega_20 = omega_c - detuning
-    omega_10 = level_ratio * omega_20
-    ls = LevelStructure(energies=HBAR * omega_20 * np.array([0.0, level_ratio,
-                                                              1.0]),
-                        flux_elements=pattern * 1e-16, omega_10=omega_10,
-                        omega_20=omega_20, omega_21=omega_20 - omega_10)
+    ls = LevelStructure(energies=HBAR * (omega_c - detuning)
+                        * np.array([0.0, level_ratio, 1.0]),
+                        flux_elements=pattern * 1e-16)
+    # the reference below uses the structure's own transitions
+    omega_10, omega_20 = ls.omega_10, ls.omega_20
     nfock = 4
     mode = CavityMode(omega_c=omega_c, fock_cutoff=nfock)
     cs = CouplingSet(g=pattern * TWO_PI * 1.0e7)
@@ -598,7 +630,7 @@ def test_photon_peaks_unchanged_by_clearing_every_cache():
     runs()  # fills the caches
     warm = runs()
     cleared = _clear_package_caches()
-    assert {"_cavity_eigensystem", "_step_unitary", "_schedule_unitaries",
+    assert {"_cavity_eigensystem", "_schedule_unitaries",
             "_segment_phases"} <= set(cleared), cleared
     assert verify._segment_phases.cache_info().currsize == 0
     cold = runs()
@@ -657,19 +689,36 @@ def test_warm_dispersive_scan_builds_no_table_and_no_propagator(monkeypatch):
     # every phase table goes through `_phase_table` and every propagator
     # through `_step_unitary`, so a repeat that rebuilt either would show
     first = dispersive_error_scan()
-    builds = []
+    builds, steps = [], []
     real = verify._phase_table
+    real_step = protocols._step_unitary
 
     def counted(*args):
         builds.append(args[1:])
         return real(*args)
 
+    def counted_step(*args):
+        steps.append(args)
+        return real_step(*args)
+
     monkeypatch.setattr(verify, "_phase_table", counted)
+    monkeypatch.setattr(protocols, "_step_unitary", counted_step)
     misses = {f: f.cache_info().misses for f in (
-        protocols._step_unitary, protocols._cavity_eigensystem,
+        protocols._schedule_unitaries, protocols._cavity_eigensystem,
         verify._segment_phases)}
     again = dispersive_error_scan()
     assert builds == []
+    assert steps == []
     assert {f: f.cache_info().misses for f in misses} == misses
     for name in ("error", "peak_photon_population", "fock_violation"):
         assert np.array_equal(getattr(again, name), getattr(first, name))
+
+
+@pytest.mark.parametrize("n_columns", [0, 2, 4])
+def test_truth_row_with_the_wrong_column_count_is_refused(n_columns):
+    ket = basis_state((3, 3), (0, 0))
+    with pytest.raises(ValueError, match=rf"^row '\|00>' declares "
+                                         rf"{n_columns} columns for a "
+                                         r"3-step schedule$"):
+        TruthTable(schedule_cps(), (TruthRow("|00>", ket,
+                                             (ket,) * n_columns),))
