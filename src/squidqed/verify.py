@@ -319,7 +319,8 @@ def corrupt_first_pulse(schedule: GateSchedule) -> GateSchedule:
 class ScanResult:
     """Columns of one scan: the swept parameter, the reduction error, the
     peak expected photon number seen during the run, and a per-point flag
-    marking runs where the top Fock level was populated beyond tolerance."""
+    marking runs where the top Fock level was populated beyond tolerance;
+    ``meta`` holds every other column the point function returns."""
 
     kind: str
     parameter: np.ndarray
@@ -358,21 +359,20 @@ _PRESET_PATTERN.setflags(write=False)
 _PRESET_LEVEL_RATIO = 0.08897007970613162
 
 
-def _scan(kind: str, ratio_list, point, meta: dict) -> ScanResult:
-    """Run ``point`` on each ratio, from coarse to fine, and stack its
-    returned values into columns: every value beyond error, peak and
-    violation becomes a per-point array in ``meta``."""
+def _scan(kind: str, ratio_list, point, *args, **kwargs) -> ScanResult:
+    """Run ``point(ratio, *args, **kwargs)`` on each ratio, from coarse to
+    fine, and stack its returned values into columns: every value beyond
+    error, peak and violation becomes a per-point array in ``meta``."""
     ratios = np.array(sorted(ratio_list, reverse=True), dtype=float)
     if ratios.size == 0:
         raise ValueError("the ratio list must not be empty")
     if not all(0 < r < 1 for r in ratios):
         raise ValueError("ratios must lie strictly between 0 and 1")
-    points = [point(ratio) for ratio in ratios]
+    points = [point(ratio, *args, **kwargs) for ratio in ratios]
     cols = {k: np.array([p[k] for p in points]) for k in points[0]}
     return ScanResult(kind=kind, parameter=ratios, error=cols.pop("error"),
                       peak_photon_population=cols.pop("peak"),
-                      fock_violation=cols.pop("violation"),
-                      meta={**meta, **cols})
+                      fock_violation=cols.pop("violation"), meta=cols)
 
 
 def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
@@ -448,18 +448,13 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
             "condition_ok": condition < CONDITION_RATIO_MAX}
 
 
-def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS,
-                   g02: float = TWO_PI * 1.0e7, *,
-                   detuning: float = -TWO_PI * 1.0e8,
-                   fock_cutoff: int = 4) -> ScanResult:
+def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS, *args, **kwargs
+                   ) -> ScanResult:
     """`rwa_error_point` over a list of detuning-to-carrier ratios, from
-    coarse to fine.  ``meta`` holds g02, detuning and fock_cutoff, and each
-    point's reduction condition (``condition_ratio``, ``condition_ok``)."""
-    return _scan("rwa", ratio_list,
-                 partial(rwa_error_point, g02=g02, detuning=detuning,
-                         fock_cutoff=fock_cutoff),
-                 {"g02": g02, "detuning": detuning,
-                  "fock_cutoff": fock_cutoff})
+    coarse to fine; the other arguments go to every point.  ``meta`` holds
+    each point's reduction condition (``condition_ratio``,
+    ``condition_ok``)."""
+    return _scan("rwa", ratio_list, rwa_error_point, *args, **kwargs)
 
 
 def _phase_table(w: np.ndarray, t_end: float, n_samples: int = 512
@@ -584,12 +579,11 @@ def dispersive_error_point(ratio: float, *, fock_cutoff: int = 4) -> dict:
             "condition_ok": condition < CONDITION_RATIO_MAX}
 
 
-def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS, *,
-                          fock_cutoff: int = 4) -> ScanResult:
+def dispersive_error_scan(g_over_delta_list=DEFAULT_DISPERSIVE_RATIOS,
+                          **kwargs) -> ScanResult:
     """`dispersive_error_point` over a list of coupling-to-detuning ratios,
-    from coarse to fine.  ``meta`` holds each point's controlled-phase
-    ``gate_fidelity`` and its dispersive condition (``condition_ratio``,
-    ``condition_ok``)."""
-    return _scan("dispersive", g_over_delta_list,
-                 partial(dispersive_error_point, fock_cutoff=fock_cutoff),
-                 {"fock_cutoff": fock_cutoff})
+    from coarse to fine; the keyword arguments go to every point.  ``meta``
+    holds each point's controlled-phase ``gate_fidelity`` and its
+    dispersive condition (``condition_ratio``, ``condition_ok``)."""
+    return _scan("dispersive", g_over_delta_list, dispersive_error_point,
+                 **kwargs)

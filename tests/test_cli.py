@@ -384,6 +384,24 @@ def test_config_hash_is_hashlib_sha256(command, backend, cfg):
         hashlib.sha256(canonical).hexdigest()[:12]
 
 
+def test_config_hash_falls_back_to_hashlib():
+    # where neither built-in SHA-256 module can be imported, the header
+    # hash comes from hashlib, and the header is the same
+    from squidqed.cli import _header
+
+    code = ("import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from squidqed import cli\n"
+            "assert cli._sha256 is hashlib.sha256\n"
+            "print(cli._header('gate', 'analytic', {'schedule': 'cps'}),"
+            " end='')\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _header("gate", "analytic", {"schedule": "cps"})
+
+
 def test_cli_import_loads_no_process_pool():
     code = ("import sys\n"
             "import squidqed.cli\n"
@@ -1064,3 +1082,43 @@ def test_config_refusals_are_named(tmp_path, capsys, command, config,
     assert capsys.readouterr().err.startswith(f"config error: {reason}")
     assert [p.name for p in tmp_path.iterdir()] == (
         [] if config is None else ["config.json"])
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_gate_entangle_leaking_to_level_2_exits_1_and_still_writes(
+        tmp_path, monkeypatch, backend):
+    # the last pulse step bent to 0.9 pi leaves population on level 2;
+    # the run is judged by its bounds, like every other failed check
+    import dataclasses
+    import re
+    from fractions import Fraction
+
+    import squidqed.protocols as protocols
+
+    shipped = protocols.SCHEDULE_BUILDERS["entanglement"]()
+    last = shipped.steps[-1]
+    bent_last = protocols.AraStep(tuple(
+        protocols.PulseAction(a.target, a.levels,
+                              a.theta_over_pi * Fraction(9, 10))
+        for a in last.actions))
+    bent = dataclasses.replace(shipped,
+                               steps=shipped.steps[:-1] + (bent_last,))
+    monkeypatch.setitem(protocols.SCHEDULE_BUILDERS, "entanglement",
+                        lambda: bent)
+    assert run_cli(tmp_path, "gate", {"schedule": "entangle"},
+                   extra=["--backend", backend]) == 1
+    summary = grab(tmp_path, "gate_summary.txt").splitlines()
+    assert "physics_checks FAIL" in summary
+    failures = [ln[len("failure "):] for ln in summary
+                if ln.startswith("failure ")]
+    assert re.fullmatch(r"target state fidelity 0\.97\d+ below 1 - "
+                        r"1\.000e-0[29]", failures[0]), failures
+    if backend == "cavity":
+        assert len(failures) == 1, failures
+    else:
+        assert len(failures) == 2, failures
+        assert re.fullmatch(r"concurrence 0\.97\d+ is not 1", failures[1])
+    # the states file shows the leak: a loop on level 2 after the last step
+    rows = [ln.split(",") for ln in
+            grab(tmp_path, "gate_states.csv").splitlines()[2:]]
+    assert any(r[1] == str(len(bent.steps)) and "2" in r[2:4] for r in rows)

@@ -580,6 +580,40 @@ def test_shifts_at_the_wrong_levels_fail_the_certificate(monkeypatch):
         _assert_bisected(p, g, 3, name)
 
 
+def test_shifts_not_strictly_increasing_take_the_bisection(monkeypatch):
+    # stein needs its shifts ascending: equal predicted shifts give up
+    # before any fine-grid LAPACK call, and the grid takes the full
+    # index-mode bisection bit for bit
+    import scipy.linalg
+
+    import squidqed.squid as squid
+
+    calls = []
+
+    def constant(pot, kin, x):
+        calls.append(x.size)
+        return 1.0
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("no fine-grid LAPACK routine may be fetched")
+
+    for name in ("ref15_like", "harmonic"):
+        p, g = load_preset(name)
+        diag, off, _, floor = _tridiagonal(p, g)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(squid, "_rayleigh_quotient", constant)
+            m.setattr(scipy.linalg, "get_lapack_funcs", no_lapack)
+            assert _predicted_pairs(p, g, diag, off, floor, 3) is None, name
+        assert calls == [g.points] * 3, name
+        with monkeypatch.context() as m:
+            m.setattr(squid, "_rayleigh_quotient", constant)
+            energies, vecs = _solve_grid(p, g, 3)[:2]
+        want_energies, want_vecs = _bisected(p, g, 3)
+        np.testing.assert_array_equal(energies, want_energies, err_msg=name)
+        np.testing.assert_array_equal(vecs, want_vecs, err_msg=name)
+
+
 def test_a_predicted_solve_makes_one_fine_inverse_iteration_and_one_count(
         monkeypatch):
     # every LAPACK routine fetched through scipy is counted: on the full
