@@ -17,8 +17,8 @@ compatibility only.
 Importing this module loads only the standard library and ``constants``;
 each subcommand imports what it computes when it runs:
 
-- ``spectrum``: the loop solver ``squid``, and through it numpy and
-  ``scipy.linalg``;
+- ``spectrum``: the loop solver ``squid``, and through it numpy, the
+  top-level ``scipy`` package and scipy's LAPACK extension alone;
 - ``gate``: ``protocols``, ``verify``, ``hilbert``, ``hamiltonians`` and
   ``feasibility`` (and through them numpy and ``dynamics``);
 - ``scan``: ``verify`` and ``hamiltonians`` (and through them numpy,
@@ -26,20 +26,25 @@ each subcommand imports what it computes when it runs:
 - ``feasibility``: ``feasibility`` alone, with no numpy; ``protocols`` too
   when the gate time is derived from rates.
 
-No command but ``spectrum`` loads the solver or ``scipy.linalg``.
+No command but ``spectrum`` loads the solver or scipy, and none loads
+``scipy.linalg``'s package or OpenSSL.
 
 ``gate`` runs the inputs its schedule's truth table declares, or the four
 computational inputs when there is none, as one block, and its states
-file and every check read that block.
+file and every check read that block.  A schedule with a truth table but
+no ideal unitary (``transfer``) is held on the cavity backend, where the
+table is not checked step by step, to the fidelity of its declared final
+images.
 
 Exit codes: 0 success, 1 physics-check failure (failed truth table or
 dispersive condition, a fidelity below its bound or NaN, a concurrence not
 1, solver resolution error, all scan points failed; a failing ``gate``
 run, one that leaks out of the qubit levels included, still writes both
 its files), 2 usage or config error, or an input the library refuses by
-name before any data file is written: a rate whose step length or total
-gate time is not finite, a Fock cutoff above the dense-storage cap, a
-feasibility budget whose derived quantity is not finite and positive.
+name before any data file is written: a loop Hamiltonian that is not
+finite on the grid, a rate whose step length or total gate time is not
+finite, a Fock cutoff above the dense-storage cap, a feasibility budget
+whose derived quantity is not finite and positive.
 """
 
 from __future__ import annotations
@@ -253,7 +258,8 @@ def _backend_params(args, cfg: dict) -> tuple[str, ExecutionParams]:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args, raw_cfg: dict) -> int:
-    # the loop solver and scipy.linalg load only for this command
+    # the loop solver and scipy's LAPACK extension load only for this
+    # command
     from .squid import (PRESET_KEYS, ResolutionError, lambda_check,
                         load_preset, params_from_keys, solve)
 
@@ -398,6 +404,17 @@ def cmd_gate(args, raw_cfg: dict) -> int:
         summary.append(f"gate_fidelity_dimensionless {_fmt(fid)}\n")
         if not fid >= 1.0 - limit:  # NaN fails too
             failures.append(f"gate fidelity {fid!r} below 1 - {limit:.3e}")
+    elif table is not None and not exact_backend:
+        # nothing else checks such a schedule here: hold the declared rows'
+        # final images to the same bound, phase-sensitive,
+        # F = |sum_r <d_r|m_r>|^2 / k^2 over the k declared rows
+        k = len(table.rows)
+        fid = float(abs(np.vdot(table.columns[:, -1], loops[:, -1])) ** 2
+                    / k ** 2)
+        summary.append(f"truth_table_fidelity_dimensionless {_fmt(fid)}\n")
+        if not fid >= 1.0 - limit:
+            failures.append(f"truth table fidelity {fid!r} below "
+                            f"1 - {limit:.3e}")
 
     if schedule.target_state is not None:
         amps = loops[0, -1]  # |00>

@@ -53,7 +53,9 @@ harmonic case used by convergence tests.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from functools import cache
 from numbers import Integral
 from pathlib import Path
 
@@ -216,12 +218,82 @@ def build_potential(p: SquidParams, g: FluxGrid) -> np.ndarray:
 def _tridiagonal(p: SquidParams, g: FluxGrid):
     """Central-difference Hamiltonian on one grid: its diagonal and
     off-diagonal (J), the potential it samples (J), and its resolution floor
-    eps * max|diag| (J), to about which bisection places an eigenvalue."""
-    v_pot = build_potential(p, g)
-    kin = HBAR * HBAR / (2.0 * p.C * g.step * g.step)
-    diag = 2.0 * kin + v_pot
+    eps * max|diag| (J), to about which bisection places an eigenvalue.
+    Finite parameters can still overflow here (a bias of 1e170 Phi_0, a
+    capacitance whose 2 C step^2 underflows to 0); such a Hamiltonian is
+    refused by name, as LAPACK would take it without a word."""
+    scale = 2.0 * p.C * g.step * g.step
+    kin = HBAR * HBAR / scale if scale > 0 else np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_pot = build_potential(p, g)
+        diag = 2.0 * kin + v_pot
+    if not np.all(np.isfinite(diag)):
+        raise ValueError("loop Hamiltonian is not finite on the grid: "
+                         "C, L, Ic, Phi_x or the grid step overflow it")
     return (diag, np.full(g.points - 1, -kin), v_pot,
             np.finfo(float).eps * np.max(np.abs(diag)))
+
+
+@cache
+def _lapack():
+    """The module whose ``dstebz``, ``dstein`` and ``dsyev`` the solver
+    calls: scipy's compiled LAPACK extension, ``scipy.linalg._flapack``.
+
+    The extension is reused when it is already loaded.  Otherwise it is
+    loaded from scipy's ``linalg`` directory without ``scipy.linalg``'s
+    package import, which took longer than the rest of a ``spectrum`` run,
+    and registered under its own name, so that a later
+    ``import scipy.linalg`` shares it; the top-level ``scipy`` package is
+    imported first, as its init sets up the library paths and distributor
+    hooks the extension may need.  Where the extension cannot be found,
+    the public ``scipy.linalg.lapack``, with the same routines, is returned
+    instead."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import importlib.machinery
+    import importlib.util
+
+    import scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [str(Path(scipy.__file__).parent / "linalg")])
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _check_info(info: int, routine: str) -> None:
+    """Raise on a failed LAPACK call as scipy's wrappers do: ValueError for
+    an illegal argument (info < 0), LinAlgError for no convergence."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal "
+                         f"{routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{routine} did not converge (LAPACK info={info})")
+
+
+def _lowest(diag: np.ndarray, off: np.ndarray, n: int, vectors: bool):
+    """The ``n`` lowest eigenvalues of the tridiagonal (diag, off), by
+    index-mode bisection (``stebz``), and with ``vectors`` their
+    eigenvectors by inverse iteration (``stein``) as columns: the calls and
+    the ordering scipy's ``eigh_tridiagonal(select="i")`` makes."""
+    lapack = _lapack()
+    m, w, iblock, isplit, info = lapack.dstebz(
+        diag, off, 2, 0.0, 1.0, 1, n, 0.0, "B" if vectors else "E")
+    _check_info(info, "stebz")
+    w = w[:m]
+    if not vectors:
+        return w
+    v, info = lapack.dstein(diag, off, w, iblock, isplit)
+    _check_info(info, "stein")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 #: Error of one Sturm count, in resolution floors: the count LAPACK makes
@@ -246,10 +318,10 @@ def _count(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:
     """Eigenvalues of the tridiagonal (diag, off) in (lo, hi]: a ``stebz``
     call whose tolerance equals its range, so two Sturm counts and no
     bisection."""
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    return eigvalsh_tridiagonal(diag, off, select="v", select_range=(lo, hi),
-                                tol=hi - lo).size
+    m, _, _, _, info = _lapack().dstebz(diag, off, 1, lo, hi, 1, 1, hi - lo,
+                                        "E")
+    _check_info(info, "stebz")
+    return m
 
 
 def _count_below(diag: np.ndarray, off: np.ndarray, floor: float,
@@ -318,15 +390,12 @@ def _predicted_pairs(p: SquidParams, g: FluxGrid, diag: np.ndarray,
     :data:`_PREDICT_FLOORS` floors, ``stein`` fails or the certificate
     does not hold.
     """
-    from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
-
     coarse = _coarse_grid(g)
     if coarse is None:
         return None
     grid, m = coarse
     c_diag, c_off = _tridiagonal(p, grid)[:2]
-    c_energies, c_vecs = eigh_tridiagonal(
-        c_diag, c_off, select="i", select_range=(0, n_levels - 1))
+    c_energies, c_vecs = _lowest(c_diag, c_off, n_levels, vectors=True)
     if not np.all(c_energies[1:] - c_energies[0] >= _PREDICT_FLOORS * floor):
         return None
 
@@ -340,11 +409,11 @@ def _predicted_pairs(p: SquidParams, g: FluxGrid, diag: np.ndarray,
         shifts[k] = _rayleigh_quotient(pot, kin, x)
     if np.any(np.diff(shifts) <= 0):
         return None
-    stein, = get_lapack_funcs(("stein",), (diag, off))
+    lapack = _lapack()
     split = np.zeros(diag.size, dtype=np.int32)
     split[0] = diag.size  # one unsplit block
-    basis, info = stein(diag, off, shifts,
-                        np.ones(diag.size, dtype=np.int32), split)
+    basis, info = lapack.dstein(diag, off, shifts,
+                                np.ones(diag.size, dtype=np.int32), split)
     if info != 0:
         return None
 
@@ -352,10 +421,8 @@ def _predicted_pairs(p: SquidParams, g: FluxGrid, diag: np.ndarray,
     dif = np.diff(basis, axis=0, prepend=0.0, append=0.0)
     ritz = basis.T @ (pot[:, None] * basis) + kin * (dif.T @ dif)
     del dif
-    # LAPACK's plain symmetric solver: scipy.linalg.eigh's drivers touch
-    # more of the library, ~0.15 MB more peak RSS for a 3 x 3 matrix
-    syev, = get_lapack_funcs(("syev",), (ritz,))
-    theta, y, info = syev(ritz)
+    # LAPACK's plain symmetric solver on the small Ritz matrix
+    theta, y, info = lapack.dsyev(ritz)
     if info != 0:
         return None
     vecs = basis @ y
@@ -398,16 +465,11 @@ def _solve_grid(p: SquidParams, g: FluxGrid, n_levels: int):
     the grid values, the potential and the resolution floor there: the
     certified prediction of :func:`_predicted_pairs` where it holds, else
     the full index-mode bisection."""
-    # imported here: scipy.linalg is most of the package's import time, and
-    # only the eigensolver needs it
-    from scipy.linalg import eigh_tridiagonal
-
     phi = g.values()
     diag, off, v_pot, floor = _tridiagonal(p, g)
     pairs = _predicted_pairs(p, g, diag, off, floor, n_levels)
     if pairs is None:
-        pairs = eigh_tridiagonal(diag, off, select="i",
-                                 select_range=(0, n_levels - 1))
+        pairs = _lowest(diag, off, n_levels, vectors=True)
     energies, vecs = pairs
     _normalize(vecs, g.step)
     return energies, vecs, phi, v_pot, floor
@@ -443,8 +505,6 @@ def _doubled_grid_energies(p: SquidParams, g: FluxGrid, coarse: np.ndarray,
     returns wherever that solve falls back, near the resolution floor among
     them, without computing the eigenvectors.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
     diag, off, _, floor = _tridiagonal(p, g.doubled())
     rho = _rayleigh_levels(diag, off, vecs)
     gap = rho[1:] - rho[0]
@@ -457,8 +517,7 @@ def _doubled_grid_energies(p: SquidParams, g: FluxGrid, coarse: np.ndarray,
             and _count_below(diag, off, floor, rho[-1] + half) == rho.size
             and all(_count(diag, off, r - half, r + half) == 1 for r in rho)):
         return rho, floor
-    return eigvalsh_tridiagonal(diag, off, select="i",
-                                select_range=(0, coarse.size - 1)), floor
+    return _lowest(diag, off, coarse.size, vectors=False), floor
 
 
 def solve(p: SquidParams, g: FluxGrid, n_levels: int = 3, *,

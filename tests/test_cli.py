@@ -74,6 +74,28 @@ def test_spectrum_inline_coincident_levels_fail(tmp_path, capsys):
     assert not (tmp_path / "spectrum_levels.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("C_farad", 1e-300),
+                                        ("Phix_over_Phi0", 1e170)])
+def test_spectrum_refuses_a_hamiltonian_that_is_not_finite(tmp_path, capsys,
+                                                           key, value):
+    # finite inputs whose loop Hamiltonian overflows on the grid are
+    # invalid input (exit 2), refused before LAPACK and any data file
+    import warnings
+
+    from squidqed.squid import preset_path
+
+    cfg = json.loads(preset_path("ref15_like").read_text())
+    del cfg["note"]
+    cfg[key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, "spectrum", cfg) == 2
+    assert capsys.readouterr().err == (
+        "invalid input: loop Hamiltonian is not finite on the grid: C, L, "
+        "Ic, Phi_x or the grid step overflow it\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_spectrum_rejects_mixed_config(tmp_path, capsys):
     cfg = {"preset": "harmonic", "C_farad": 4e-14}
     assert run_cli(tmp_path, "spectrum", cfg) == 2
@@ -273,19 +295,24 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "feasibility.txt").exists()
 
 
-#: Modules that only `spectrum` needs: OpenSSL's libcrypto (loaded by
-#: hashlib), the loop solver and its scipy.linalg.
-SPECTRUM_ONLY = ("_hashlib", "squidqed.squid", "scipy.linalg")
+#: The module that only `spectrum` needs: the loop solver.
+SPECTRUM_ONLY = ("squidqed.squid",)
+
+#: Modules no command loads: OpenSSL's libcrypto (loaded by hashlib) and
+#: scipy.linalg's package, whose LAPACK extension the solver loads alone.
+NO_COMMAND = ("_hashlib", "scipy.linalg")
 
 
 def test_cli_import_defers_scipy_linalg_to_the_solver(tmp_path):
     code = ("import sys\n"
             "from squidqed.cli import main\n"
-            f"for name in {SPECTRUM_ONLY!r}:\n"
+            f"for name in {SPECTRUM_ONLY + NO_COMMAND!r}:\n"
             "    assert name not in sys.modules, name\n"
             f"assert main(['spectrum', '--out', {str(tmp_path)!r}]) == 0\n"
-            "for name in ('squidqed.squid', 'scipy.linalg'):\n"
-            "    assert name in sys.modules, name\n")
+            "for name in ('squidqed.squid', 'scipy.linalg._flapack'):\n"
+            "    assert name in sys.modules, name\n"
+            f"for name in {NO_COMMAND!r}:\n"
+            "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -336,8 +363,8 @@ def test_feasibility_loads_protocols_only_to_derive_the_gate_time(tmp_path):
 
 def test_spectrum_loads_the_solver_and_no_gate_stack(tmp_path):
     loaded = loaded_after(["spectrum", "--out", str(tmp_path)])
-    assert {"squidqed.squid", "numpy", "scipy.linalg"} <= loaded
-    assert not loaded & set(GATE_STACK)
+    assert {"squidqed.squid", "numpy"} <= loaded
+    assert not loaded & set(GATE_STACK + NO_COMMAND)
 
 
 def test_scan_and_gate_load_neither_the_solver_nor_scipy_linalg(tmp_path):
@@ -354,7 +381,7 @@ def test_gate_and_feasibility_load_neither_openssl_nor_the_solver(tmp_path):
             f"{str(tmp_path / 'gate')!r}]) == 0\n"
             f"assert main(['feasibility', '--out', "
             f"{str(tmp_path / 'feas')!r}]) == 0\n"
-            f"for name in {SPECTRUM_ONLY!r}:\n"
+            f"for name in {SPECTRUM_ONLY + NO_COMMAND!r}:\n"
             "    assert name not in sys.modules, name\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
@@ -478,7 +505,7 @@ def test_rwa_scan_runs_in_process_without_scipy_or_a_pool(tmp_path):
     cfg = tmp_path / "rwa.json"
     cfg.write_text(json.dumps({"scan_kind": "rwa"}))
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    absent = SPECTRUM_ONLY + ("concurrent.futures.process",)
+    absent = SPECTRUM_ONLY + NO_COMMAND + ("concurrent.futures.process",)
     code = ("import sys\n"
             "from squidqed.cli import main\n"
             f"assert main(['scan', '--config', {str(cfg)!r}, "
@@ -570,7 +597,7 @@ _GATE_DIGESTS = {
         "fd2106a5a26cd43af0a6d633f65c238332f793ccb93ebed35a15a2403508ed2f"),
     "transfer cavity": (
         "5d1cc96d9073ab9cdcf300a495484defac697d4eb22aea10b144f7d09f07546a",
-        "df8fbfcc5dc0a9faff8247a1559bd0b3415c3c3858ce85d0e96e338d422da8a2"),
+        "726bb280df1f63b91205080816bc0c32eb33dcd6cb871600dcbe025324a5abad"),
     "entangle analytic": (
         "bee5035843575427edd98ac3ac38dcdd81e3f993f39e64c1b38a89f47063bd59",
         "4344f9ed491705e1da4c1d2cea4e84e6dc718a20d3e465cfdc88c7d638425fd3"),
@@ -588,7 +615,7 @@ _GATE_DIGESTS = {
         "0d859e52cb36e1ba128c295140f3de8408e1fcf97cbe28c5add865f172328a2a"),
     "transfer cavity 8": (
         "d236461b1714e218b35ea126e64416aa97b716c48a63be198ccd5f3f23d5486b",
-        "b57d37be3e7dbf01d91b97f101a737d1ce226dad1e44b1a42a5eb6b9e77d9e29"),
+        "f09ef8080f8006a41485de6c429c9f1ec7e867376b7fb9b47fbfe9b35cc68d29"),
     "entangle cavity 8": (
         "bbbab8435b43137dce8755b76e03c6eed86aa8be98acdf189720adaef1283053",
         "7eb0dc07f36b37ea9fd02af11c00a712bdd98fde9bf396aef2855dae2d8aa263"),
@@ -1009,8 +1036,9 @@ _BENT_ROWS = {"cps": ("|10>", "|11>"), "swap": ("|10>", "|11>"),
 
 def _expected_failures(schedule, backend, n_steps):
     """Patterns of the failure lines a corrupted first pulse must give:
-    the truth table and the concurrence on the exact backends, and each
-    fidelity against its bound."""
+    the truth table and the concurrence on the exact backends, each
+    fidelity against its bound, and on the cavity backend the declared
+    rows' fidelity of a table with no ideal unitary."""
     exact = backend != "cavity"
     limit = "1.000e-09" if exact else "1.000e-02"
     out = []
@@ -1020,6 +1048,8 @@ def _expected_failures(schedule, backend, n_steps):
                 for k in range(1, n_steps + 1)]
     if schedule in ("cps", "swap"):
         out.append(rf"gate fidelity 0\.98\d+ below 1 - {limit}")
+    if schedule == "transfer" and not exact:
+        out.append(rf"truth table fidelity 0\.98\d+ below 1 - {limit}")
     if schedule == "entangle":
         out.append(rf"target state fidelity 0\.97\d+ below 1 - {limit}")
         if exact:
@@ -1028,8 +1058,7 @@ def _expected_failures(schedule, backend, n_steps):
 
 
 @pytest.mark.parametrize("schedule, backend", [
-    (s, b) for s in _SCHEDULES for b in _BACKENDS
-    if (s, b) != ("transfer", "cavity")])
+    (s, b) for s in _SCHEDULES for b in _BACKENDS])
 def test_gate_physics_failures_exit_1_and_still_write(tmp_path, monkeypatch,
                                                      schedule, backend):
     # the shipped schedule with its first pulse at 0.9 pi, keeping the

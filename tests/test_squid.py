@@ -2,6 +2,9 @@
 
 import json
 import re
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -235,24 +238,41 @@ def _half_width(rho, floor, rtol):
     return max(16.0 * floor, rtol * np.min(rho[1:] - rho[0]) / 8.0)
 
 
+def _spy_lapack(monkeypatch, wrap):
+    """Hand the solver, in place of each routine ``name`` of the module
+    ``squid._lapack()`` returns, ``wrap(name, routine)``."""
+    import squidqed.squid as squid
+
+    real = squid._lapack()
+
+    class Spied:
+        def __getattr__(self, name):
+            return wrap(name, getattr(real, name))
+
+    spied = Spied()
+    monkeypatch.setattr(squid, "_lapack", lambda: spied)
+
+
 @pytest.fixture
 def search_modes(monkeypatch):
     """Record every eigenvalue-only tridiagonal search as "count" (a value
     range searched with a tolerance as wide as the range), "window" (a value
     range at full resolution) or "index"."""
-    import scipy.linalg
-
     modes = []
-    real = scipy.linalg.eigvalsh_tridiagonal
 
-    def spy(*args, **kwargs):
-        if kwargs["select"] == "i":
-            modes.append("index")
-        else:
-            modes.append("count" if kwargs.get("tol") else "window")
-        return real(*args, **kwargs)
+    def wrap(name, func):
+        def spy(*a, **k):
+            # stebz(d, e, select, vl, vu, il, iu, tol, order): order "E"
+            # returns values only, select 2 searches by index
+            if name == "dstebz" and a[8] == "E":
+                if a[2] == 2:
+                    modes.append("index")
+                else:
+                    modes.append("count" if a[7] else "window")
+            return func(*a, **k)
+        return spy
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", spy)
+    _spy_lapack(monkeypatch, wrap)
     return modes
 
 
@@ -374,23 +394,18 @@ def test_predictions_moved_by_three_half_widths_fall_back(monkeypatch,
 
 
 def _check_lapack_calls(monkeypatch, p, g, n_levels):
-    """Every LAPACK routine the tridiagonal eigensolvers fetch while the
-    check runs, as (name, select, vl, vu, tol) for ``stebz``."""
-    import scipy.linalg._decomp as decomp
-
+    """Every LAPACK routine the solver calls while the check runs, as
+    (name, select, vl, vu, tol) for ``stebz``."""
     calls = []
-    real = decomp.get_lapack_funcs
 
-    def fetch(names, arrays=(), *args, **kwargs):
-        def counted(func):
-            def call(*a, **k):
-                calls.append((func.__name__, *a[2:5], a[7]))
-                return func(*a, **k)
-            return call
-        return tuple(counted(f) for f in real(names, arrays, *args, **kwargs))
+    def counted(name, func):
+        def call(*a, **k):
+            calls.append((name, *a[2:5], a[7]))
+            return func(*a, **k)
+        return call
 
     coarse, vecs = _solve_grid(p, g, n_levels)[:2]
-    monkeypatch.setattr(decomp, "get_lapack_funcs", fetch)
+    _spy_lapack(monkeypatch, counted)
     _doubled_grid_energies(p, g, coarse, vecs, 1e-6)
     monkeypatch.undo()
     return calls
@@ -398,9 +413,8 @@ def _check_lapack_calls(monkeypatch, p, g, n_levels):
 
 def test_converged_check_makes_one_lapack_call_per_level_and_one_count(
         monkeypatch):
-    # every LAPACK routine the tridiagonal eigensolvers fetch is counted,
-    # so an index-mode search or a bisecting value search creeping back
-    # would show
+    # every LAPACK routine the solver calls is counted, so an index-mode
+    # search or a bisecting value search creeping back would show
     p, g = load_preset("ref15_like")
     for n_levels in (2, 3, 5):
         calls = _check_lapack_calls(monkeypatch, p, g, n_levels)
@@ -584,8 +598,6 @@ def test_shifts_not_strictly_increasing_take_the_bisection(monkeypatch):
     # stein needs its shifts ascending: equal predicted shifts give up
     # before any fine-grid LAPACK call, and the grid takes the full
     # index-mode bisection bit for bit
-    import scipy.linalg
-
     import squidqed.squid as squid
 
     calls = []
@@ -594,16 +606,24 @@ def test_shifts_not_strictly_increasing_take_the_bisection(monkeypatch):
         calls.append(x.size)
         return 1.0
 
-    def no_lapack(*args, **kwargs):
-        raise AssertionError("no fine-grid LAPACK routine may be fetched")
-
     for name in ("ref15_like", "harmonic"):
         p, g = load_preset(name)
         diag, off, _, floor = _tridiagonal(p, g)
+        coarse_points = squid._coarse_grid(g)[0].points
+
+        def no_lapack(routine, func):
+            def call(*a, **k):
+                # only the coarse grid's eigenpairs may be solved
+                if len(a[0]) != coarse_points:
+                    raise AssertionError(
+                        "no fine-grid LAPACK routine may be called")
+                return func(*a, **k)
+            return call
+
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(squid, "_rayleigh_quotient", constant)
-            m.setattr(scipy.linalg, "get_lapack_funcs", no_lapack)
+            _spy_lapack(m, no_lapack)
             assert _predicted_pairs(p, g, diag, off, floor, 3) is None, name
         assert calls == [g.points] * 3, name
         with monkeypatch.context() as m:
@@ -616,36 +636,22 @@ def test_shifts_not_strictly_increasing_take_the_bisection(monkeypatch):
 
 def test_a_predicted_solve_makes_one_fine_inverse_iteration_and_one_count(
         monkeypatch):
-    # every LAPACK routine fetched through scipy is counted: on the full
-    # grid only one inverse iteration (stein) and one two-ended Sturm count
+    # every LAPACK routine the solver calls is counted: on the full grid
+    # only one inverse iteration (stein) and one two-ended Sturm count
     # (stebz by value with a tolerance as wide as its range) may run, so a
     # bisection of the full grid creeping back would show
-    import scipy.linalg
-    import scipy.linalg._decomp as decomp
-
     calls = []
-    real = decomp.get_lapack_funcs
 
-    class Counted:
-        # keeps the routine's attributes, which scipy's workspace queries read
-        def __init__(self, func):
-            self.func = func
-
-        def __getattr__(self, name):
-            return getattr(self.func, name)
-
-        def __call__(self, *a, **k):
-            calls.append((self.func.__name__, np.shape(a[0]) if a else (), a))
-            return self.func(*a, **k)
-
-    def fetch(names, arrays=(), *args, **kwargs):
-        return tuple(Counted(f) for f in real(names, arrays, *args, **kwargs))
+    def counted(name, func):
+        def call(*a, **k):
+            calls.append((name, np.shape(a[0]) if a else (), a))
+            return func(*a, **k)
+        return call
 
     p, g = load_preset("ref15_like")
     coarse = ((g.points - 1) // 8 + 1,)
     for n_levels in (2, 3, 5):
-        monkeypatch.setattr(decomp, "get_lapack_funcs", fetch)
-        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", fetch)
+        _spy_lapack(monkeypatch, counted)
         calls.clear()
         _solve_grid(p, g, n_levels)
         monkeypatch.undo()
@@ -697,6 +703,10 @@ def _write_preset(directory, name, drop=(), extra=None):
     (directory / f"{name}.json").write_text(json.dumps(data))
 
 
+_NOT_FINITE = ("loop Hamiltonian is not finite on the grid: C, L, Ic, Phi_x "
+               "or the grid step overflow it")
+
+
 @pytest.mark.parametrize("case, reason", [
     ("half_width zero", "half_width must be positive"),
     ("half_width negative", "half_width must be positive"),
@@ -706,10 +716,15 @@ def _write_preset(directory, name, drop=(), extra=None):
     ("lambda_check two levels", "lambda_check needs at least 3 levels"),
     ("non-square elements",
      "flux_elements must be square, one row per level"),
+    # finite parameters whose Hamiltonian is not: 2 C step^2 underflows to
+    # 0, and (Phi - Phi_x)^2 overflows
+    ("capacitance underflow", _NOT_FINITE),
+    ("bias overflow", _NOT_FINITE),
 ])
 def test_squid_refusals_are_named(tmp_path, monkeypatch, case, reason):
     import squidqed.squid as squid
 
+    p, g = load_preset("ref15_like")
     _write_preset(tmp_path, "extra", extra={"bias": 0.5})
     _write_preset(tmp_path, "short", drop=("C_farad", "grid_points"))
     monkeypatch.setattr(squid, "PRESET_DIR", tmp_path)
@@ -724,38 +739,33 @@ def test_squid_refusals_are_named(tmp_path, monkeypatch, case, reason):
             energies[:2], np.zeros((2, 2)))),
         "non-square elements": lambda: LevelStructure(energies,
                                                       np.zeros((3, 2))),
+        "capacitance underflow": lambda: solve(replace(p, C=1e-300), g),
+        "bias overflow": lambda: solve(replace(p, Phi_x=1e170 * PHI0), g),
     }
-    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
-        refusals[case]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused without a numpy warning
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            refusals[case]()
 
 
 @pytest.mark.parametrize("routine", ["stein", "syev"])
 def test_a_failing_lapack_routine_falls_back_to_the_full_bisection(
         monkeypatch, routine):
-    # the routine the predicted solve fetches reports info != 0, so the
-    # prediction is dropped and the full bisection decides, bit for bit
-    import scipy.linalg
-
-    real = scipy.linalg.get_lapack_funcs
+    # the routine the predicted solve calls itself reports info != 0, so
+    # the prediction is dropped and the full bisection decides, bit for bit
     failed = []
 
-    class Failing:
-        # keeps the routine's attributes, which scipy's workspace queries read
-        def __init__(self, func):
-            self.func = func
-
-        def __getattr__(self, name):
-            return getattr(self.func, name)
-
-        def __call__(self, *a, **k):
+    def failing(name, func):
+        def call(*a, **k):
+            # the coarse grid's and the bisection's own calls run as usual
+            if (not name.endswith(routine)
+                    or sys._getframe(1).f_code.co_name != "_predicted_pairs"):
+                return func(*a, **k)
             failed.append(routine)
-            return (*self.func(*a, **k)[:-1], 1)
+            return (*func(*a, **k)[:-1], 1)
+        return call
 
-    def fetch(names, arrays=(), *args, **kwargs):
-        return tuple(Failing(f) if f.__name__.endswith(routine) else f
-                     for f in real(names, arrays, *args, **kwargs))
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", fetch)
+    _spy_lapack(monkeypatch, failing)
     for name in ("ref15_like", "harmonic"):
         p, g = load_preset(name)
         diag, off, _, floor = _tridiagonal(p, g)
@@ -763,3 +773,107 @@ def test_a_failing_lapack_routine_falls_back_to_the_full_bisection(
         assert _predicted_pairs(p, g, diag, off, floor, 3) is None, name
         assert failed == [routine], (name, failed)
         _assert_bisected(p, g, 3, name)
+
+
+#: Solves whose bits the LAPACK loader must not move: both presets, and each
+#: at Phi_x = (0.5 - 1e-5) Phi_0, which takes the full bisection.
+_LOADER_CASES = """
+from dataclasses import replace
+
+from squidqed.constants import PHI0
+from squidqed.squid import ResolutionError, load_preset, solve
+
+
+def loader_results():
+    out = []
+    for name in ("ref15_like", "harmonic"):
+        p, g = load_preset(name)
+        for q in (p, replace(p, Phi_x=(0.5 - 1e-5) * PHI0)):
+            try:
+                ls = solve(q, g)
+            except ResolutionError as exc:
+                out.append(str(exc))
+            else:
+                out.append(ls.energies.tobytes().hex()
+                           + ls.flux_elements.tobytes().hex())
+    return out
+"""
+
+
+def _loader_results():
+    space = {}
+    exec(_LOADER_CASES, space)
+    return space["loader_results"]()
+
+
+def _fresh_python(code):
+    """Run ``code`` after the loader cases in a fresh interpreter and return
+    its last line of output, read as JSON."""
+    proc = subprocess.run([sys.executable, "-c", _LOADER_CASES + code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_fresh_spectrum_loads_only_the_lapack_extension(tmp_path):
+    # neither scipy.linalg's package nor OpenSSL, and the solves give the
+    # bits of this process, where scipy.linalg is loaded first
+    import scipy.linalg  # noqa: F401
+
+    code = (
+        "import json, sys\n"
+        "from squidqed.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for name in ('ref15_like', 'harmonic'):\n"
+        "    cfg = f'{out}/{name}.json'\n"
+        "    with open(cfg, 'w') as f:\n"
+        "        json.dump({'preset': name}, f)\n"
+        "    assert main(['spectrum', '--config', cfg,\n"
+        "                 '--out', f'{out}/{name}']) == 0\n"
+        "results = loader_results()\n"
+        "loaded = [m for m in ('scipy.linalg', '_hashlib')\n"
+        "          if m in sys.modules]\n"
+        "print(json.dumps([loaded, 'scipy.linalg._flapack' in sys.modules,\n"
+        "                  results]))\n")
+    loaded, extension, results = _fresh_python(code)
+    assert loaded == []
+    assert extension
+    assert results == _loader_results()
+
+
+def test_scipy_linalg_imported_after_a_solve_shares_the_extension():
+    code = ("import json, sys\n"
+            "import squidqed.squid as squid\n"
+            "loader_results()\n"
+            "import scipy.linalg\n"
+            "print(json.dumps([\n"
+            "    scipy.linalg.lapack.dstebz is squid._lapack().dstebz,\n"
+            "    sys.modules['scipy.linalg._flapack'] is squid._lapack()]))\n")
+    assert _fresh_python(code) == [True, True]
+
+
+def test_an_unfindable_extension_falls_back_to_scipy_linalg_lapack(
+        monkeypatch):
+    import importlib.machinery
+
+    import scipy.linalg.lapack
+
+    import squidqed.squid as squid
+
+    want = _loader_results()
+    real = importlib.machinery.PathFinder.find_spec
+
+    def find_spec(name, path=None, target=None):
+        if name == "scipy.linalg._flapack":
+            return None
+        return real(name, path, target)
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        staticmethod(find_spec))
+    squid._lapack.cache_clear()
+    try:
+        assert squid._lapack() is scipy.linalg.lapack
+        assert _loader_results() == want
+    finally:
+        squid._lapack.cache_clear()
