@@ -19,8 +19,8 @@ each subcommand imports what it computes when it runs:
 
 - ``spectrum``: the loop solver ``squid``, and through it numpy, the
   top-level ``scipy`` package and scipy's LAPACK extension alone;
-- ``gate``: ``protocols``, ``verify``, ``hilbert``, ``hamiltonians`` and
-  ``feasibility`` (and through them numpy and ``dynamics``);
+- ``gate``: ``feasibility``, ``protocols`` and ``verify`` (and through
+  them numpy, ``hilbert``, ``hamiltonians`` and ``dynamics``);
 - ``scan``: ``verify`` and ``hamiltonians`` (and through them numpy,
   ``protocols``, ``hilbert`` and ``dynamics``);
 - ``feasibility``: ``feasibility`` alone, with no numpy; ``protocols`` too
@@ -29,12 +29,8 @@ each subcommand imports what it computes when it runs:
 No command but ``spectrum`` loads the solver or scipy, and none loads
 ``scipy.linalg``'s package or OpenSSL.
 
-``gate`` runs the inputs its schedule's truth table declares, or the four
-computational inputs when there is none, as one block, and its states
-file and every check read that block.  A schedule with a truth table but
-no ideal unitary (``transfer``) is held on the cavity backend, where the
-table is not checked step by step, to the fidelity of its declared final
-images.
+``gate`` writes the runs and the verdict of `verify.check_gate`, which
+runs the schedule's inputs once as one block.
 
 Exit codes: 0 success, 1 physics-check failure (failed truth table or
 dispersive condition, a fidelity below its bound or NaN, a concurrence not
@@ -86,10 +82,10 @@ class ConfigError(Exception):
     """Bad config content; maps to exit code 2."""
 
 
-def _number(key, what="finite number", accept=lambda x: True):
-    """Validator for a finite JSON number that fits a float (JSON integers
-    may not); ``what`` names the rule, ``accept`` checks what it adds."""
-    def check(v):
+def _number(what="finite number", accept=lambda x: True):
+    """Rule for a finite JSON number that fits a float (JSON integers may
+    not); ``what`` names the rule, ``accept`` checks what it adds."""
+    def check(key, v):
         if (not isinstance(v, (int, float)) or isinstance(v, bool)
                 or not abs(v) <= sys.float_info.max or not accept(v)):
             raise ConfigError(f"config key '{key}' must be a {what}")
@@ -97,12 +93,11 @@ def _number(key, what="finite number", accept=lambda x: True):
     return check
 
 
-def _positive(key):
-    return _number(key, "finite positive number", lambda x: x > 0)
+_POSITIVE = _number("finite positive number", lambda x: x > 0)
 
 
-def _positive_int(key, minimum=1):
-    def check(v):
+def _integer(minimum):
+    def check(key, v):
         if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
             raise ConfigError(f"config key '{key}' must be an integer "
                               f">= {minimum}")
@@ -110,8 +105,8 @@ def _positive_int(key, minimum=1):
     return check
 
 
-def _string_choice(key, choices):
-    def check(v):
+def _choice(*choices):
+    def check(key, v):
         if v not in choices:
             raise ConfigError(f"config key '{key}' must be one of "
                               f"{sorted(choices)}")
@@ -119,67 +114,60 @@ def _string_choice(key, choices):
     return check
 
 
-def _ratio_grid(key):
-    def check(v):
-        if not isinstance(v, list):
-            raise ConfigError(f"config key '{key}' must be a list of ratios")
-        if len(v) == 0:
-            raise ConfigError(f"config key '{key}' must not be empty")
-        out = []
-        for x in v:
-            if not isinstance(x, (int, float)) or isinstance(x, bool) \
-                    or not 0 < x < 1:
-                raise ConfigError(f"config key '{key}' entries must be "
-                                  f"numbers strictly between 0 and 1")
-            out.append(float(x))
-        return out
-    return check
+def _ratio_grid(key, v):
+    if not isinstance(v, list):
+        raise ConfigError(f"config key '{key}' must be a list of ratios")
+    if len(v) == 0:
+        raise ConfigError(f"config key '{key}' must not be empty")
+    out = []
+    for x in v:
+        if not isinstance(x, (int, float)) or isinstance(x, bool) \
+                or not 0 < x < 1:
+            raise ConfigError(f"config key '{key}' entries must be "
+                              f"numbers strictly between 0 and 1")
+        out.append(float(x))
+    return out
 
 
-_SPECTRUM_SCHEMA = {
-    "preset": _string_choice("preset", ("ref15_like", "harmonic")),
-    "n_levels": _positive_int("n_levels"),
-    "C_farad": _positive("C_farad"),
-    "L_henry": _positive("L_henry"),
-    "Ic_ampere": _number("Ic_ampere", "finite non-negative number",
-                         lambda x: x >= 0),
-    "Phix_over_Phi0": _number("Phix_over_Phi0"),
-    "grid_points": _positive_int("grid_points", minimum=64),
-    "grid_halfwidth_over_Phi0": _positive("grid_halfwidth_over_Phi0"),
+#: The one rule of every config key, whichever commands read it.
+_RULES = {
+    "preset": _choice("ref15_like", "harmonic"),
+    "n_levels": _integer(1),
+    "C_farad": _POSITIVE,
+    "L_henry": _POSITIVE,
+    "Ic_ampere": _number("finite non-negative number", lambda x: x >= 0),
+    "Phix_over_Phi0": _number(),
+    "grid_points": _integer(64),
+    "grid_halfwidth_over_Phi0": _POSITIVE,
+    "schedule": _choice(*_GATE_NAMES),
+    "gamma_radps": _POSITIVE,
+    "rabi_radps": _POSITIVE,
+    "g02_radps": _POSITIVE,
+    "detuning_radps": _POSITIVE,
+    "fock_cutoff": _integer(2),
+    "scan_kind": _choice("rwa", "dispersive"),
+    "grid": _ratio_grid,
+    "q_factor": _POSITIVE,
+    "nu_hz": _POSITIVE,
+    "t_op_s": _POSITIVE,
+    "t_r_s": _POSITIVE,
+    "margin": _POSITIVE,
 }
 
-_GATE_SCHEMA = {
-    "schedule": _string_choice("schedule", tuple(_GATE_NAMES)),
-    "gamma_radps": _positive("gamma_radps"),
-    "rabi_radps": _positive("rabi_radps"),
-    "g02_radps": _positive("g02_radps"),
-    "detuning_radps": _positive("detuning_radps"),
-    "fock_cutoff": _positive_int("fock_cutoff", minimum=2),
-}
-
-#: Gate config keys that only the cavity backend reads.
+#: Gate config keys that only the cavity backend reads; scan reads them too.
 _CAVITY_KEYS = ("g02_radps", "detuning_radps", "fock_cutoff")
 
-_SCAN_SCHEMA = {
-    "scan_kind": _string_choice("scan_kind", ("rwa", "dispersive")),
-    "grid": _ratio_grid("grid"),
-    "g02_radps": _positive("g02_radps"),
-    "detuning_radps": _positive("detuning_radps"),
-    "fock_cutoff": _positive_int("fock_cutoff", minimum=2),
-}
-
-_FEASIBILITY_SCHEMA = {
-    "q_factor": _positive("q_factor"),
-    "nu_hz": _positive("nu_hz"),
-    "t_op_s": _positive("t_op_s"),
-    "t_r_s": _positive("t_r_s"),
-    "margin": _positive("margin"),
-    "gamma_radps": _positive("gamma_radps"),
-    "rabi_radps": _positive("rabi_radps"),
-}
+#: The keys each command reads.
+_SPECTRUM_SCHEMA = ("preset", "n_levels", "C_farad", "L_henry", "Ic_ampere",
+                    "Phix_over_Phi0", "grid_points",
+                    "grid_halfwidth_over_Phi0")
+_GATE_SCHEMA = ("schedule", "gamma_radps", "rabi_radps", *_CAVITY_KEYS)
+_SCAN_SCHEMA = ("scan_kind", "grid", *_CAVITY_KEYS)
+_FEASIBILITY_SCHEMA = ("q_factor", "nu_hz", "t_op_s", "t_r_s", "margin",
+                       "gamma_radps", "rabi_radps")
 
 
-def _validate(cfg: dict, schema: dict, command: str) -> dict:
+def _validate(cfg: dict, schema: tuple, command: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a flat JSON object")
     out = {}
@@ -187,7 +175,7 @@ def _validate(cfg: dict, schema: dict, command: str) -> dict:
         if key not in schema:
             raise ConfigError(f"unknown config key '{key}' for command "
                               f"'{command}'")
-        out[key] = schema[key](value)
+        out[key] = _RULES[key](key, value)
     return out
 
 
@@ -323,15 +311,9 @@ def cmd_spectrum(args, raw_cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gate(args, raw_cfg: dict) -> int:
-    import numpy as np
-
     from .feasibility import gate_time_estimate
-    from .hamiltonians import CONDITION_RATIO_MAX
-    from .hilbert import StateVector, fidelity_up_to_global_phase
-    from .protocols import SCHEDULE_BUILDERS, _run_block
-    from .verify import (_BASIS, _BASIS_ROWS, _COMP, _compare_truth_table,
-                         _loop_amplitudes, _run_photon_peaks, concurrence,
-                         gate_fidelity, truth_table_cps, truth_table_swap,
+    from .protocols import SCHEDULE_BUILDERS
+    from .verify import (check_gate, truth_table_cps, truth_table_swap,
                          truth_table_transfer)
 
     truth_tables = {"cps": truth_table_cps, "swap": truth_table_swap,
@@ -342,7 +324,6 @@ def cmd_gate(args, raw_cfg: dict) -> int:
     table = truth_tables[name]() if name in truth_tables else None
     backend, params = _backend_params(args, cfg)
     head = _header("gate", args.backend, cfg)
-    exact_backend = not params.explicit_cavity
     if params.explicit_cavity and "gamma_radps" in cfg:
         args.run_log.append(f"ignored_key "
                             f"gamma_radps={_fmt(cfg['gamma_radps'])} "
@@ -351,16 +332,8 @@ def cmd_gate(args, raw_cfg: dict) -> int:
     # written
     t_gate = gate_time_estimate(params.gamma, schedule, params.rabi)
 
-    # one block of the inputs the truth table declares, or of the four
-    # computational inputs when there is none: its per-step states go to
-    # the states file, and every check below reads the same runs (the cps
-    # and swap tables declare the four in `_BASIS` order, as the gate
-    # fidelity reads them)
-    labels, inputs = (([label for label, _ in _BASIS], _BASIS_ROWS)
-                      if table is None else
-                      ([row.label for row in table.rows], table.inputs))
-    runs = _run_block(schedule, inputs, backend, params)
-    loops = _loop_amplitudes(runs)
+    labels, loops, readings, failures = check_gate(schedule, table, backend,
+                                                   params)
     lines = [head,
              "input_label,step_index,loop_a_level,loop_b_level,"
              "amplitude_real_dimensionless,amplitude_imag_dimensionless\n"]
@@ -373,75 +346,12 @@ def cmd_gate(args, raw_cfg: dict) -> int:
                              f"{_fmt(amp.real)},{_fmt(amp.imag)}\n")
     _write(args.out, "gate_states.csv", "".join(lines))
 
-    failures: list[str] = []
-    summary = [head,
-               f"schedule {name}\n",
-               f"backend {args.backend}\n"]
-
-    if table is not None and exact_backend:
-        chk = _compare_truth_table(table, loops)
-        summary.append(f"truth_table {'pass' if chk.ok else 'FAIL'}\n")
-        summary.append(f"truth_table_max_deviation_dimensionless "
-                       f"{_fmt(chk.max_deviation)}\n")
-        if not chk.ok:
-            failures.extend(chk.failures)
-
-    # exact backends reach the ideal to roundoff; the cavity model may lose
-    # the leading single-channel leakage 4 (g02/detuning)^2 to photons,
-    # which bounds nothing unless g02/detuning is small
-    limit = 1e-9 if exact_backend else 4.0 * params.gamma / params.detuning
-    ratio = params.g02 / params.detuning
-    if not exact_backend and ratio >= CONDITION_RATIO_MAX:
-        failures.append(f"dispersive condition g02/detuning = {ratio!r} "
-                        f"not below {CONDITION_RATIO_MAX}")
-
-    if schedule.ideal_unitary is not None:
-        # leakage fails the bound below (and, on the exact backends, the
-        # truth table, which bounds the unitarity defect below 1e-8), so it
-        # is a physics failure, not a refused input
-        fid = gate_fidelity(loops[:, -1, _COMP].T,
-                            schedule.ideal_unitary, unitarity_tol=1.0)
-        summary.append(f"gate_fidelity_dimensionless {_fmt(fid)}\n")
-        if not fid >= 1.0 - limit:  # NaN fails too
-            failures.append(f"gate fidelity {fid!r} below 1 - {limit:.3e}")
-    elif table is not None and not exact_backend:
-        # nothing else checks such a schedule here: hold the declared rows'
-        # final images to the same bound, phase-sensitive,
-        # F = |sum_r <d_r|m_r>|^2 / k^2 over the k declared rows
-        k = len(table.rows)
-        fid = float(abs(np.vdot(table.columns[:, -1], loops[:, -1])) ** 2
-                    / k ** 2)
-        summary.append(f"truth_table_fidelity_dimensionless {_fmt(fid)}\n")
-        if not fid >= 1.0 - limit:
-            failures.append(f"truth table fidelity {fid!r} below "
-                            f"1 - {limit:.3e}")
-
-    if schedule.target_state is not None:
-        amps = loops[0, -1]  # |00>
-        final = StateVector(amps / np.linalg.norm(amps), (3, 3))
-        fid = fidelity_up_to_global_phase(final, schedule.target_state)
-        # loose on purpose, like the gate fidelity's unitarity_tol: a run
-        # leaking to level 2 fails the bounds below, not a refused input
-        conc = concurrence(final, support_tol=1.0)
-        summary.append(f"target_state_fidelity_dimensionless {_fmt(fid)}\n")
-        summary.append(f"concurrence_dimensionless {_fmt(conc)}\n")
-        if not fid >= 1.0 - limit:
-            failures.append(f"target state fidelity {fid!r} below "
-                            f"1 - {limit:.3e}")
-        if exact_backend and not abs(conc - 1.0) <= 1e-9:
-            failures.append(f"concurrence {conc!r} is not 1")
-
-    if params.explicit_cavity:
-        peak_n, peak_top = _run_photon_peaks(schedule, params, runs)
-        summary.append(f"peak_photon_population_dimensionless "
-                       f"{_fmt(peak_n)}\n")
-        summary.append(f"top_fock_population_dimensionless "
-                       f"{_fmt(peak_top)}\n")
-
+    summary = [head, f"schedule {name}\n", f"backend {args.backend}\n"]
+    summary += [f"{key} {v if isinstance(v, str) else _fmt(v)}\n"
+                for key, v in readings]
     summary.append(f"total_gate_time_s {_fmt(t_gate)}\n")
     summary.append(f"physics_checks {'pass' if not failures else 'FAIL'}\n")
-    for f in failures:
-        summary.append(f"failure {f}\n")
+    summary += [f"failure {f}\n" for f in failures]
     _write(args.out, "gate_summary.txt", "".join(summary))
     return 1 if failures else 0
 

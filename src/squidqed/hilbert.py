@@ -127,7 +127,7 @@ class Operator:
         dims = _check_dims(self.dims, mat.shape[0])
         if self.hermitian_flag:
             dev = float(np.max(np.abs(mat - mat.conj().T)))
-            if dev >= HERMITICITY_TOL:
+            if not dev < HERMITICITY_TOL:  # NaN fails too
                 raise HermiticityError(
                     f"hermitian_flag set but max|H - H^dag| = {dev:.3e}"
                 )
@@ -179,7 +179,7 @@ def matexp_unitary(h: Operator, t: float) -> Operator:
     are exponentiated exactly.
     """
     dev = float(np.max(np.abs(h.entries - h.entries.conj().T)))
-    if dev >= HERMITICITY_TOL:
+    if not dev < HERMITICITY_TOL:  # NaN fails too
         raise HermiticityError(f"matexp_unitary needs Hermitian input, dev={dev:.3e}")
     w, v = np.linalg.eigh(h.entries)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T

@@ -13,10 +13,10 @@ The shipped truth tables are shared like the shipped schedules they
 hold: each `truth_table_*` builder returns one immutable instance per
 process, whose inputs and columns are stacked once, at construction.
 
-Truth tables, the computational propagator, photon excursions and each
-dispersive scan point run their inputs as one block through
-`protocols._run_block` (one block per backend), and read every check from
-that (inputs, steps + 1, dim) array.
+Truth tables, the computational propagator, the gate check, photon
+excursions and each dispersive scan point run their inputs as one block
+through `protocols._run_block` (one block per backend), and read every
+check from that (inputs, steps + 1, dim) array.
 
 Photon statistics are sampled at 512 evenly spaced times from a table of
 phases e^{-i w t} on the generator's eigenvalues w.  For an
@@ -38,7 +38,8 @@ import numpy as np
 from .constants import TWO_PI
 from .hamiltonians import (CONDITION_RATIO_MAX, _check_fock_cutoff,
                            loop_cavity_hamiltonian)
-from .hilbert import Operator, StateVector, basis_state
+from .hilbert import (Operator, StateVector, basis_state,
+                      fidelity_up_to_global_phase)
 from .protocols import (AraStep, ExecutionParams, GateSchedule, PulseAction,
                         _cavity_eigensystem, _run_block, schedule_cps,
                         schedule_swap, schedule_transfer)
@@ -55,6 +56,7 @@ __all__ = [
     "truth_table_swap",
     "truth_table_transfer",
     "check_truth_table",
+    "check_gate",
     "corrupt_first_pulse",
     "rwa_error_point",
     "rwa_error_scan",
@@ -92,8 +94,9 @@ FOCK_VIOLATION_TOL = 1e-6
 #: pass: the exact backends reach their declared images to roundoff.
 TRUTH_TABLE_ATOL = 1e-9
 
-#: Time points evaluated together when photon statistics are sampled; it
-#: bounds the (columns x block x dimension) temporaries of each product.
+#: Time points evaluated together when photon statistics are sampled (one
+#: more in a last block that would leave a lone point); it bounds the
+#: (columns x block x dimension) temporaries of each product.
 _SAMPLE_BLOCK = 128
 
 
@@ -294,6 +297,79 @@ def _compare_truth_table(table: TruthTable, loops: np.ndarray) -> TruthCheck:
                       failures=failures)
 
 
+def check_gate(schedule: GateSchedule, table: TruthTable | None,
+               backend: str = "analytic",
+               params: ExecutionParams | None = None
+               ) -> tuple[list[str], np.ndarray, list[tuple], list[str]]:
+    """Run a schedule once on the inputs ``table`` declares (the four
+    computational inputs when ``table`` is None; a table of four declares
+    them in that order) and hold the runs to what the schedule claims.
+
+    Returns ``(labels, loops, readings, failures)``: the input labels, the
+    (inputs, steps + 1, 9) two-loop amplitudes of the runs (the cavity
+    vacuum sector on the explicit-cavity backend), (name, value) readings
+    and one line per failed check.  On the exact backends the table is
+    checked step by step, every fidelity must reach 1 - 1e-9 and the
+    target state's concurrence must be 1.  On the explicit-cavity backend
+    g02/detuning must stay below `CONDITION_RATIO_MAX`, every fidelity must
+    reach 1 - 4 gamma/detuning, a table with no ideal unitary is held by
+    its declared final images, and the photon peaks are read.  A NaN, or a
+    run that leaks out of the qubit levels, fails its bound."""
+    params = params or ExecutionParams()
+    exact = not params.explicit_cavity
+    labels, inputs = (([label for label, _ in _BASIS], _BASIS_ROWS)
+                      if table is None else
+                      ([row.label for row in table.rows], table.inputs))
+    runs = _run_block(schedule, inputs, backend, params)
+    loops = _loop_amplitudes(runs)
+    readings, failures = [], []
+    if table is not None and exact:
+        chk = _compare_truth_table(table, loops)
+        readings += [("truth_table", "pass" if chk.ok else "FAIL"),
+                     ("truth_table_max_deviation_dimensionless",
+                      chk.max_deviation)]
+        failures += chk.failures
+
+    # exact backends reach the ideal to roundoff; the cavity model may lose
+    # the leading single-channel leakage 4 (g02/detuning)^2 to photons,
+    # which bounds nothing unless g02/detuning is small
+    limit = 1e-9 if exact else 4.0 * params.gamma / params.detuning
+    ratio = params.g02 / params.detuning
+    if not exact and ratio >= CONDITION_RATIO_MAX:
+        failures.append(f"dispersive condition g02/detuning = {ratio!r} "
+                        f"not below {CONDITION_RATIO_MAX}")
+
+    def hold(what: str, fid: float) -> None:
+        readings.append((what.replace(" ", "_") + "_fidelity_dimensionless",
+                         fid))
+        if not fid >= 1.0 - limit:  # NaN fails too
+            failures.append(f"{what} fidelity {fid!r} below 1 - {limit:.3e}")
+
+    if schedule.ideal_unitary is not None:
+        # loose on purpose: leakage fails the bound (and, on the exact
+        # backends, the truth table), it is not a refused input
+        hold("gate", gate_fidelity(loops[:, -1, _COMP].T,
+                                   schedule.ideal_unitary, unitarity_tol=1.0))
+    elif table is not None and not exact:
+        k = len(table.rows)
+        hold("truth table", float(abs(np.vdot(table.columns[:, -1],
+                                              loops[:, -1])) ** 2 / k ** 2))
+    if schedule.target_state is not None:
+        amps = loops[0, -1]  # |00>
+        final = StateVector(amps / np.linalg.norm(amps), (3, 3))
+        hold("target state",
+             fidelity_up_to_global_phase(final, schedule.target_state))
+        conc = concurrence(final, support_tol=1.0)  # loose, as above
+        readings.append(("concurrence_dimensionless", conc))
+        if exact and not abs(conc - 1.0) <= 1e-9:
+            failures.append(f"concurrence {conc!r} is not 1")
+    if not exact:
+        readings += zip(("peak_photon_population_dimensionless",
+                         "top_fock_population_dimensionless"),
+                        _run_photon_peaks(schedule, params, runs))
+    return labels, loops, readings, failures
+
+
 def corrupt_first_pulse(schedule: GateSchedule) -> GateSchedule:
     """Negative control: scale the first pulse angle by 9/10 (a pi pulse
     becomes 0.9 pi) so the schedule must fail its truth table."""
@@ -491,15 +567,20 @@ def _sampled_photon_peaks(phases: np.ndarray, v: np.ndarray,
     columns in one batched product, rows e^{-i w t} (v^dag vec) times v^T,
     that numpy runs as one product per column; top-level populations are
     summed from a (k, levels, rows) gather, in a one-column call's order.
-    So the peaks are bit-identical to the maxima of k one-column calls."""
+    So the peaks are bit-identical to the maxima of k one-column calls,
+    and, for a table of two or more rows, the same for any block size."""
     cols = np.ascontiguousarray(vecs.T if vecs.ndim == 2 else vecs[None])
     num_diag = np.tile(np.arange(nfock, dtype=float), cols.shape[1] // nfock)
     top = np.arange(nfock - 1, cols.shape[1], nfock)
     v_dag = v.conj().T
     coeffs = np.stack([v_dag @ col for col in cols])[:, None]
     peak_n, peak_top = 0.0, 0.0
-    for start in range(0, len(phases), _SAMPLE_BLOCK):
-        block = phases[start:start + _SAMPLE_BLOCK]
+    n = len(phases)
+    # a lone last row joins the block before it: numpy multiplies and sums
+    # a one-row block in another order than a longer one
+    for start in range(0, n - 1, _SAMPLE_BLOCK) if n > 1 else range(n):
+        stop = start + _SAMPLE_BLOCK
+        block = phases[start:stop if stop < n - 1 else n]
         prob = np.abs((block * coeffs) @ v.T) ** 2
         peak_n = max(peak_n, float((num_diag * prob).sum(axis=-1).max()))
         peak_top = max(peak_top, float(

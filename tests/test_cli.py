@@ -951,6 +951,7 @@ def test_scan_points_take_only_the_given_keys(tmp_path, monkeypatch, cfg,
 def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
     import squidqed.protocols as protocols
     import squidqed.squid as squid
+    import squidqed.verify as verify
     from squidqed.protocols import ExecutionParams
 
     seen = []
@@ -965,7 +966,8 @@ def test_gate_and_spectrum_take_library_defaults(tmp_path, monkeypatch):
         return real_solve(params, grid, **kwargs)
 
     # cmd_gate and cmd_spectrum import the library when they run
-    monkeypatch.setattr(protocols, "_run_block", run_block)
+    for module in (protocols, verify):
+        monkeypatch.setattr(module, "_run_block", run_block)
     monkeypatch.setattr(squid, "solve", solve)
     assert run_cli(tmp_path / "a", "gate", {}) == 0
     assert run_cli(tmp_path / "c", "gate", {}, extra=["--backend",

@@ -81,6 +81,20 @@ def test_operator_hermitian_flag():
         Operator(m, (2,), hermitian_flag=True)
 
 
+def test_non_finite_generators_are_refused_by_name():
+    # a NaN deviation fails the tolerance: an inf matrix gives inf - inf
+    nan = np.full((3, 3), np.nan, dtype=complex)
+    inf = np.full((3, 3), np.inf, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        for bad in (nan, inf):
+            with pytest.raises(HermiticityError,
+                               match=r"^hermitian_flag set but .* = nan$"):
+                Operator(bad, (3,), hermitian_flag=True)
+    with pytest.raises(HermiticityError, match=r"needs Hermitian input, "
+                                               r"dev=nan$"):
+        matexp_unitary(Operator(nan, (3,)), 1.0)
+
+
 def test_basis_state_and_identity():
     psi = basis_state((3, 4), (2, 1))
     assert psi.amplitudes[2 * 4 + 1] == 1.0

@@ -21,7 +21,7 @@ from squidqed.protocols import (ExecutionParams, GateSchedule,
                                 schedule_swap, schedule_transfer)
 from squidqed.squid import LevelStructure, load_preset, solve
 from squidqed.verify import (ScanResult, TruthRow, TruthTable,
-                             check_truth_table,
+                             check_gate, check_truth_table,
                              computational_propagator, concurrence,
                              corrupt_first_pulse, dispersive_error_point,
                              dispersive_error_scan, gate_fidelity,
@@ -562,6 +562,23 @@ def test_batched_photon_sampling_is_bitwise_the_per_column_sampler():
                     dim, n_samples, vecs.shape)
 
 
+def test_photon_peaks_do_not_depend_on_the_sample_block(monkeypatch):
+    # three equal rows: a block of two leaves the third alone, which numpy
+    # would multiply and sum in another order than a block of three
+    rng = np.random.default_rng(1)
+    dim, nfock = 72, 8
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w, v = np.linalg.eigh(m + m.conj().T)
+    block = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+    block /= np.linalg.norm(block, axis=0)
+    phases = np.repeat(np.exp(-1j * w * 3.7)[None], 3, axis=0)
+    peaks = []
+    for rows in (2, 3, 128):
+        monkeypatch.setattr(verify, "_SAMPLE_BLOCK", rows)
+        peaks.append(_sampled_photon_peaks(phases, v, block, nfock))
+    assert peaks[0] == peaks[1] == peaks[2], peaks
+
+
 #: Columns of the default `dispersive_error_scan()`, stored at full repr
 #: precision; the guard below prints new literals when they move.
 _DISPERSIVE_DEFAULT_COLUMNS = {
@@ -598,6 +615,25 @@ def test_dispersive_scan_samples_each_segment_once_per_ratio(monkeypatch):
     dispersive_error_scan()
     # one controlled-phase wait per ratio, all four inputs in one block
     assert blocks == [(36, 4)] * 3
+
+
+@pytest.mark.parametrize("table", [None, truth_table_cps()],
+                         ids=["basis", "cps table"])
+@pytest.mark.parametrize("ratio", verify.DEFAULT_DISPERSIVE_RATIOS + (0.07,))
+def test_the_cavity_gate_check_agrees_with_the_dispersive_point(ratio, table):
+    # the params dispersive_error_point builds; the cavity gate must read
+    # its fidelity, its photon peak and its condition bit for bit
+    point = dispersive_error_point(ratio)
+    params = ExecutionParams(g02=float(ratio), detuning=1.0,
+                             explicit_cavity=True, fock_cutoff=4)
+    _, _, readings, failures = check_gate(schedule_cps(), table,
+                                          "hamiltonian", params)
+    got = dict(readings)
+    assert got["gate_fidelity_dimensionless"] == point["gate_fidelity"]
+    assert got["peak_photon_population_dimensionless"] == point["peak"]
+    condition_failed = any(f.startswith("dispersive condition ")
+                           for f in failures)
+    assert condition_failed == (not point["condition_ok"])
 
 
 def _clear_package_caches() -> list[str]:
