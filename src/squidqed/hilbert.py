@@ -25,6 +25,7 @@ __all__ = [
     "basis_state",
     "kron",
     "matexp_unitary",
+    "block_eigh",
     "fidelity_up_to_global_phase",
     "partial_trace",
 ]
@@ -184,6 +185,49 @@ def matexp_unitary(h: Operator, t: float) -> Operator:
     w, v = np.linalg.eigh(h.entries)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return Operator(u, h.dims)
+
+
+def block_eigh(h) -> tuple[np.ndarray, np.ndarray,
+                           tuple[np.ndarray, np.ndarray]]:
+    """Eigensystem of a Hermitian matrix found on its invariant blocks.
+
+    The blocks are the connected components of the nonzero pattern of h:
+    basis states h couples, directly or through others.  Each block size
+    gets one stacked `np.linalg.eigh`.  Returns ``(w, v, (j, l))``: the
+    eigenvalues and the eigenvectors as the columns of v, the eigenvectors
+    of a block in the columns of the block's basis indices, so that
+    v[i, j] is exactly zero unless i and j share a block; and the
+    within-block index pairs j < l, as two arrays ordered by j, then l.
+    """
+    h = np.asarray(h)
+    coupled = h != 0
+    label = np.full(len(h), -1)
+    for start in range(len(h)):
+        if label[start] < 0:
+            front = [start]
+            label[start] = start
+            while len(front):
+                front = np.flatnonzero(coupled[front].any(axis=0)
+                                       & (label < 0))
+                label[front] = start
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    by_size: dict[int, list] = {}
+    for block in np.split(order, cuts):
+        by_size.setdefault(len(block), []).append(block)
+    w = np.empty(len(h))
+    v = np.zeros(h.shape, dtype=np.result_type(h, 1.0))
+    j, l = [], []
+    for size, blocks in by_size.items():
+        idx = np.array(blocks)
+        w[idx], v[idx[:, :, None], idx[:, None, :]] = np.linalg.eigh(
+            h[idx[:, :, None], idx[:, None, :]])
+        r, s = np.triu_indices(size, 1)
+        j.append(idx[:, r].ravel())
+        l.append(idx[:, s].ravel())
+    j, l = np.concatenate(j), np.concatenate(l)
+    first = np.lexsort((l, j))
+    return w, v, (j[first], l[first])
 
 
 def fidelity_up_to_global_phase(psi: StateVector, phi: StateVector) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from .hamiltonians import (_X02, _X20, _check_fock_cutoff, _on_loop,
                            _resonant_drive, gamma_eff, h_eff_vacuum,
                            loop_cavity_hamiltonian)
-from .hilbert import Operator, StateVector, matexp_unitary
+from .hilbert import Operator, StateVector, block_eigh, matexp_unitary
 from .dynamics import EvolutionResult
 
 __all__ = [
@@ -343,21 +343,30 @@ def _run_dims(params: ExecutionParams) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _cavity_eigensystem(g02: float, detuning: float, fock_cutoff: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigensystem (w, v) of the explicit-cavity generator in the
-    frame co-rotating with the 0<->2 transitions,
+def _cavity_blocks(g02: float, detuning: float, fock_cutoff: int) -> tuple:
+    """Read-only `block_eigh` (w, v, pairs) of the explicit-cavity generator
+    in the frame co-rotating with the 0<->2 transitions,
     H' = -Delta n_hat + g02 (a |2><0|_a + a |2><0|_b + h.c.)
     on (loop_a, loop_b, cavity), with Delta = omega_20 - omega_c:
     `loop_cavity_hamiltonian` with zero level frequencies and omega_c
-    replaced by -Delta.  Shared by the dispersive-segment propagator and the
-    photon statistics sampled inside the segment."""
-    w, v = np.linalg.eigh(loop_cavity_hamiltonian(
+    replaced by -Delta.  H' conserves the excitation number (photons plus
+    loops in |2>), so it splits into invariant blocks of at most four
+    states: 20 at Fock cutoff 4, 36 at cutoff 8.  A segment's propagator
+    and the photon statistics sampled inside it share this eigensystem."""
+    w, v, pairs = block_eigh(loop_cavity_hamiltonian(
         (0.0, 0.0, 0.0), -detuning, g02 * (_X02 + _X20).real, fock_cutoff, 2,
         rotating_wave=True))
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+    for a in (w, v, *pairs):
+        a.setflags(write=False)
+    return w, v, pairs
+
+
+def _cavity_eigensystem(g02: float, detuning: float, fock_cutoff: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensystem (w, v) of `_cavity_blocks`, which the segment
+    propagator is built from; v is exactly zero off the invariant
+    blocks."""
+    return _cavity_blocks(g02, detuning, fock_cutoff)[:2]
 
 
 def _cavity_dispersive_unitary(params: ExecutionParams, t: float) -> np.ndarray:

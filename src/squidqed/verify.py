@@ -18,12 +18,16 @@ excursions and each dispersive scan point run their inputs as one block
 through `protocols._run_block` (one block per backend), and read every
 check from that (inputs, steps + 1, dim) array.
 
-Photon statistics are sampled at 512 evenly spaced times from a table of
-phases e^{-i w t} on the generator's eigenvalues w.  For an
-explicit-cavity segment the table depends only on (g02, detuning,
-fock_cutoff, segment length), so `_segment_phases` builds it once and
-every later run of that segment reads it; a rotating-wave point builds its
-own.
+Photon statistics are sampled at 512 evenly spaced times as quadratic
+forms on the generator's eigenbasis: the photon number and the top-Fock
+projector read on the eigenvalue pairs (j, l) against the pair phases
+e^{i (w_j - w_l) t}.  An explicit-cavity segment uses the invariant blocks
+of `protocols._cavity_blocks`, so only within-block pairs count (24 at
+Fock cutoff 4, 56 at cutoff 8); its pair table depends only on (g02,
+detuning, fock_cutoff, segment length), so `_segment_phases` builds it
+once and every later run of that segment reads it.  A rotating-wave
+point samples its dense full model as one block and builds its pair
+table a few times at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .hamiltonians import (CONDITION_RATIO_MAX, _check_fock_cutoff,
 from .hilbert import (Operator, StateVector, basis_state,
                       fidelity_up_to_global_phase)
 from .protocols import (AraStep, ExecutionParams, GateSchedule, PulseAction,
-                        _cavity_eigensystem, _run_block, schedule_cps,
+                        _cavity_blocks, _run_block, schedule_cps,
                         schedule_swap, schedule_transfer)
 
 __all__ = [
@@ -93,12 +98,6 @@ FOCK_VIOLATION_TOL = 1e-6
 #: Largest amplitude deviation a truth-table column may show and still
 #: pass: the exact backends reach their declared images to roundoff.
 TRUTH_TABLE_ATOL = 1e-9
-
-#: Time points evaluated together when photon statistics are sampled (one
-#: more in a last block that would leave a lone point); it bounds the
-#: (columns x block x dimension) temporaries of each product.
-_SAMPLE_BLOCK = 128
-
 
 # ---------------------------------------------------------------------------
 # fidelity metrics
@@ -468,8 +467,9 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
     propagated exactly with one eigendecomposition of its H0 + V; the
     interaction-picture frame e^{i H0 T} is common to both and cancels in
     the overlap.  Photon statistics do not depend on the frame and are
-    sampled densely on the full model's eigenbasis.  The couplings are the
-    stored loop pattern scaled by g02: numpy only, in process.
+    sampled on the full model's dense eigenbasis, as one block of all its
+    eigenvalue pairs.  The couplings are the stored loop pattern scaled by
+    g02: numpy only, in process.
 
     Returns ``error``, ``peak`` (photon number), ``violation`` (top Fock
     level populated beyond `FOCK_VIOLATION_TOL`) and the reduction
@@ -512,8 +512,10 @@ def rwa_error_point(ratio: float, g02: float = TWO_PI * 1.0e7, *,
     w, v = np.linalg.eigh(loop_cavity_hamiltonian(levels, omega_c, g,
                                                   fock_cutoff))
     psi_full = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
-    peak_n, peak_top = _sampled_photon_peaks(_phase_table(w, t_end), v,
-                                             probe, fock_cutoff)
+    pairs = np.triu_indices(len(w), 1)
+    peak_n, peak_top = _sampled_photon_peaks(
+        _pair_phases(w, pairs, t_end), _photon_forms(v, pairs, fock_cutoff),
+        probe)
     w, v = np.linalg.eigh(loop_cavity_hamiltonian(
         levels, omega_c, g, fock_cutoff, rotating_wave=True))
     psi_rwa = v @ (np.exp(-1j * w * t_end) * (v.conj().T @ probe))
@@ -533,59 +535,113 @@ def rwa_error_scan(ratio_list=DEFAULT_RWA_RATIOS, *args, **kwargs
     return _scan("rwa", ratio_list, rwa_error_point, *args, **kwargs)
 
 
-def _phase_table(w: np.ndarray, t_end: float, n_samples: int = 512
-                 ) -> np.ndarray:
-    """Phases e^{-i w t}, one row per time of n_samples evenly spaced times
-    in [0, t_end], one column per eigenvalue in w."""
-    return np.exp(-1j * np.outer(np.linspace(0.0, t_end, n_samples), w))
+#: Most entries (sampled times x pairs) of a pair-phase table built at
+#: once: a larger table is built, and read, in runs of sampled times (at
+#: least one), so its temporaries stay small at any Fock cutoff.
+_CHUNK_ENTRIES = 1 << 12
+
+
+def _pair_phases(w: np.ndarray, pairs: tuple, t_end: float,
+                 n_samples: int = 512):
+    """Yield the phases e^{i (w_j - w_l) t} of the eigenvalue pairs (j, l)
+    at n_samples evenly spaced times t in [0, t_end], one row per time and
+    one column per pair, in C-ordered runs of rows of at most
+    `_CHUNK_ENTRIES` entries.  Each is conj(e^{-i w_j t}) e^{-i w_l t},
+    from the phases the propagator e^{-i w t} is built from."""
+    j, l = pairs
+    times = np.linspace(0.0, t_end, n_samples)
+    rows = max(1, _CHUNK_ENTRIES // max(1, len(j)))
+    for start in range(0, n_samples, rows):
+        phases = np.exp(-1j * np.outer(times[start:start + rows], w))
+        chunk = np.take(phases, j, axis=1)
+        np.conjugate(chunk, out=chunk)
+        chunk *= np.take(phases, l, axis=1)
+        yield chunk
 
 
 @lru_cache(maxsize=8)
 def _segment_phases(g02: float, detuning: float, fock_cutoff: int,
                     t_end: float) -> np.ndarray:
-    """Read-only `_phase_table` of the explicit-cavity segment of length
-    t_end, on the eigenvalues of `_cavity_eigensystem`: it does not depend
-    on the states sampled, so each segment builds it once.  Its last row
-    is the e^{-i w t_end} of the segment propagator, bit for bit up to the
-    sign of a zero."""
-    w, _ = _cavity_eigensystem(g02, detuning, fock_cutoff)
-    phases = _phase_table(w, t_end)
-    phases.setflags(write=False)
-    return phases
+    """Read-only `_pair_phases` table of the explicit-cavity segment of
+    length t_end, on the eigenvalues and within-block pairs of
+    `_cavity_blocks`: it does not depend on the states sampled, so each
+    segment builds it once.  Its last row is conj(e^{-i w_j t_end})
+    e^{-i w_l t_end} from the phases of the segment propagator."""
+    w, _, pairs = _cavity_blocks(g02, detuning, fock_cutoff)
+    table = np.concatenate(list(_pair_phases(w, pairs, t_end)))
+    table.setflags(write=False)
+    return table
 
 
-def _sampled_photon_peaks(phases: np.ndarray, v: np.ndarray,
-                          vecs: np.ndarray, nfock: int
+class _PhotonForms(NamedTuple):
+    """The photon number and the top-Fock-level projector on an eigenbasis
+    v of states that end in the cavity factor, cavity index fast: each
+    observable O as the form v^dag O v, one row per observable, read on
+    its diagonal (``diagonal``, 2 x dim, real) and on the eigenvalue pairs
+    (j, l) (``on_pairs``, 2 x pairs)."""
+
+    v: np.ndarray
+    pairs: tuple
+    diagonal: np.ndarray
+    on_pairs: np.ndarray
+
+
+def _photon_forms(v: np.ndarray, pairs: tuple, nfock: int) -> _PhotonForms:
+    """`_PhotonForms` of the eigenbasis v on ``pairs``, which must hold
+    every pair j < l where v^dag O v can be nonzero: the within-block pairs
+    of a v that is exactly zero off-block, all pairs of a dense one."""
+    photons = np.tile(np.arange(nfock, dtype=float), len(v) // nfock)
+    j, l = pairs
+    diagonal, on_pairs = [], []
+    for o in (photons, photons == nfock - 1):
+        form = v.conj()
+        form *= o[:, None]  # in place: one dim x dim temporary
+        form = form.T @ v
+        diagonal.append(form.diagonal().real)
+        on_pairs.append(form[j, l])
+    return _PhotonForms(v, pairs, np.array(diagonal), np.array(on_pairs))
+
+
+@lru_cache(maxsize=8)
+def _cavity_photon_forms(g02: float, detuning: float, fock_cutoff: int
+                         ) -> _PhotonForms:
+    """`_photon_forms` of the explicit-cavity eigensystem `_cavity_blocks`,
+    built once per eigensystem; all of its segments read them."""
+    _, v, pairs = _cavity_blocks(g02, detuning, fock_cutoff)
+    return _photon_forms(v, pairs, fock_cutoff)
+
+
+def _sampled_photon_peaks(phases, forms: _PhotonForms, vecs: np.ndarray
                           ) -> tuple[float, float]:
     """Peak expected photon number and peak top-Fock-level population of
-    v e^{-i w t} v^dag vec at the times of a `_phase_table` ``phases``
-    (rows e^{-i w t}), maximised over every column vec of the (dim x k)
-    block vecs (a 1-D vector is one column).  The states end in the cavity
-    factor, cavity index fast.  The table comes from the caller: memoized
-    per segment by `_segment_phases` for cavity runs, built per point by
-    `rwa_error_point`.  Each block of _SAMPLE_BLOCK rows meets all k
-    columns in one batched product, rows e^{-i w t} (v^dag vec) times v^T,
-    that numpy runs as one product per column; top-level populations are
-    summed from a (k, levels, rows) gather, in a one-column call's order.
-    So the peaks are bit-identical to the maxima of k one-column calls,
-    and, for a table of two or more rows, the same for any block size."""
-    cols = np.ascontiguousarray(vecs.T if vecs.ndim == 2 else vecs[None])
-    num_diag = np.tile(np.arange(nfock, dtype=float), cols.shape[1] // nfock)
-    top = np.arange(nfock - 1, cols.shape[1], nfock)
-    v_dag = v.conj().T
-    coeffs = np.stack([v_dag @ col for col in cols])[:, None]
-    peak_n, peak_top = 0.0, 0.0
-    n = len(phases)
-    # a lone last row joins the block before it: numpy multiplies and sums
-    # a one-row block in another order than a longer one
-    for start in range(0, n - 1, _SAMPLE_BLOCK) if n > 1 else range(n):
-        stop = start + _SAMPLE_BLOCK
-        block = phases[start:stop if stop < n - 1 else n]
-        prob = np.abs((block * coeffs) @ v.T) ** 2
-        peak_n = max(peak_n, float((num_diag * prob).sum(axis=-1).max()))
-        peak_top = max(peak_top, float(
-            np.take(prob.swapaxes(1, 2), top, axis=1).sum(axis=1).max()))
-    return peak_n, peak_top
+    v e^{-i w t} v^dag vec over the sampled times of ``phases``, runs of
+    `_pair_phases` rows on the pairs of ``forms``, maximised over every
+    column vec of the (dim x k) block vecs (a 1-D vector is one column).
+
+    With c = v^dag vec, each reading is the quadratic form
+    <O>(t) = sum_j |c_j|^2 O_jj + 2 Re sum_(j<l) a_jl e^{i (w_j - w_l) t}
+    over the pairs, a_jl = conj(c_j) c_l O_jl.  Re(e^{i theta} a) is the
+    dot product of (cos theta, sin theta) with (Re a, -Im a), the real
+    views of a phase and of conj(a), so each run of rows meets every column
+    in one real (2 x 2 pairs) @ (2 pairs x rows) product, one row per
+    observable, all in one batched call; every column gets a product of
+    its own, so the peaks are bit-identical to the maxima of k one-column
+    calls."""
+    cols = vecs.T if vecs.ndim == 2 else vecs[None]
+    v_dag = forms.v.conj().T
+    c = np.array([v_dag @ col for col in cols])
+    j, l = forms.pairs
+    steady = (forms.diagonal * (np.abs(c) ** 2)[:, None]).sum(axis=-1)
+    weights = ((np.take(c, j, axis=1).conj() * np.take(c, l, axis=1))[:, None]
+               * forms.on_pairs)
+    np.conjugate(weights, out=weights)
+    weights = weights.view(float)
+    swing = np.full(steady.shape, -np.inf)
+    for chunk in phases:
+        np.maximum(swing, np.matmul(weights, chunk.view(float).T).max(axis=-1),
+                   out=swing)
+    peak_n, peak_top = (steady + 2.0 * swing).max(axis=0)
+    return max(0.0, float(peak_n)), max(0.0, float(peak_top))
 
 
 def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
@@ -596,16 +652,17 @@ def _run_photon_peaks(schedule: GateSchedule, params: ExecutionParams,
     dispersive segments are sampled, each from the states the runs start it
     in, on the eigensystem the segment propagator was built from.  The
     schedule is walked once: every segment is one sampler call on the block
-    of all runs, with the segment's memoized `_segment_phases` table, so the
-    runs, and every later run of the segment, share that table."""
+    of all runs, with the segment's memoized `_segment_phases` table and
+    the eigensystem's memoized `_cavity_photon_forms`, so the runs, and
+    every later run of the segment, share both."""
     nfock = params.fock_cutoff
-    _, v = _cavity_eigensystem(params.g02, params.detuning, nfock)
+    forms = _cavity_photon_forms(params.g02, params.detuning, nfock)
     peak_n, peak_top = 0.0, 0.0
     for k, step in enumerate(schedule.steps):
         if not isinstance(step, AraStep):
             phases = _segment_phases(params.g02, params.detuning, nfock,
                                      step.duration(params.gamma))
-            n, top = _sampled_photon_peaks(phases, v, runs[:, k].T, nfock)
+            n, top = _sampled_photon_peaks((phases,), forms, runs[:, k].T)
             peak_n = max(peak_n, n)
             peak_top = max(peak_top, top)
     return peak_n, peak_top

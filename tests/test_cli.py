@@ -368,10 +368,18 @@ def test_spectrum_loads_the_solver_and_no_gate_stack(tmp_path):
 
 
 def test_scan_and_gate_load_neither_the_solver_nor_scipy_linalg(tmp_path):
+    rwa = tmp_path / "rwa.json"
+    rwa.write_text(json.dumps({"scan_kind": "rwa", "grid": [0.02]}))
     loaded = loaded_after(["scan", "--out", str(tmp_path / "scan")],
-                          ["gate", "--out", str(tmp_path / "gate")])
+                          ["scan", "--config", str(rwa),
+                           "--out", str(tmp_path / "rwa")],
+                          ["gate", "--out", str(tmp_path / "gate")],
+                          ["gate", "--backend", "cavity",
+                           "--out", str(tmp_path / "cavity")])
     assert {"squidqed.verify", "squidqed.protocols"} <= loaded
     assert not loaded & {"squidqed.squid", "scipy.linalg"}
+    # no scipy module at all: both commands run on numpy alone
+    assert not {n for n in loaded if n.partition(".")[0] == "scipy"}
 
 
 def test_gate_and_feasibility_load_neither_openssl_nor_the_solver(tmp_path):
@@ -526,9 +534,9 @@ def test_cavity_gate_samples_photons_once(tmp_path, monkeypatch):
     blocks = []
     real = verify._sampled_photon_peaks
 
-    def counted(w, v, vecs, *args):
+    def counted(phases, forms, vecs):
         blocks.append(vecs.shape)
-        return real(w, v, vecs, *args)
+        return real(phases, forms, vecs)
 
     monkeypatch.setattr(verify, "_sampled_photon_peaks", counted)
     assert run_cli(tmp_path, "gate", {"schedule": "cps"},
@@ -566,10 +574,16 @@ def test_gate_runs_each_input_once(tmp_path, monkeypatch, schedule, backend):
             "1.000000000000e+00"
 
 
+def _moved(got: dict, stored: dict) -> str:
+    """One line per key whose digests moved, old -> new."""
+    return "".join(f"\n  {key!r}: {stored[key]!r} -> {got.get(key)!r}"
+                   for key in stored if got.get(key) != stored[key])
+
+
 #: SHA-256 of (gate_states.csv, gate_summary.txt) for each schedule and
 #: backend at the default config, plus the cavity runs at Fock cutoff 8
-#: (keys "schedule backend [fock_cutoff]"); the guard below prints new
-#: literals.
+#: (keys "schedule backend [fock_cutoff]"); the guard below prints the
+#: keys that moved, old -> new.
 _GATE_DIGESTS = {
     "cps analytic": (
         "15400e91f52852f2346423f42318123df2d65af23e134a1ee300c2d5624d5e45",
@@ -578,8 +592,8 @@ _GATE_DIGESTS = {
         "25f0a2c206e6d43f23d05157d1bd76b1e35df7f41ed07aac484b45729b5ae5e1",
         "bcbe5f5daf66a88218183942532aee772b611b1a0ce002906020c9d8f9b27912"),
     "cps cavity": (
-        "af09c9e6f523d9861d684ce709ef1b9e21e3cf249b58798328dafd50fac0ee1e",
-        "e78c68f7133ed8ab43665052112bb1452b241bc33e96e9e3b3f4b904d64ba10b"),
+        "52d2e09918bce77c32fc70c5383d38bc49bf448fd3aaf505ac335b5e7d311b53",
+        "a553f08fe2104c031205765c12b84835bd6a78230b05997a06bc385705ff925d"),
     "swap analytic": (
         "62609a7a76eacd9fd77c760ab46356828501d47f24b102d10537fc158703a561",
         "b5be39ff995a05a77017ef15ec0fc68d4e4d92467ea22888ff7d127fdb616260"),
@@ -587,8 +601,8 @@ _GATE_DIGESTS = {
         "d6645741b2992385942c99e3b6bf2aec3913f0e97e9cfc919a7bf15b8f9d0f4b",
         "121205fe3a8a564f132c719b39e8362b9314962295765cad96bfad0694984d7e"),
     "swap cavity": (
-        "b28ad46a164e026b78d3a9ce691cf5aea937cca4d6d08c7c1cf5cb18a6701079",
-        "d3915d1a69a017f6b1aa19cf535fb276fe0f7d31685d6f622ca5048527b223db"),
+        "0ff9a75b8269d1445fbdc3248b63bf72b3fbe1ca4f44701c37f8c8e3230551e6",
+        "443b0d95f0ffaa5a2442b4527631b33a869d06d6e6cdcb2f1798a5e9abb1e3ae"),
     "transfer analytic": (
         "6c0838f2f92842c24838c45cbdadff04956ce40be09dc3adb63137d7f9bd2ce1",
         "fecd899bb046456647eb02b7f3053817ab938dfa4210c04149627ddd66f50714"),
@@ -596,8 +610,8 @@ _GATE_DIGESTS = {
         "fb8421386187f5c7afc905468e309c47fafad0354887eef4b44586d59fdfa80c",
         "fd2106a5a26cd43af0a6d633f65c238332f793ccb93ebed35a15a2403508ed2f"),
     "transfer cavity": (
-        "5d1cc96d9073ab9cdcf300a495484defac697d4eb22aea10b144f7d09f07546a",
-        "726bb280df1f63b91205080816bc0c32eb33dcd6cb871600dcbe025324a5abad"),
+        "ddea45ba64a5954c7b711a9950a7025d6d222bbbafd63673e5b0bb26882a3634",
+        "e57118139db4a0133b599cb064d7d7dd3fd74b7d1bbe4c8cdf418d043d5257d8"),
     "entangle analytic": (
         "bee5035843575427edd98ac3ac38dcdd81e3f993f39e64c1b38a89f47063bd59",
         "4344f9ed491705e1da4c1d2cea4e84e6dc718a20d3e465cfdc88c7d638425fd3"),
@@ -605,20 +619,20 @@ _GATE_DIGESTS = {
         "ac171fe1c29edd5dceb0e20d96ac64256e58068d5e50a39a89aec2904e21e3f2",
         "be6396f1cbefed9c382fafe6e561621f9101f3da3eb20564f7aa53f6f73fdbe9"),
     "entangle cavity": (
-        "5bcc53a15e139773b2b08c7d013000879d767414c6e7e26871752f3f02cccc82",
-        "615386108b0ac2ab6257a8c5ddb2406419517b99ae27d9951989189aed9b2690"),
+        "044a5efe51e7ba2faec1fa293f6cff2fd3369297aadb65f079f9edde2d42b03d",
+        "05a9c86226d25867d22a9362ef6bd56a32307734795941e4be527f9b1d175d70"),
     "cps cavity 8": (
-        "6a702b260108c16637af49f2595b80961f38792f2077bc50803a024b5aa11313",
-        "4ba66e0e52d91da15af9f7e1ac04f3af1410caaa97d2b6fb03f6d1d9b761d819"),
+        "a6117d1e96286ee4c7616f2667afa467b16c2110a593bbe40fbda7b07d5e4085",
+        "416602ca2ff63de33963f9f1530d605c107fef47086ce2f8e8d8095c76736f28"),
     "swap cavity 8": (
-        "94416beb37d85141f0ff6d6eb6265b92f445130ce44d44bcbc16ca1e3a6bc40b",
-        "0d859e52cb36e1ba128c295140f3de8408e1fcf97cbe28c5add865f172328a2a"),
+        "6d9c9b45577802721ca22149bef7adccc56769d1231838d57ce3fcb23c835d3e",
+        "5ea377ca42a19ffd16a05980008e426fa8a6cf2fc41562d651566620f7801b4b"),
     "transfer cavity 8": (
-        "d236461b1714e218b35ea126e64416aa97b716c48a63be198ccd5f3f23d5486b",
-        "f09ef8080f8006a41485de6c429c9f1ec7e867376b7fb9b47fbfe9b35cc68d29"),
+        "c55725cac3ca153da464fcf033d924a10fbca6b9c1e74dffe2bfd7d6390f290d",
+        "fd2f9cfad7e76c638b0dd3b4c1e87ee5dbe1822a50cc17a2d4ea61c0d7fbfcb6"),
     "entangle cavity 8": (
-        "bbbab8435b43137dce8755b76e03c6eed86aa8be98acdf189720adaef1283053",
-        "7eb0dc07f36b37ea9fd02af11c00a712bdd98fde9bf396aef2855dae2d8aa263"),
+        "10475e03423dcb39b53c084dc479a5d899eba17f4ece779d8e73f51178827551",
+        "0bc9c09bd5f70d4c91aa5d3210bfaac02d002c0fc6510b8440bb2e26a9eed68b"),
 }
 
 
@@ -635,7 +649,8 @@ def test_gate_outputs_are_byte_stable(tmp_path):
         assert run_cli(out, "gate", cfg, extra=["--backend", backend]) == 0
         got[key] = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                          for name in ("gate_states.csv", "gate_summary.txt"))
-    assert got == _GATE_DIGESTS, f"gate outputs moved; store {got!r}"
+    assert got == _GATE_DIGESTS, \
+        f"gate outputs moved:{_moved(got, _GATE_DIGESTS)}"
 
 
 #: SHA-256 of scan.csv for rotating-wave scans: the default grid, and a
@@ -659,7 +674,25 @@ def test_rwa_scan_outputs_are_byte_stable(tmp_path):
         assert run_cli(out, "scan", cfg) == 0
         got[key] = hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest()
     want = {key: digest for key, (_, digest) in _RWA_SCAN_DIGESTS.items()}
-    assert got == want, f"rotating-wave scan outputs moved; store {got!r}"
+    assert got == want, \
+        f"rotating-wave scan outputs moved:{_moved(got, want)}"
+
+
+@pytest.mark.parametrize("fock_cutoff", [4, 8])
+@pytest.mark.parametrize("schedule", _SCHEDULES)
+def test_cavity_gate_reads_no_population_in_an_unreachable_top_level(
+        tmp_path, schedule, fock_cutoff):
+    # the inputs hold at most two excitations (photons plus loops in |2>),
+    # which the exchange conserves and the pulses never raise past two, so
+    # the top Fock level is out of reach and its population is exactly 0
+    assert run_cli(tmp_path, "gate", {"schedule": schedule,
+                                      "fock_cutoff": fock_cutoff},
+                   extra=["--backend", "cavity"]) == 0
+    summary = grab(tmp_path, "gate_summary.txt")
+    assert float(summary_value(summary,
+                               "top_fock_population_dimensionless")) == 0.0
+    assert float(summary_value(summary,
+                               "peak_photon_population_dimensionless")) > 0.0
 
 
 def test_cavity_entangle_reaches_the_target(tmp_path):
@@ -790,8 +823,8 @@ def test_feasibility_refuses_a_budget_that_overflows(tmp_path, capsys, cfg,
 
 
 #: SHA-256 of the data files of spectrum, feasibility and the dispersive
-#: scan at fixed configs, keyed by a label; the guard below prints new
-#: literals.
+#: scan at fixed configs, keyed by a label; the guard below prints the
+#: keys that moved, old -> new.
 _DATA_DIGESTS = {
     "spectrum ref15_like": (
         "spectrum", {"preset": "ref15_like"},
@@ -811,7 +844,7 @@ _DATA_DIGESTS = {
         ("2a6fcca7778dd54466dd8fc3dfc63263438bf018f460035b346ba4de751e32e6",)),
     "scan dispersive": (
         "scan", {"scan_kind": "dispersive"},
-        ("33a1cbd1b4930d2b195f5eb235cb9170e96927e1c0e500e4da311fa55f60e138",)),
+        ("1de4789a14b7862281c2f3a7cdbc15e95f4d0c42cd56ec91601cace8b3b5d599",)),
 }
 
 _DATA_FILES = {
@@ -832,7 +865,7 @@ def test_data_outputs_are_byte_stable(tmp_path):
         got[key] = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                          for name in _DATA_FILES[command])
     want = {key: digests for key, (_, _, digests) in _DATA_DIGESTS.items()}
-    assert got == want, f"data outputs moved; store {got!r}"
+    assert got == want, f"data outputs moved:{_moved(got, want)}"
 
 
 def test_spectrum_inline_keys_match_the_preset(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from squidqed.hilbert import (CapacityError, HermiticityError, Operator,
-                              StateVector, basis_state,
+                              StateVector, basis_state, block_eigh,
                               fidelity_up_to_global_phase, kron, matexp_unitary,
                               partial_trace)
 
@@ -249,3 +249,40 @@ def test_a_space_above_the_cap_is_refused_before_it_is_built(monkeypatch):
                                  "dense-storage cap 40$"):
             build()
     assert CavityMode(omega_c=1.0, fock_cutoff=13).fock_cutoff == 13
+
+
+def _check_block_eigh(h, labels):
+    """block_eigh of h against the block label of every basis state: an
+    eigensystem to roundoff, exactly zero off-block, pairs those of equal
+    labels."""
+    w, v, (j, l) = block_eigh(h)
+    n = len(h)
+    assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-14
+    assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-14 * np.abs(h).max()
+    same = labels[:, None] == labels[None, :]
+    assert not v[~same].any()
+    want_j, want_l = np.nonzero(np.triu(same, 1))
+    assert np.array_equal(j, want_j) and np.array_equal(l, want_l)
+
+
+def test_block_eigh_keeps_a_dense_matrix_one_block():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 12, 36):
+        _check_block_eigh(random_hermitian(rng, n), np.zeros(n))
+
+
+def test_block_eigh_finds_the_connected_components():
+    # blocks of sizes 1 to 4, scattered over the basis by a permutation,
+    # each a chain 0-1-2-3 whose ends couple only through the middle
+    rng = np.random.default_rng(43)
+    sizes = (3, 1, 4, 2, 4, 1, 3)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    h = np.zeros((len(labels),) * 2, dtype=complex)
+    start = 0
+    for size in sizes:
+        block = random_hermitian(rng, size)
+        block[np.abs(np.subtract.outer(range(size), range(size))) > 1] = 0.0
+        h[start:start + size, start:start + size] = block
+        start += size
+    perm = rng.permutation(len(labels))
+    _check_block_eigh(h[np.ix_(perm, perm)], labels[perm])

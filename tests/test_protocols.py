@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 from squidqed import protocols
-from squidqed.hamiltonians import _on_loop, _unit, h_eff_vacuum
+from squidqed.hamiltonians import (_on_loop, _unit, h_eff_vacuum,
+                                   loop_cavity_hamiltonian)
 from squidqed.hilbert import Operator, StateVector, basis_state, matexp_unitary
 from squidqed.protocols import (AraStep, DispersiveStep, ExecutionParams,
                                 GateSchedule, PulseAction, SCHEDULE_BUILDERS,
                                 dispersive_map, execute, rotation_map,
                                 schedule_cps, schedule_entanglement,
                                 schedule_swap, schedule_transfer,
-                                simultaneous, _cavity_dispersive_unitary,
+                                simultaneous, _cavity_blocks,
+                                _cavity_dispersive_unitary,
                                 _cavity_eigensystem, _run_block,
                                 _schedule_unitaries, _step_unitary,
                                 _with_cavity_vacuum)
@@ -338,7 +340,7 @@ def test_execute_unchanged_by_cache_clear():
             run()  # fills the caches
             warm = run()
             _schedule_unitaries.cache_clear()
-            _cavity_eigensystem.cache_clear()
+            _cavity_blocks.cache_clear()
             cold = run()
             np.testing.assert_array_equal(warm.final_state.amplitudes,
                                           cold.final_state.amplitudes)
@@ -527,3 +529,61 @@ def test_run_block_refuses_a_block_that_is_not_k_by_9(inputs):
     with pytest.raises(ValueError, match=f"^inputs of shape {shape} are not "
                                          "a block of two-loop rows$"):
         protocols._run_block(schedule_cps(), inputs, "analytic", None)
+
+
+def _excitation_labels(fock_cutoff: int) -> np.ndarray:
+    """Invariant block of every basis state of (loop_a, loop_b, cavity)
+    under the co-rotating exchange: which loops sit in |1>, and the
+    excitation number, photons plus loops in |2>."""
+    a, b, n = np.indices((3, 3, fock_cutoff)).reshape(3, -1)
+    return 1000 * (a == 1) + 100 * (b == 1) + n + (a == 2) + (b == 2)
+
+
+@pytest.mark.parametrize("fock_cutoff, n_blocks", [(4, 20), (8, 36)])
+def test_cavity_blocks_are_the_excitation_blocks(fock_cutoff, n_blocks):
+    w, v, (j, l) = _cavity_blocks(0.05, 1.0, fock_cutoff)
+    labels = _excitation_labels(fock_cutoff)
+    _, sizes = np.unique(labels, return_counts=True)
+    assert len(sizes) == n_blocks and sizes.max() == 4
+    same = labels[:, None] == labels[None, :]
+    assert not v[~same].any()
+    assert (list(zip(j, l))
+            == list(zip(*np.nonzero(np.triu(same, 1)))))
+    assert len(j) == {4: 24, 8: 56}[fock_cutoff]
+    for a in (w, v, j, l):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("fock_cutoff", [4, 8])
+@pytest.mark.parametrize("ratio", [0.05, 0.025])
+def test_cavity_segment_propagator_matches_a_40_digit_exponential(
+        fock_cutoff, ratio):
+    # e^{-i Delta n_hat t} e^{-i H' t} from mpmath's expm at 40 digits on
+    # each excitation block.  Every eigenphase w t of the segment is
+    # rounded to doubles, so the propagator can reach the reference only
+    # to a few units of eps (1 + max|w| t): dense eigenvectors, mixed
+    # across degenerate blocks, do not (up to 4.8 units); the block ones do
+    mpmath = pytest.importorskip("mpmath")
+    params = ExecutionParams(g02=ratio, detuning=1.0,
+                             fock_cutoff=fock_cutoff, explicit_cavity=True)
+    w, _ = _cavity_eigensystem(ratio, 1.0, fock_cutoff)
+    g = np.zeros((3, 3))
+    g[0, 2] = g[2, 0] = ratio
+    h = loop_cavity_hamiltonian((0.0, 0.0, 0.0), -1.0, g, fock_cutoff, 2,
+                                rotating_wave=True).real
+    labels = _excitation_labels(fock_cutoff)
+    photons = np.tile(np.arange(fock_cutoff), 9)
+    for t in (1.0, DispersiveStep(1).duration(params.gamma)):
+        ref = np.zeros((len(h),) * 2, dtype=complex)
+        with mpmath.workdps(40):
+            for label in np.unique(labels):
+                idx = np.flatnonzero(labels == label)
+                u = mpmath.expm(mpmath.matrix(h[np.ix_(idx, idx)].tolist())
+                                * mpmath.mpc(0, -t))
+                for r, i in enumerate(idx):
+                    frame = mpmath.expj(-mpmath.mpf(t) * int(photons[i]))
+                    for c, k in enumerate(idx):
+                        ref[i, k] = complex(frame * u[r, c])
+        err = np.abs(_cavity_dispersive_unitary(params, t) - ref).max()
+        floor = np.finfo(float).eps * (1.0 + np.abs(w).max() * t)
+        assert err <= 3.0 * floor, (t, err / floor)

@@ -26,7 +26,7 @@ PRIVATE_IMPORTS = {
     *(("protocols", "hamiltonians", name) for name in (
         "_X02", "_X20", "_check_fock_cutoff", "_on_loop", "_resonant_drive")),
     ("verify", "hamiltonians", "_check_fock_cutoff"),
-    ("verify", "protocols", "_cavity_eigensystem"),
+    ("verify", "protocols", "_cavity_blocks"),
     ("verify", "protocols", "_run_block"),
 }
 
