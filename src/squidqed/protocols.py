@@ -337,11 +337,6 @@ class ExecutionParams:
             raise ValueError("gamma and rabi must be finite and positive")
 
 
-def _run_dims(params: ExecutionParams) -> tuple:
-    """Dims of a run: the two loops, then the cavity under explicit_cavity."""
-    return (3, 3, params.fock_cutoff) if params.explicit_cavity else (3, 3)
-
-
 @lru_cache(maxsize=16)
 def _cavity_blocks(g02: float, detuning: float, fock_cutoff: int) -> tuple:
     """Read-only `block_eigh` (w, v, pairs) of the explicit-cavity generator
@@ -387,9 +382,9 @@ def _cavity_dispersive_unitary(params: ExecutionParams, t: float) -> np.ndarray:
 def _step_unitary(step, backend: str, params: ExecutionParams) -> np.ndarray:
     """Read-only propagator of one constant segment on the run's dims, each
     rotation built on its own loop; memoized only by `_schedule_unitaries`."""
-    dims = _run_dims(params)
+    dims, dim = _run_layout(backend, params)
     if isinstance(step, AraStep):
-        u = np.eye(math.prod(dims), dtype=complex)
+        u = np.eye(dim, dtype=complex)
         for act in step.actions:
             if backend == "analytic":
                 r = rotation_map(act.levels, act.theta)
@@ -410,6 +405,21 @@ def _step_unitary(step, backend: str, params: ExecutionParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _run_layout(backend: str, params: ExecutionParams) -> tuple:
+    """(dims, dim) of a run on ``backend`` with ``params``: the two loops,
+    then the cavity under explicit_cavity.  An unknown backend, or the
+    analytic one with the cavity, is refused here; a refusal raises on
+    every call, since a memo keeps only what returns."""
+    if backend not in ("analytic", "hamiltonian"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "analytic" and params.explicit_cavity:
+        raise ValueError("backend 'analytic' has no cavity: explicit_cavity "
+                         "needs backend 'hamiltonian'")
+    dims = (3, 3, params.fock_cutoff) if params.explicit_cavity else (3, 3)
+    return dims, math.prod(dims)
+
+
+@lru_cache(maxsize=64)
 def _schedule_unitaries(schedule: GateSchedule, backend: str,
                         params: ExecutionParams) -> tuple:
     """The read-only propagators of a schedule's steps, in order, each built
@@ -421,13 +431,31 @@ def _schedule_unitaries(schedule: GateSchedule, backend: str,
                  for step in schedule.steps)
 
 
+@lru_cache(maxsize=16)
+def _cavity_vacuum(fock_cutoff: int) -> np.ndarray:
+    """The cavity vacuum |0> as a read-only row: the first row of an
+    identity."""
+    row = np.eye(1, fock_cutoff, dtype=complex)[0]
+    row.setflags(write=False)
+    return row
+
+
 def _with_cavity_vacuum(amplitudes: np.ndarray, fock_cutoff: int
                         ) -> np.ndarray:
-    """Two-loop amplitudes (last axis) next to the cavity vacuum |0>, the
-    first row of an identity, on (loop_a, loop_b, cavity): the product
-    `np.kron` forms, bit for bit, without its overhead."""
-    return (amplitudes[..., None] * np.eye(1, fock_cutoff, dtype=complex)[0]
+    """Two-loop amplitudes (last axis) next to the cavity vacuum |0> on
+    (loop_a, loop_b, cavity): the product `np.kron` forms, bit for bit,
+    without its overhead."""
+    return (amplitudes[..., None] * _cavity_vacuum(fock_cutoff)
             ).reshape(*amplitudes.shape[:-1], -1)
+
+
+def _chain(units: tuple, run: np.ndarray) -> None:
+    """Fill rows 1.. of one run, a (steps + 1, dim) array whose row 0 holds
+    the input, with the state after each step: the one chain of
+    matrix-vector products both entry points run.  `ndarray.dot` reaches
+    the same BLAS gemv as `np.matmul`, with less call overhead."""
+    for k, u in enumerate(units):
+        u.dot(run[k], out=run[k + 1])
 
 
 def _run_block(schedule: GateSchedule, inputs: np.ndarray, backend: str,
@@ -435,27 +463,22 @@ def _run_block(schedule: GateSchedule, inputs: np.ndarray, backend: str,
     """Run a schedule on a (k x 9) block of two-loop inputs, as `execute`
     does one.  Returns a (k, steps + 1, dim) array: each input (next to the
     cavity vacuum on the explicit-cavity backend) and then its state after
-    every step.  Each row runs its own chain of matrix-vector products, so
-    a row holds the bits of a one-input run."""
-    if backend not in ("analytic", "hamiltonian"):
-        raise ValueError(f"unknown backend {backend!r}")
+    every step.  The layout comes from `_run_layout` and the propagators
+    from `_schedule_unitaries`, each one lookup per (backend, params);
+    each row then runs the same `_chain` as a one-input `execute`, so a
+    row holds the bits of that run."""
     params = params or ExecutionParams()
-    if backend == "analytic" and params.explicit_cavity:
-        raise ValueError("backend 'analytic' has no cavity: explicit_cavity "
-                         "needs backend 'hamiltonian'")
+    _, dim = _run_layout(backend, params)
     block = np.asarray(inputs, dtype=complex)
     if block.ndim != 2 or block.shape[1] != 9:
         raise ValueError(f"inputs of shape {block.shape} are not a block "
                          f"of two-loop rows")
-    if params.explicit_cavity:
-        block = _with_cavity_vacuum(block, params.fock_cutoff)
     units = _schedule_unitaries(schedule, backend, params)
-    runs = np.empty((len(block), len(units) + 1, block.shape[1]),
-                    dtype=complex)
-    runs[:, 0] = block
+    runs = np.empty((len(block), len(units) + 1, dim), dtype=complex)
+    runs[:, 0] = (_with_cavity_vacuum(block, params.fock_cutoff)
+                  if params.explicit_cavity else block)
     for run in runs:
-        for k, u in enumerate(units):
-            np.matmul(u, run[k], out=run[k + 1])
+        _chain(units, run)
     return runs
 
 
@@ -463,7 +486,7 @@ def execute(schedule: GateSchedule, psi0: StateVector,
             backend: str = "analytic",
             params: ExecutionParams | None = None, *,
             record_intermediate: bool = False) -> EvolutionResult:
-    """Run a schedule on one input state: the one-row view of `_run_block`.
+    """Run a schedule on one input state.
 
     backend "analytic" composes the closed-form step maps; backend
     "hamiltonian" exponentiates the generators instead — the
@@ -472,21 +495,28 @@ def execute(schedule: GateSchedule, psi0: StateVector,
     embedded next to the cavity vacuum, and results live on dims
     (3, 3, fock_cutoff)).  Inputs live on the two loops, dims (3, 3).  The
     analytic backend has no cavity, so it refuses
-    ``params.explicit_cavity``.  ``max_norm_drift`` is the largest
-    |norm - 1| over the input and every step's state; a NaN drift is
-    rejected.
+    ``params.explicit_cavity``.  The layout and the step propagators are
+    resolved once per (backend, params), as in `_run_block`, and the one
+    run is filled by the same `_chain`, so its bits are those of a block
+    row.  ``max_norm_drift`` is the largest |norm - 1| over the input and
+    every step's state; a NaN drift is rejected.
     """
     if psi0.dims != (3, 3):
         raise ValueError(f"input state dims {psi0.dims} not supported "
                          f"for backend {backend!r}")
     params = params or ExecutionParams()
-    run = _run_block(schedule, psi0.amplitudes[None], backend, params)[0]
-    dims = _run_dims(params)
+    dims, dim = _run_layout(backend, params)
+    units = _schedule_unitaries(schedule, backend, params)
+    run = np.empty((len(units) + 1, dim), dtype=complex)
+    run[0] = (_with_cavity_vacuum(psi0.amplitudes, params.fock_cutoff)
+              if params.explicit_cavity else psi0.amplitudes)
+    _chain(units, run)
+    norms = np.sqrt(np.vecdot(run, run).real)
     return EvolutionResult(
         final_state=StateVector(run[-1], dims),
         propagator=None,
-        step_count=len(schedule.steps),
-        max_norm_drift=float(abs(np.linalg.norm(run, axis=1) - 1.0).max()),
+        step_count=len(units),
+        max_norm_drift=float(abs(norms - 1.0).max()),
         intermediates=(tuple(StateVector(vec, dims) for vec in run[1:])
                        if record_intermediate else None),
     )

@@ -361,9 +361,11 @@ def test_warm_execute_resolves_its_schedule_with_one_lookup(monkeypatch):
                 return _step_unitary(*args)
 
             monkeypatch.setattr(protocols, "_step_unitary", counted)
+            layout_misses = protocols._run_layout.cache_info().misses
             again = execute(sched, psi, backend, params)
             monkeypatch.undo()
             assert calls == [], (sched.name, backend, dims)
+            assert protocols._run_layout.cache_info().misses == layout_misses
             np.testing.assert_array_equal(again.final_state.amplitudes,
                                           first.final_state.amplitudes)
             # the lookup hands out the one cached tuple of propagators
@@ -371,6 +373,77 @@ def test_warm_execute_resolves_its_schedule_with_one_lookup(monkeypatch):
             assert _schedule_unitaries(sched, backend, params) is units
             assert all(np.array_equal(u, _step_unitary(step, backend, params))
                        for u, step in zip(units, sched.steps))
+
+
+def test_refusals_are_raised_on_every_call_of_either_entry_point():
+    """The layout memo keeps no refusal and skips none: an unknown backend
+    and the analytic backend with the cavity are refused by name on a
+    cold call and again once every memo is warm."""
+    psi = basis_state((3, 3), (1, 1))
+    entries = {"execute": lambda b, p: execute(schedule_cps(), psi, b, p),
+               "_run_block": lambda b, p: _run_block(
+                   schedule_cps(), psi.amplitudes[None], b, p)}
+    refused = (("x", ExecutionParams(), r"^unknown backend 'x'$"),
+               ("analytic", CAVITY, r"^backend 'analytic' has no cavity"))
+    for name, run in entries.items():
+        for backend, params, message in refused:
+            protocols._run_layout.cache_clear()
+            _schedule_unitaries.cache_clear()
+            for _ in range(2):  # cold, then right after a refusal
+                with pytest.raises(ValueError, match=message):
+                    run(backend, params)
+            run("hamiltonian", params)  # warms every memo for params
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    run(backend, params)
+            assert protocols._run_layout.cache_info().currsize == 1, name
+
+
+@pytest.mark.parametrize("fock_cutoff", [4, 8])
+def test_max_norm_drift_is_the_largest_norm_error_over_the_run(fock_cutoff):
+    """max |norm - 1| over the input and every step, as `np.linalg.norm`
+    reads it to within 4 ulp of 1; the input is off its unit norm, so the
+    drift is not roundoff alone."""
+    rng = np.random.default_rng(11)
+    cavity = dataclasses.replace(CAVITY, fock_cutoff=fock_cutoff)
+    for backend, params in (("analytic", ExecutionParams(rabi=100.0)),
+                            ("hamiltonian", ExecutionParams(rabi=100.0)),
+                            ("hamiltonian", cavity)):
+        for build in SCHEDULE_BUILDERS.values():
+            amps = rng.normal(size=9) + 1j * rng.normal(size=9)
+            amps *= (1.0 + 1e-9 * (1.0 + rng.uniform())) / np.linalg.norm(amps)
+            psi = StateVector(amps, (3, 3))
+            res = execute(build(), psi, backend, params,
+                          record_intermediate=True)
+            first = (_with_cavity_vacuum(amps, fock_cutoff)
+                     if params.explicit_cavity else amps)
+            want = max(abs(np.linalg.norm(v) - 1.0) for v in
+                       [first] + [s.amplitudes for s in res.intermediates])
+            assert want > 1e-10
+            assert abs(res.max_norm_drift - want) <= 4 * np.spacing(1.0), (
+                backend, params.explicit_cavity, res.max_norm_drift, want)
+
+
+def test_a_step_that_is_not_unitary_rejects_the_run(monkeypatch):
+    from squidqed.dynamics import NORM_DRIFT_MAX
+
+    psi = basis_state((3, 3), (1, 1))
+    real = protocols._step_unitary
+
+    def scaled(step, backend, params):
+        u = real(step, backend, params)
+        return u * (1.0 + 1e-6) if step is schedule_swap().steps[1] else u
+
+    _schedule_unitaries.cache_clear()
+    monkeypatch.setattr(protocols, "_step_unitary", scaled)
+    try:
+        for backend, params, _ in BACKENDS:
+            with pytest.raises(RuntimeError,
+                               match=f"exceeds {NORM_DRIFT_MAX:.0e}; "
+                                     f"result rejected"):
+                execute(schedule_swap(), psi, backend, params)
+    finally:
+        _schedule_unitaries.cache_clear()
 
 
 def _full_dims_pulse(step, params, dims):
